@@ -27,11 +27,14 @@ is that missing stage, vectorised end to end:
   :class:`~repro.data.generator.TrafficStream` scenario to the event
   plane while still iterating as ordinary
   :class:`~repro.data.generator.StreamBatch` values — so every serving
-  execution model scores from raw events unchanged.
+  execution model scores from raw events unchanged.  Both directions go
+  through :func:`featurize_events`, the one generator that aggregates
+  :class:`EventBatch` values into feature-row stream batches.
 
 Serving entry points: :meth:`repro.serving.DetectionService.run_event_stream`
-and :meth:`repro.serving.sharding.ShardedDetectionService.run_event_stream`;
-the packet-level scenario preset is
+and :meth:`repro.serving.sharding.ShardedDetectionService.run_event_stream`,
+both :func:`featurize_events` fed to the engine's ``run_stream``; the
+packet-level scenario preset is
 :func:`repro.scenarios.syn_flood_event_scenario`.  Semantics and the
 determinism contract: ``docs/SERVING.md`` (raw-event ingestion section).
 """
@@ -39,7 +42,7 @@ determinism contract: ``docs/SERVING.md`` (raw-event ingestion section).
 from .events import FLAG_ERR, FLAG_FIN, FLAG_SYN, PacketEvents
 from .extractor import FlowFeatureExtractor
 from .flows import FlowStats, FlowTable
-from .lowering import EventBatch, EventTrafficStream, lower_records
+from .lowering import EventBatch, EventTrafficStream, featurize_events, lower_records
 
 __all__ = [
     "FLAG_SYN",
@@ -52,4 +55,5 @@ __all__ = [
     "lower_records",
     "EventBatch",
     "EventTrafficStream",
+    "featurize_events",
 ]

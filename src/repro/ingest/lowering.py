@@ -56,6 +56,7 @@ __all__ = [
     "lower_records",
     "EventBatch",
     "EventTrafficStream",
+    "featurize_events",
 ]
 
 #: Salt mixed into every per-batch SeedSequence so event lowering never
@@ -263,12 +264,25 @@ class EventTrafficStream:
 
     def __iter__(self) -> Iterator[StreamBatch]:
         extractor = FlowFeatureExtractor(self.schema, window=self.window)
-        for event_batch in self.event_batches():
-            records = extractor.extract(event_batch.events, final=True)
-            yield StreamBatch(
-                records=records,
-                phase=event_batch.phase,
-                index=event_batch.index,
-                phase_index=event_batch.phase_index,
-                mix=event_batch.mix,
-            )
+        return featurize_events(self, extractor)
+
+
+def featurize_events(events, extractor: FlowFeatureExtractor) -> Iterator[StreamBatch]:
+    """Aggregate event batches into :class:`StreamBatch` values, lazily.
+
+    ``events`` is an :class:`EventTrafficStream` or any iterable of
+    :class:`EventBatch`.  Each batch's events go through ``extractor`` in
+    batch-interval mode (``final=True``) only when the consumer pulls that
+    batch, so a consumer that stops after *k* batches leaves the rest
+    unaggregated — every row the extractor emits is served.
+    """
+    if isinstance(events, EventTrafficStream):
+        events = events.event_batches()
+    for event_batch in events:
+        yield StreamBatch(
+            records=extractor.extract(event_batch.events, final=True),
+            phase=event_batch.phase,
+            index=event_batch.index,
+            phase_index=event_batch.phase_index,
+            mix=event_batch.mix,
+        )

@@ -194,7 +194,8 @@ class ScenarioSuite:
         and a re-run scores the identical records.
     window:
         Rolling-monitor width; the default is wide enough that no suite
-        stream overflows it and the reported counts are exact totals.
+        stream overflows it, so the overall (rolling) counts are exact
+        totals too — per-phase rows are exact totals on any window.
     num_workers:
         Pool size for the worker-pool (threads) and process-pool (child
         processes) models, and per shard in the ``sharded-workers`` fleet
@@ -246,7 +247,7 @@ class ScenarioSuite:
     lifecycle_window:
         Rolling-monitor width for the supervised service only.  The sweep
         services use the suite-wide (practically unbounded) ``window`` so
-        their counts are exact totals; the supervisor instead needs a
+        their overall counts are exact totals; the supervisor instead needs a
         *recent-traffic* window, otherwise early clean traffic dilutes the
         degradation signal and the policy triggers late.
     """

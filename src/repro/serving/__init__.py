@@ -51,6 +51,16 @@ Four execution models run on that path:
   picks the per-shard pool backend), and with replica routing the merged
   confusion counts equal the single-service run on the same stream.
 
+Every ``run_stream`` — the four models above and the shadow, supervisor
+and fleet controller below — is one loop, :class:`StreamDriver`
+(:mod:`repro.serving.driver`): route → expect → submit → attribute per
+stream batch over the engine's *lanes* (the service, the pool, or one lane
+per shard), with batch-boundary hooks for the shadow tee and the control
+loops, then flush → merge.  ``max_batches`` pulls exactly that many
+batches, and :class:`PhaseAttributor` sums confusion counts per phase, so
+every served record is committed and attributed once and the per-phase
+rows are exact totals whatever the rolling window.
+
 The fleet control plane (:mod:`repro.serving.fleet`) operates those
 models: :class:`FleetController` owns a sharded fleet with one worker pool
 per shard and closes two control loops on stream batch boundaries —
@@ -80,16 +90,11 @@ every preset across the four execution models.
 """
 
 from .batching import MicroBatcher
+from .driver import PhaseAttributor, StreamDriver
 from .monitor import RollingDetectionMonitor, ThroughputMonitor
-from .service import (
-    BatchResult,
-    CachedPreprocessor,
-    DetectionService,
-    PhaseAttributor,
-    ServiceReport,
-)
+from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
 from .sharding import ShardedDetectionService, ShardRouter
-from .workers import WorkerPool
+from .workers import PoolStats, WorkerPool
 from .lifecycle import (
     DetectorCheckpoint,
     DriftPolicy,
@@ -111,7 +116,6 @@ from .fleet import (
     FleetOutcome,
     RolloutPolicy,
 )
-from .workers import PoolStats
 
 __all__ = [
     "MicroBatcher",
@@ -120,6 +124,7 @@ __all__ = [
     "CachedPreprocessor",
     "DetectionService",
     "PhaseAttributor",
+    "StreamDriver",
     "BatchResult",
     "ServiceReport",
     "WorkerPool",

@@ -39,19 +39,21 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.detector import PelicanDetector
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
+from .driver import StreamDriver
 from .monitor import RollingDetectionMonitor
-from .service import DetectionService, PhaseAttributor, ServiceReport
+from .service import DetectionService, ServiceReport
 from .sharding import ShardedDetectionService
 from .transport import normalize_transport_name
 from .workers import PoolStats, WorkerPool
 from .lifecycle.checkpoint import DetectorCheckpoint
-from .lifecycle.shadow import ShadowComparison
+from .lifecycle.shadow import ShadowComparison, quality_deltas
 
 __all__ = [
     "AutoscalePolicy",
@@ -359,23 +361,14 @@ class FleetController:
     ) -> FleetOutcome:
         """Serve the stream under fleet control; returns the outcome.
 
-        Mirrors :meth:`ShardedDetectionService.run_stream` — per-shard
-        attribution, merged per-phase reports, one worker pool per shard —
-        with the two control loops run at every stream batch boundary.  The
+        The :class:`~repro.serving.driver.StreamDriver` over the fleet's
+        shards, one worker pool per shard — per-shard attribution, merged
+        per-phase reports, as in :meth:`ShardedDetectionService.run_stream`
+        — with the two control loops as its ``after_batch`` hook.  The
         returned report carries the event timeline under ``timeline``.
         """
         fleet = self.fleet
-        for shard in fleet.shards:
-            shard.flush()  # pre-stream records belong to no phase
-
         events: List[FleetEvent] = []
-        attributors = [
-            PhaseAttributor(
-                normal_index=shard.pipeline.normal_index,
-                window=shard.monitor.window,
-            )
-            for shard in fleet.shards
-        ]
         # Rollout state.  All mutated on the driving thread only; the
         # callbacks below read trial/watch sinks between pool joins, where
         # no commit can race the mutation.
@@ -389,22 +382,14 @@ class FleetController:
         watch: Dict[int, RollingDetectionMonitor] = {}
         stage_countdown = 0
 
-        def make_callback(index: int):
-            def callback(result) -> None:
-                attributors[index].attribute(result)
-                sink = watch.get(index)
-                if sink is not None:
-                    sink.update(result.true_indices, result.class_indices)
-                if trial_primary is not None and index == self.rollout.canary_shard:
-                    trial_primary.update(result.true_indices, result.class_indices)
-            return callback
-
-        pools = fleet.open_pools(
-            self.num_workers,
-            self.worker_backend,
-            result_callbacks=[make_callback(i) for i in range(len(fleet.shards))],
-            transport=self.transport,
-        )
+        def on_commit(index: int, result) -> None:
+            # Each shard pool's result callback: feeds the trial and watch
+            # monitors as results commit, so they are current after a join.
+            sink = watch.get(index)
+            if sink is not None:
+                sink.update(result.true_indices, result.class_indices)
+            if trial_primary is not None and index == self.rollout.canary_shard:
+                trial_primary.update(result.true_indices, result.class_indices)
 
         def log(kind: str, batch_index: int, shard: Optional[int] = None, **detail):
             events.append(
@@ -429,39 +414,16 @@ class FleetController:
             # the challenger's shadow scores cover the identical records.
             pools[self.rollout.canary_shard].join()
             challenger = candidate
+            # process() scores each canary part whole, bypassing the
+            # micro-batcher.
             trial_service = DetectionService(
-                challenger,
-                max_batch_size=1 << 30,  # score each canary part whole
-                flush_interval=0.0,
-                window=_EXACT_WINDOW,
-                fast=canary.fast,
-                clock=canary.clock,
+                challenger, window=_EXACT_WINDOW, clock=canary.clock
             )
             trial_primary = RollingDetectionMonitor(
                 normal_index=canary.pipeline.normal_index, window=_EXACT_WINDOW
             )
             trial_remaining = max(self.rollout.shadow_batches, 1)
             log("shadow-start", batch_index, shard=self.rollout.canary_shard)
-
-        def comparison() -> ShadowComparison:
-            primary_report = trial_primary.report()
-            challenger_report = trial_service.monitor.report()
-            if primary_report is None or challenger_report is None:
-                return ShadowComparison(
-                    records=0, dr_delta=0.0, far_delta=0.0, acc_delta=0.0
-                )
-            return ShadowComparison(
-                records=challenger_report.total,
-                dr_delta=(
-                    challenger_report.detection_rate
-                    - primary_report.detection_rate
-                ),
-                far_delta=(
-                    challenger_report.false_alarm_rate
-                    - primary_report.false_alarm_rate
-                ),
-                acc_delta=challenger_report.accuracy - primary_report.accuracy,
-            )
 
         def swap_shard(index: int, batch_index: int) -> None:
             nonlocal stage_countdown
@@ -481,7 +443,12 @@ class FleetController:
 
         def end_trial(batch_index: int) -> None:
             nonlocal trial_primary, trial_service, challenger
-            verdict = comparison()
+            primary_report = trial_primary.report()
+            challenger_report = trial_service.monitor.report()
+            verdict = ShadowComparison(
+                challenger_report.total if primary_report and challenger_report else 0,
+                *quality_deltas(primary_report, challenger_report),
+            )
             trial_primary, trial_service = None, None
             if verdict.records == 0 or not verdict.challenger_wins(
                 self.rollout.min_dr_gain, self.rollout.max_far_regression
@@ -633,66 +600,47 @@ class FleetController:
                     ),
                 )
 
-        served = 0
-        try:
-            for stream_batch in stream:
-                if max_batches is not None and served >= max_batches:
-                    break
-                for index, indices in enumerate(
-                    fleet.router.route(stream_batch.records)
-                ):
-                    if len(indices) == 0:
-                        continue
-                    part = stream_batch.records.subset(indices)
-                    attributors[index].expect(stream_batch.phase, len(part))
-                    if (
-                        trial_service is not None
-                        and index == self.rollout.canary_shard
-                    ):
-                        # The challenger shadows the canary's records before
-                        # the canary itself sees them — same tee order as
-                        # ShadowDeployment, so both sides score the
-                        # identical sequence.
-                        trial_service.process(part)
-                    pools[index].submit(part)
-                control_rollout(served)
-                control_scaling(served)
-                served += 1
+        def before_submit(stream_batch: StreamBatch, parts) -> None:
+            # The challenger shadows the canary's records before the canary
+            # itself sees them — the ShadowDeployment tee order, so both
+            # sides score the identical sequence.
+            for index, part in parts:
+                if trial_service is not None and index == self.rollout.canary_shard:
+                    trial_service.process(part)
 
-            for pool in pools:
-                pool.flush()
+        def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
+            control_rollout(batch_index)
+            control_scaling(batch_index)
+
+        with StreamDriver(
+            fleet,
+            before_submit,
+            after_batch,
+            num_workers=self.num_workers,
+            worker_backend=self.worker_backend,
+            transport=self.transport,
+            result_callbacks=[partial(on_commit, i) for i in range(len(fleet.shards))],
+        ) as driver:
+            pools = driver.lanes
+            report = driver.run(stream, max_batches)
             if trial_service is not None:
                 log(
                     "trial-abandoned",
-                    served,
+                    driver.served,
                     shard=self.rollout.canary_shard,
                     remaining=trial_remaining,
                 )
             elif staging and swapped:
-                log("rollout-incomplete", served, unswapped=len(staging))
+                log("rollout-incomplete", driver.served, unswapped=len(staging))
             elif challenger is not None and swapped:
                 # Fully swapped but the final watch never accumulated
                 # enough records: report it rather than claiming success.
-                report = watch_report()
+                watched = watch_report()
                 log(
                     "rollout-incomplete",
-                    served,
-                    watched=report.total if report is not None else 0,
+                    driver.served,
+                    watched=watched.total if watched is not None else 0,
                 )
-        finally:
-            for pool in pools:
-                pool.close()
 
-        merged_phases: Dict[str, DetectionReport] = {}
-        for attributor in attributors:
-            for phase, report in attributor.reports().items():
-                existing = merged_phases.get(phase)
-                merged_phases[phase] = (
-                    report
-                    if existing is None
-                    else DetectionReport.merge([existing, report])
-                )
-        final = replace(
-            fleet._merge(phase_reports=merged_phases), timeline=tuple(events)
-        )
+        final = replace(report, timeline=tuple(events))
         return FleetOutcome(report=final, events=events)

@@ -15,10 +15,12 @@ ones anything downstream sees.  The primary can be any execution model:
   single-schema stream, i.e. replica or class-family sharding).
 
 The deployment's :meth:`~ShadowDeployment.run_stream` tees the stream:
-each :class:`~repro.data.generator.StreamBatch` is first fed to the
-challenger (with its own per-phase attribution) and then yielded onward to
-the primary's own ``run_stream``, so both sides observe the identical
-record sequence and the primary's ordering guarantees are untouched.  The
+the primary is driven by a :class:`~repro.serving.driver.StreamDriver`
+whose ``before_submit`` hook first feeds each
+:class:`~repro.data.generator.StreamBatch` to a second driver over the
+challenger (with its own per-phase attribution), so both sides observe the
+identical record sequence and the primary's ordering guarantees are
+untouched.  The
 result is a :class:`ShadowReport` carrying both service reports plus a
 :class:`ShadowComparison` — per-phase and overall DR/FAR/ACC deltas and a
 promotion verdict.
@@ -26,13 +28,14 @@ promotion verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, Iterator, Optional, Union
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ...core.detector import PelicanDetector
 from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
-from ..service import DetectionService, PhaseAttributor, ServiceReport
+from ..driver import StreamDriver
+from ..service import DetectionService, ServiceReport
 from ..sharding import ShardedDetectionService
 from ..workers import WorkerPool
 
@@ -85,34 +88,48 @@ class ShadowReport:
     comparison: ShadowComparison
 
 
+def quality_deltas(
+    primary: Optional[DetectionReport], challenger: Optional[DetectionReport]
+) -> Tuple[float, float, float]:
+    """(ΔDR, ΔFAR, ΔACC), challenger minus primary; zeros if a side is empty."""
+    if primary is None or challenger is None:
+        return 0.0, 0.0, 0.0
+    return (
+        challenger.detection_rate - primary.detection_rate,
+        challenger.false_alarm_rate - primary.false_alarm_rate,
+        challenger.accuracy - primary.accuracy,
+    )
+
+
 def compare_reports(
     primary: ServiceReport, challenger: ServiceReport
 ) -> ShadowComparison:
     """Build the delta row from two service reports over the same records."""
-
-    def deltas(a: Optional[DetectionReport], b: Optional[DetectionReport]):
-        if a is None or b is None:
-            return 0.0, 0.0, 0.0
-        return (
-            b.detection_rate - a.detection_rate,
-            b.false_alarm_rate - a.false_alarm_rate,
-            b.accuracy - a.accuracy,
-        )
-
-    dr_delta, far_delta, acc_delta = deltas(primary.rolling, challenger.rolling)
     phase_deltas: Dict[str, Dict[str, float]] = {}
     for phase, primary_phase in primary.phase_reports.items():
         challenger_phase = challenger.phase_reports.get(phase)
-        if challenger_phase is None:
-            continue
-        dr, far, acc = deltas(primary_phase, challenger_phase)
-        phase_deltas[phase] = {"dr": dr, "far": far, "acc": acc}
+        if challenger_phase is not None:
+            dr, far, acc = quality_deltas(primary_phase, challenger_phase)
+            phase_deltas[phase] = {"dr": dr, "far": far, "acc": acc}
     return ShadowComparison(
-        records=challenger.records,
-        dr_delta=dr_delta,
-        far_delta=far_delta,
-        acc_delta=acc_delta,
+        challenger.records,
+        *quality_deltas(primary.rolling, challenger.rolling),
         phase_deltas=phase_deltas,
+    )
+
+
+def template_service(target: Primary) -> DetectionService:
+    """The (first) service an execution model scores through: the shadow's
+    batching template and the supervisor's clock and serving detector."""
+    if isinstance(target, DetectionService):
+        return target
+    if isinstance(target, WorkerPool):
+        return target.service
+    if isinstance(target, ShardedDetectionService):
+        return target.shards[0]
+    raise TypeError(
+        f"unsupported execution model {type(target).__name__}; expected "
+        "DetectionService, WorkerPool or ShardedDetectionService"
     )
 
 
@@ -136,7 +153,7 @@ class ShadowDeployment:
         challenger: Union[PelicanDetector, DetectionService],
     ) -> None:
         self.primary = primary
-        template = self._template_service(primary)
+        template = template_service(primary)
         if isinstance(challenger, DetectionService):
             self.challenger_service = challenger
         else:
@@ -145,7 +162,6 @@ class ShadowDeployment:
                 max_batch_size=template.batcher.max_batch_size,
                 flush_interval=template.batcher.flush_interval,
                 window=template.monitor.window,
-                fast=template.fast,
                 clock=template.clock,
             )
         if (
@@ -157,19 +173,6 @@ class ShadowDeployment:
                 "shadow comparison over mismatched labels is meaningless"
             )
 
-    @staticmethod
-    def _template_service(primary: Primary) -> DetectionService:
-        if isinstance(primary, DetectionService):
-            return primary
-        if isinstance(primary, WorkerPool):
-            return primary.service
-        if isinstance(primary, ShardedDetectionService):
-            return primary.shards[0]
-        raise TypeError(
-            f"unsupported primary {type(primary).__name__}; expected "
-            "DetectionService, WorkerPool or ShardedDetectionService"
-        )
-
     # ------------------------------------------------------------------ #
     def run_stream(
         self,
@@ -179,35 +182,21 @@ class ShadowDeployment:
     ) -> ShadowReport:
         """Serve the stream on the primary while the challenger shadows it.
 
-        Extra keyword arguments go to the primary's ``run_stream`` (e.g.
-        ``num_workers=...`` for a sharded primary).  The challenger scores
-        each stream batch synchronously on the driving thread *before* the
-        batch is handed to the primary, so both sides see the identical
-        record sequence; its report carries its own per-phase attribution.
+        Extra keyword arguments select the primary's lanes as in its
+        ``run_stream`` (e.g. ``num_workers=...`` for a sharded primary).
+        The challenger scores each stream batch synchronously on the
+        driving thread *before* the batch is handed to the primary, so both
+        sides see the identical record sequence; its report carries its own
+        per-phase attribution.
         """
-        self.challenger_service.flush()  # pre-stream records belong to no phase
-        attributor = PhaseAttributor(
-            normal_index=self.challenger_service.pipeline.normal_index,
-            window=self.challenger_service.monitor.window,
-        )
-
-        def tee() -> Iterator[StreamBatch]:
-            served = 0
-            for stream_batch in stream:
-                if max_batches is not None and served >= max_batches:
-                    break
-                attributor.expect(stream_batch.phase, len(stream_batch.records))
-                for result in self.challenger_service.submit(stream_batch.records):
-                    attributor.attribute(result)
-                yield stream_batch
-                served += 1
-
-        primary_report = self.primary.run_stream(tee(), **primary_kwargs)
-        for result in self.challenger_service.flush():
-            attributor.attribute(result)
-        challenger_report = replace(
-            self.challenger_service.report(), phase_reports=attributor.reports()
-        )
+        with StreamDriver(self.challenger_service) as shadow, StreamDriver(
+            self.primary,
+            before_submit=lambda batch, _parts: shadow.submit(batch),
+            **primary_kwargs,
+        ) as primary:
+            primary_report = primary.run(stream, max_batches)
+            shadow.flush()
+            challenger_report = shadow.report()
         return ShadowReport(
             primary=primary_report,
             challenger=challenger_report,

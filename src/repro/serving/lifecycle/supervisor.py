@@ -26,15 +26,17 @@ only *report* it.  :class:`DriftSupervisor` closes the loop:
    confusion counts are bitwise-equal to a drain-stop-restart deployment
    of the same two models at the same boundary.
 
-The supervisor drives any of the four execution models through a small
-adapter: a synchronous :class:`~repro.serving.service.DetectionService`, a
+The supervisor drives any of the four execution models through the
+:class:`~repro.serving.driver.StreamDriver`, with the watch/retrain/swap
+steps as its ``after_batch`` hook: a synchronous
+:class:`~repro.serving.service.DetectionService`, a
 :class:`~repro.serving.workers.WorkerPool` or
 :class:`~repro.serving.procpool.ProcessWorkerPool` (results commit in
 submission order, so attribution is unchanged; a process pool's swap also
 re-ships the challenger's checkpoint to its children) or a
-:class:`~repro.serving.sharding.ShardedDetectionService` (per-shard
-attribution mirrors its own ``run_stream``; a swap replaces every shard's
-engine — replica fleets share one detector, so one challenger serves all).
+:class:`~repro.serving.sharding.ShardedDetectionService` (shards score
+inline, as in its own ``run_stream``; a swap replaces every shard's engine
+— replica fleets share one detector, so one challenger serves all).
 
 :meth:`DriftSupervisor.run_stream` returns a :class:`LifecycleOutcome`:
 the final :class:`~repro.serving.service.ServiceReport` plus the event
@@ -47,16 +49,16 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, List, Optional, Union
+from dataclasses import dataclass, field
+from typing import Callable, Deque, Dict, List, Optional
 
 from ...core.detector import PelicanDetector
 from ...data.dataset import TrafficRecords
 from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
-from ..service import BatchResult, DetectionService, PhaseAttributor, ServiceReport
-from ..sharding import ShardedDetectionService
-from ..workers import WorkerPool
+from ..driver import StreamDriver
+from ..service import DetectionService, ServiceReport
+from .shadow import Primary, template_service
 
 __all__ = [
     "DriftPolicy",
@@ -256,214 +258,6 @@ class LifecycleOutcome:
         return promoted.time - detected.time
 
 
-# ---------------------------------------------------------------------- #
-# Execution-model adapters
-# ---------------------------------------------------------------------- #
-#: Per-phase attribution window for supervised runs.  The service's own
-#: rolling window stays small (it is the drift signal), but the outcome's
-#: per-phase rows are a baseline artifact and must be exact totals — a
-#: windowed phase row would silently truncate phases longer than the
-#: rolling window and skew ``BENCH_scenarios.json`` comparisons.
-_PHASE_WINDOW = 1 << 20
-
-
-class _ServiceAdapter:
-    """Synchronous :class:`DetectionService` under supervision."""
-
-    def __init__(self, service: DetectionService) -> None:
-        self.service = service
-        self.attributor = PhaseAttributor(
-            normal_index=service.pipeline.normal_index,
-            window=max(service.monitor.window, _PHASE_WINDOW),
-        )
-
-    def open(self) -> None:
-        self.service.flush()  # pre-stream records belong to no phase
-
-    def submit(self, stream_batch: StreamBatch) -> List[BatchResult]:
-        self.attributor.expect(stream_batch.phase, len(stream_batch.records))
-        results = self.service.submit(stream_batch.records)
-        for result in results:
-            self.attributor.attribute(result)
-        return results
-
-    def flush(self) -> List[BatchResult]:
-        """Drain every pending and in-flight batch — the swap boundary."""
-        results = self.service.flush()
-        for result in results:
-            self.attributor.attribute(result)
-        return results
-
-    def close(self) -> None:
-        pass
-
-    def swap(self, challenger: PelicanDetector) -> None:
-        self.service.swap_detector(challenger)
-
-    def rolling_report(self) -> Optional[DetectionReport]:
-        return self.service.monitor.report()
-
-    def unknown_total(self) -> int:
-        return sum(self.service.pipeline.unknown_categoricals.values())
-
-    def records_seen(self) -> int:
-        return self.service.monitor.seen
-
-    def clock(self) -> float:
-        return self.service.clock()
-
-    def serving_detector(self) -> PelicanDetector:
-        return self.service.detector
-
-    def final_report(self) -> ServiceReport:
-        return replace(
-            self.service.report(), phase_reports=self.attributor.reports()
-        )
-
-
-class _PoolAdapter(_ServiceAdapter):
-    """Worker-pool execution under supervision.
-
-    Results are collected through the pool's submit/flush returns, which
-    deliver them in submission order (the reorder buffer's guarantee), so
-    the single-attributor bookkeeping of the synchronous adapter carries
-    over unchanged — results merely arrive a few batches late.
-    """
-
-    def __init__(self, pool: WorkerPool) -> None:
-        super().__init__(pool.service)
-        if pool._result_callback is not None:
-            # A standing callback would swallow the committed results the
-            # adapter attributes phases from.
-            raise ValueError(
-                "DriftSupervisor cannot supervise a WorkerPool constructed "
-                "with a result_callback"
-            )
-        self.pool = pool
-        self._owns_lifecycle = False
-
-    def open(self) -> None:
-        if not self.pool.running:
-            self.pool.start()
-            self._owns_lifecycle = True
-        self.pool.flush()  # drain pre-stream work before attribution starts
-
-    def submit(self, stream_batch: StreamBatch) -> List[BatchResult]:
-        self.attributor.expect(stream_batch.phase, len(stream_batch.records))
-        results = self.pool.submit(stream_batch.records)
-        for result in results:
-            self.attributor.attribute(result)
-        return results
-
-    def flush(self) -> List[BatchResult]:
-        results = self.pool.flush()
-        for result in results:
-            self.attributor.attribute(result)
-        return results
-
-    def close(self) -> None:
-        if self._owns_lifecycle:
-            self.pool.close()
-            self._owns_lifecycle = False
-
-    def swap(self, challenger: PelicanDetector) -> None:
-        # Through the pool, not the bare service: a ProcessWorkerPool must
-        # also re-ship the challenger's checkpoint to its child processes.
-        self.pool.swap_detector(challenger)
-
-
-class _ShardedAdapter:
-    """Sharded execution under supervision (inline shard scoring).
-
-    Mirrors :meth:`ShardedDetectionService.run_stream`: one attributor per
-    shard, router-partitioned submissions, merged per-phase reports.  A
-    swap replaces *every* shard's engine with the challenger — the replica
-    fleet the supervisor targets shares one detector across shards.
-    """
-
-    def __init__(self, sharded: ShardedDetectionService) -> None:
-        self.sharded = sharded
-        self.attributors = [
-            PhaseAttributor(
-                normal_index=shard.pipeline.normal_index,
-                window=max(shard.monitor.window, _PHASE_WINDOW),
-            )
-            for shard in sharded.shards
-        ]
-
-    def open(self) -> None:
-        self.sharded.flush()
-
-    def submit(self, stream_batch: StreamBatch) -> List[BatchResult]:
-        results: List[BatchResult] = []
-        for index, indices in enumerate(
-            self.sharded.router.route(stream_batch.records)
-        ):
-            if len(indices) == 0:
-                continue
-            part = stream_batch.records.subset(indices)
-            self.attributors[index].expect(stream_batch.phase, len(part))
-            for result in self.sharded.shards[index].submit(part):
-                self.attributors[index].attribute(result)
-                results.append(result)
-        return results
-
-    def flush(self) -> List[BatchResult]:
-        results: List[BatchResult] = []
-        for index, shard in enumerate(self.sharded.shards):
-            for result in shard.flush():
-                self.attributors[index].attribute(result)
-                results.append(result)
-        return results
-
-    def close(self) -> None:
-        pass
-
-    def swap(self, challenger: PelicanDetector) -> None:
-        for shard in self.sharded.shards:
-            shard.swap_detector(challenger)
-
-    def rolling_report(self) -> Optional[DetectionReport]:
-        parts = [
-            report
-            for shard in self.sharded.shards
-            if (report := shard.monitor.report()) is not None
-        ]
-        return DetectionReport.merge(parts) if parts else None
-
-    def unknown_total(self) -> int:
-        return sum(
-            count
-            for shard in self.sharded.shards
-            for count in shard.pipeline.unknown_categoricals.values()
-        )
-
-    def records_seen(self) -> int:
-        return sum(shard.monitor.seen for shard in self.sharded.shards)
-
-    def clock(self) -> float:
-        return self.sharded.shards[0].clock()
-
-    def serving_detector(self) -> PelicanDetector:
-        return self.sharded.shards[0].detector
-
-    def final_report(self) -> ServiceReport:
-        merged: Dict[str, DetectionReport] = {}
-        for attributor in self.attributors:
-            for phase, report in attributor.reports().items():
-                existing = merged.get(phase)
-                merged[phase] = (
-                    report
-                    if existing is None
-                    else DetectionReport.merge([existing, report])
-                )
-        return self.sharded._merge(phase_reports=merged)
-
-
-# ---------------------------------------------------------------------- #
-Supervised = Union[DetectionService, WorkerPool, ShardedDetectionService]
-
-
 class DriftSupervisor:
     """Close the measure → retrain → swap loop over a served stream.
 
@@ -508,7 +302,7 @@ class DriftSupervisor:
 
     def __init__(
         self,
-        target: Supervised,
+        target: Primary,
         policy: DriftPolicy,
         trainer: Optional[Trainer] = None,
         replay_records: int = 4096,
@@ -524,7 +318,7 @@ class DriftSupervisor:
             raise ValueError("shadow_batches must be non-negative")
         if max_retrains <= 0:
             raise ValueError("max_retrains must be positive")
-        self._adapter(target)  # fail fast on unsupported/mis-configured targets
+        self._template = template_service(target)  # fail fast on bad targets
         self.target = target
         self.policy = policy
         self.trainer = trainer or default_retrainer
@@ -534,20 +328,6 @@ class DriftSupervisor:
         self.background = bool(background)
         self.max_retrains = int(max_retrains)
         self.promotion_hook = promotion_hook
-
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _adapter(target: Supervised):
-        if isinstance(target, WorkerPool):
-            return _PoolAdapter(target)
-        if isinstance(target, ShardedDetectionService):
-            return _ShardedAdapter(target)
-        if isinstance(target, DetectionService):
-            return _ServiceAdapter(target)
-        raise TypeError(
-            f"unsupported target {type(target).__name__}; expected "
-            "DetectionService, WorkerPool or ShardedDetectionService"
-        )
 
     # ------------------------------------------------------------------ #
     def run_stream(
@@ -561,8 +341,6 @@ class DriftSupervisor:
         and throughput numbers — one continuous history across any number
         of swaps — plus the event timeline and per-batch DR/FAR curves.
         """
-        adapter = self._adapter(self.target)
-        adapter.open()
         events: List[LifecycleEvent] = []
         dr_curve: List[Optional[float]] = []
         far_curve: List[Optional[float]] = []
@@ -573,16 +351,21 @@ class DriftSupervisor:
         shadow_service: Optional[DetectionService] = None
         shadow_remaining = 0
         retrains = 0
-        unknown_mark = adapter.unknown_total()
-        cooldown_mark = adapter.records_seen()
+
+        # Live readings, merged across the driver's lanes.
+        def unknown_total(report: Optional[ServiceReport] = None) -> int:
+            return sum((report or driver.report()).unknown_categoricals.values())
+
+        def records_seen() -> int:
+            return driver.report().records
 
         def log(kind: str, batch_index: int, **detail) -> None:
             events.append(
                 LifecycleEvent(
                     kind=kind,
                     batch_index=batch_index,
-                    records_seen=adapter.records_seen(),
-                    time=adapter.clock(),
+                    records_seen=records_seen(),
+                    time=self._template.clock(),
                     detail=detail,
                 )
             )
@@ -592,7 +375,7 @@ class DriftSupervisor:
             retrains += 1
             log("drift-detected", batch_index, reason=reason)
             replay = self.replay.snapshot()
-            serving = adapter.serving_detector()
+            serving = self._template.detector
             if self.background:
                 def worker() -> None:
                     try:
@@ -636,12 +419,9 @@ class DriftSupervisor:
             challenger = retrain_box.pop("challenger")
             log("retrain-complete", batch_index, replay_records=len(self.replay))
             if self.shadow_batches > 0:
-                shadow_service = DetectionService(
-                    challenger,
-                    max_batch_size=1 << 30,  # score each trial batch whole
-                    flush_interval=0.0,
-                    window=1 << 20,
-                )
+                # process() scores each trial batch whole, bypassing the
+                # micro-batcher; the wide window keeps exact trial totals.
+                shadow_service = DetectionService(challenger, window=1 << 20)
                 shadow_remaining = self.shadow_batches
 
         def promote(batch_index: int) -> None:
@@ -650,7 +430,7 @@ class DriftSupervisor:
             if shadow_service is not None:
                 trial_report = shadow_service.monitor.report()
                 if self.promote_if is not None and not self.promote_if(
-                    trial_report, adapter.rolling_report()
+                    trial_report, driver.report().rolling
                 ):
                     log(
                         "trial-rejected",
@@ -658,7 +438,7 @@ class DriftSupervisor:
                         trial=str(trial_report) if trial_report else "no traffic",
                     )
                     challenger, shadow_service = None, None
-                    cooldown_mark = adapter.records_seen()
+                    cooldown_mark = records_seen()
                     return
             if self.promotion_hook is not None:
                 # Fleet-wide promotion is delegated: the hook (a fleet
@@ -672,66 +452,64 @@ class DriftSupervisor:
                     challenger_schema=handed_off.schema.name,
                 )
                 challenger, shadow_service = None, None
-                unknown_mark = adapter.unknown_total()
-                cooldown_mark = adapter.records_seen()
+                unknown_mark = unknown_total()
+                cooldown_mark = records_seen()
                 self.promotion_hook(handed_off)
                 return
             # The swap boundary: drain everything dispatched or pending so
             # the challenger's first batch is exactly the next submission —
             # stop-the-world-equivalent, with zero records dropped.
-            adapter.flush()
-            adapter.swap(challenger)
+            driver.flush()
+            for lane in driver.lanes:
+                lane.swap_detector(challenger)
             detail: Dict[str, object] = {}
             if trial_report is not None:
                 detail["trial"] = str(trial_report)
             log("promoted", batch_index, **detail)
             challenger, shadow_service = None, None
-            unknown_mark = adapter.unknown_total()
-            cooldown_mark = adapter.records_seen()
+            unknown_mark = unknown_total()
+            cooldown_mark = records_seen()
 
-        served = 0
-        try:
-            for stream_batch in stream:
-                if max_batches is not None and served >= max_batches:
-                    break
-                adapter.submit(stream_batch)
-                self.replay.append(stream_batch.records)
-                if shadow_service is not None and shadow_remaining > 0:
-                    shadow_service.process(stream_batch.records)
-                    shadow_remaining -= 1
+        def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
+            nonlocal shadow_remaining
+            self.replay.append(stream_batch.records)
+            if shadow_service is not None and shadow_remaining > 0:
+                shadow_service.process(stream_batch.records)
+                shadow_remaining -= 1
 
-                rolling = adapter.rolling_report()
-                dr_curve.append(rolling.detection_rate if rolling else None)
-                far_curve.append(rolling.false_alarm_rate if rolling else None)
+            report = driver.report()
+            rolling = report.rolling
+            dr_curve.append(rolling.detection_rate if rolling else None)
+            far_curve.append(rolling.false_alarm_rate if rolling else None)
 
-                collect_retrain(served, wait=False)
-                if challenger is not None and shadow_remaining == 0:
-                    promote(served)
-                elif (
-                    challenger is None
-                    and retrain_thread is None
-                    and "challenger" not in retrain_box
-                    and retrains < self.max_retrains
-                    and adapter.records_seen() - cooldown_mark
-                    >= self.policy.cooldown_records
-                ):
-                    reason = self.policy.check(
-                        rolling, adapter.unknown_total() - unknown_mark
-                    )
-                    if reason is not None:
-                        start_retrain(served, reason)
-                served += 1
+            collect_retrain(batch_index, wait=False)
+            if challenger is not None and shadow_remaining == 0:
+                promote(batch_index)
+            elif (
+                challenger is None
+                and retrain_thread is None
+                and "challenger" not in retrain_box
+                and retrains < self.max_retrains
+                and report.records - cooldown_mark >= self.policy.cooldown_records
+            ):
+                unknown = unknown_total(report) - unknown_mark
+                reason = self.policy.check(rolling, unknown)
+                if reason is not None:
+                    start_retrain(batch_index, reason)
 
-            adapter.flush()
+        with StreamDriver(self.target, after_batch=after_batch) as driver:
+            # Marks taken once pre-stream work is drained: it belongs to no
+            # phase and does not count towards drift or cooldown.
+            unknown_mark = unknown_total()
+            cooldown_mark = records_seen()
+            report = driver.run(stream, max_batches)
             # A retrain still running when the stream ends is joined so its
             # outcome (success or failure) lands in the timeline, but the
             # challenger is not promoted — there is no next batch boundary.
-            collect_retrain(served, wait=True)
-        finally:
-            adapter.close()
+            collect_retrain(driver.served, wait=True)
 
         return LifecycleOutcome(
-            report=adapter.final_report(),
+            report=report,
             events=events,
             dr_curve=dr_curve,
             far_curve=far_curve,

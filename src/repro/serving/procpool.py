@@ -92,7 +92,7 @@ class _Child:
     channel: Channel = field(repr=False)
 
 
-def _worker_main(worker_id, schema_name, fast, endpoint_spec):
+def _worker_main(worker_id, schema_name, endpoint_spec):
     """Child-process scoring loop (module-level: spawn pickles it by name).
 
     The ``Process`` arguments stay deliberately tiny: spawn writes them to
@@ -124,7 +124,7 @@ def _worker_main(worker_id, schema_name, fast, endpoint_spec):
     schema = get_schema(schema_name)
     endpoint = child_endpoint(endpoint_spec)
     try:
-        _worker_loop(endpoint, schema, fast, worker_id)
+        _worker_loop(endpoint, schema, worker_id)
     finally:
         # Release the endpoint's shm mapping before interpreter teardown:
         # live numpy exports would make SharedMemory.__del__'s mmap.close()
@@ -132,7 +132,7 @@ def _worker_main(worker_id, schema_name, fast, endpoint_spec):
         endpoint.close()
 
 
-def _worker_loop(endpoint, schema, fast, worker_id) -> None:
+def _worker_loop(endpoint, schema, worker_id) -> None:
     detector = None
     pipeline = None
     unknown_seen: Dict[str, int] = {}
@@ -165,7 +165,7 @@ def _worker_loop(endpoint, schema, fast, worker_id) -> None:
             started = time.perf_counter()
             inputs = pipeline.transform_inputs(records)
             probabilities = detector.network.predict(
-                inputs, batch_size=max(len(records), 1), fast=fast
+                inputs, batch_size=max(len(records), 1), fast=True
             )
             predicted = np.argmax(probabilities, axis=-1)
             latency = time.perf_counter() - started
@@ -297,7 +297,6 @@ class ProcessWorkerPool(WorkerPool):
             args=(
                 token,
                 self.service.detector.schema.name,
-                self.service.fast,
                 channel.child_spec(),
             ),
             name=f"serving-proc-{token}",

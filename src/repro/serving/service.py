@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -55,13 +55,13 @@ from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from ..preprocessing.pipeline import IDSPreprocessor
 from .batching import MicroBatcher
+from .driver import PhaseAttributor, StreamDriver
 from .monitor import RollingDetectionMonitor, ThroughputMonitor
 
 __all__ = [
     "CachedPreprocessor",
     "BatchResult",
     "ServiceReport",
-    "PhaseAttributor",
     "DetectionService",
 ]
 
@@ -213,65 +213,6 @@ class ServiceReport:
         )
 
 
-class PhaseAttributor:
-    """FIFO attribution of served results back to the emitting stream phases.
-
-    The micro-batching queue preserves submission order, so every processed
-    batch corresponds to a contiguous run of previously announced records.
-    Callers announce each stream batch with :meth:`expect` *before*
-    submitting its records and feed every :class:`BatchResult` — in
-    submission order — to :meth:`attribute`; per-phase rolling monitors
-    accumulate the quality breakdown.
-
-    This is the attribution seam shared by all three execution models: the
-    synchronous service calls it inline, the worker pool calls it from its
-    in-order commit hook, and a sharded service keeps one attributor per
-    shard and merges the per-phase reports afterwards.
-    """
-
-    def __init__(self, normal_index: int, window: int = 512) -> None:
-        self.normal_index = int(normal_index)
-        self.window = int(window)
-        # FIFO of [phase name, records still unattributed from that phase].
-        self._queue: Deque[List] = deque()
-        self.monitors: Dict[str, RollingDetectionMonitor] = {}
-
-    def expect(self, phase: str, count: int) -> None:
-        """Announce that ``count`` records of ``phase`` are about to be submitted."""
-        if count > 0:
-            self._queue.append([phase, count])
-
-    def attribute(self, result: BatchResult) -> None:
-        """Attribute one result (in submission order) to its phases."""
-        consumed = 0
-        while consumed < result.size:
-            phase, remaining = self._queue[0]
-            take = min(remaining, result.size - consumed)
-            monitor = self.monitors.setdefault(
-                phase,
-                RollingDetectionMonitor(
-                    normal_index=self.normal_index, window=self.window
-                ),
-            )
-            monitor.update(
-                result.true_indices[consumed:consumed + take],
-                result.class_indices[consumed:consumed + take],
-            )
-            consumed += take
-            if take == remaining:
-                self._queue.popleft()
-            else:
-                self._queue[0][1] = remaining - take
-
-    def reports(self) -> Dict[str, DetectionReport]:
-        """Per-phase detection reports (phases without traffic omitted)."""
-        return {
-            phase: report
-            for phase, monitor in self.monitors.items()
-            if (report := monitor.report()) is not None
-        }
-
-
 class DetectionService:
     """Streaming front-end for a fitted :class:`PelicanDetector`.
 
@@ -284,9 +225,6 @@ class DetectionService:
         Micro-batching policy (see :class:`MicroBatcher`).
     window:
         Rolling-monitor width in records.
-    fast:
-        Route forward passes through the graph-free inference path
-        (``Model.predict(..., fast=True)``); on by default.
     clock:
         Injectable time source shared by the batcher and the latency
         accounting.
@@ -298,12 +236,10 @@ class DetectionService:
         max_batch_size: int = 256,
         flush_interval: float = 0.05,
         window: int = 512,
-        fast: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if not detector.is_fitted:
             raise RuntimeError("DetectionService requires a fitted detector")
-        self.fast = bool(fast)
         self.clock = clock
         # The scoring engine is one tuple so a hot-swap replaces detector and
         # pipeline in a single atomic attribute store: a concurrent score()
@@ -390,7 +326,7 @@ class DetectionService:
         started = self.clock()
         inputs = pipeline.transform_inputs(records)
         probabilities = detector.network.predict(
-            inputs, batch_size=max(len(records), 1), fast=self.fast
+            inputs, batch_size=max(len(records), 1), fast=True
         )
         predicted = np.argmax(probabilities, axis=-1)
         finished = self.clock()
@@ -493,6 +429,16 @@ class DetectionService:
         )
 
     # ------------------------------------------------------------------ #
+    # Stream-driver protocol (see repro.serving.driver): the service is an
+    # engine with one lane, itself.
+    @contextmanager
+    def _stream_lanes(self):
+        self.flush()  # records queued before the stream belong to no phase
+        yield [(self, PhaseAttributor(self.pipeline.normal_index))]
+
+    def _stream_report(self, phase_reports) -> ServiceReport:
+        return replace(self.report(), phase_reports=phase_reports)
+
     def run_stream(
         self,
         stream: Iterable[StreamBatch],
@@ -508,24 +454,11 @@ class DetectionService:
         Records already queued when the stream starts belong to no phase:
         they are flushed through (scored and counted in the rolling
         monitors) before attribution begins, so the per-phase breakdown
-        covers exactly the stream's records.
+        covers exactly the stream's records.  ``max_batches`` pulls at most
+        that many batches from the stream.
         """
-        self.flush()
-        attributor = PhaseAttributor(
-            normal_index=self.pipeline.normal_index, window=self.monitor.window
-        )
-        served = 0
-        for stream_batch in stream:
-            if max_batches is not None and served >= max_batches:
-                break
-            attributor.expect(stream_batch.phase, len(stream_batch.records))
-            for result in self.submit(stream_batch.records):
-                attributor.attribute(result)
-            served += 1
-        for result in self.flush():
-            attributor.attribute(result)
-
-        return replace(self.report(), phase_reports=attributor.reports())
+        with StreamDriver(self) as driver:
+            return driver.run(stream, max_batches)
 
     def run_event_stream(
         self,
@@ -538,30 +471,13 @@ class DetectionService:
         ``events`` is an :class:`~repro.ingest.EventTrafficStream` or any
         iterable of :class:`~repro.ingest.EventBatch`.  Each event batch is
         aggregated into feature rows by ``extractor`` (default: this
-        service's ingress extractor, attached on first use) and then served
-        exactly like :meth:`run_stream`, including the per-phase
-        attribution.  The extractor's :meth:`~repro.ingest.FlowFeatureExtractor.stats_row`
-        afterwards gives the events-vs-rows and time-in-extractor
-        accounting.
+        service's ingress extractor, attached on first use) when the driver
+        pulls it, and then served exactly like :meth:`run_stream`,
+        including the per-phase attribution.  The extractor's
+        :meth:`~repro.ingest.FlowFeatureExtractor.stats_row` afterwards
+        gives the events-vs-rows and time-in-extractor accounting.
         """
-        from ..ingest.lowering import EventTrafficStream
+        from ..ingest import featurize_events
 
-        if extractor is None:
-            extractor = self.event_extractor or self.open_event_ingress()
-        batches = (
-            events.event_batches()
-            if isinstance(events, EventTrafficStream)
-            else iter(events)
-        )
-
-        def _aggregate() -> Iterable[StreamBatch]:
-            for event_batch in batches:
-                yield StreamBatch(
-                    records=extractor.extract(event_batch.events, final=True),
-                    phase=event_batch.phase,
-                    index=event_batch.index,
-                    phase_index=event_batch.phase_index,
-                    mix=event_batch.mix,
-                )
-
-        return self.run_stream(_aggregate(), max_batches=max_batches)
+        extractor = extractor or self.event_extractor or self.open_event_ingress()
+        return self.run_stream(featurize_events(events, extractor), max_batches)

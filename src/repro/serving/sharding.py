@@ -32,9 +32,9 @@ across such a fleet and merges the per-shard monitoring back into a single
   shards on separate cores) into one report, with the per-shard reports
   attached under ``shard_reports``.
 
-``run_stream`` reuses the :class:`~repro.serving.service.PhaseAttributor`
-seam — one attributor per shard, merged per phase afterwards — and can run
-every shard on its own :class:`~repro.serving.workers.WorkerPool`
+``run_stream`` is the :class:`~repro.serving.driver.StreamDriver` with one
+lane per shard — one phase attributor each, merged per phase afterwards —
+and can run every shard on its own :class:`~repro.serving.workers.WorkerPool`
 (``worker_backend="thread"``) or
 :class:`~repro.serving.procpool.ProcessWorkerPool`
 (``worker_backend="process"``) for concurrent sharded serving.
@@ -42,7 +42,8 @@ every shard on its own :class:`~repro.serving.workers.WorkerPool`
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from contextlib import ExitStack, contextmanager
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +51,8 @@ from ..core.detector import PelicanDetector
 from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
-from .service import BatchResult, DetectionService, PhaseAttributor, ServiceReport
+from .driver import StreamDriver
+from .service import BatchResult, DetectionService, ServiceReport
 from .transport import normalize_transport_name
 from .workers import WorkerPool
 
@@ -142,6 +144,15 @@ class ShardRouter:
                 (self._lookup(key) for key in keys), dtype=np.int64, count=n_records
             )
         return [np.flatnonzero(assignments == i) for i in range(self.n_shards)]
+
+    def parts(self, records: TrafficRecords) -> List[Tuple[int, TrafficRecords]]:
+        """``(shard index, records)`` for every shard :meth:`route` gives
+        records to, in shard order."""
+        return [
+            (shard, records.subset(indices))
+            for shard, indices in enumerate(self.route(records))
+            if len(indices)
+        ]
 
 
 class ShardedDetectionService:
@@ -283,11 +294,8 @@ class ShardedDetectionService:
     # ------------------------------------------------------------------ #
     def submit(self, records: TrafficRecords) -> List[BatchResult]:
         """Route and enqueue records; return every batch that became due."""
-        results: List[BatchResult] = []
-        for shard, indices in zip(self.shards, self.router.route(records)):
-            if len(indices):
-                results.extend(shard.submit(records.subset(indices)))
-        return results
+        parts = self.router.parts(records)
+        return [r for index, part in parts for r in self.shards[index].submit(part)]
 
     def flush(self) -> List[BatchResult]:
         """Drain and process every shard's queued tail."""
@@ -307,9 +315,9 @@ class ShardedDetectionService:
         when worker pools overlap shards on separate cores; the latency
         distribution pools the shards' recent windows.
         """
-        return self._merge(phase_reports={})
+        return self._stream_report(phase_reports={})
 
-    def _merge(self, phase_reports: Dict[str, DetectionReport]) -> ServiceReport:
+    def _stream_report(self, phase_reports) -> ServiceReport:
         # One read pass per shard: the attached shard_reports and the merged
         # totals derive from the same snapshots, so the fleet row always sums
         # to its per-shard rows even while worker pools keep committing.
@@ -361,6 +369,33 @@ class ShardedDetectionService:
         )
 
     # ------------------------------------------------------------------ #
+    @contextmanager
+    def _stream_lanes(
+        self,
+        num_workers: int = 0,
+        worker_backend: str = "thread",
+        transport="queue",
+        result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
+    ):
+        """The stream-driver lanes: the shards' own (inline scoring) or,
+        with ``num_workers > 0``, those of one pool per shard, closed at
+        exit."""
+        self._pool_type(worker_backend)  # fail fast on unknown backends
+        normalize_transport_name(transport)  # ... and unknown transports
+        with ExitStack() as stack:
+            engines = self.shards
+            if num_workers > 0:
+                engines = self.open_pools(
+                    num_workers, worker_backend, result_callbacks, transport
+                )
+                for pool in engines:
+                    stack.callback(pool.close)
+            yield [
+                lane
+                for engine in engines
+                for lane in stack.enter_context(engine._stream_lanes())
+            ]
+
     def run_stream(
         self,
         stream: Iterable[StreamBatch],
@@ -383,70 +418,13 @@ class ShardedDetectionService:
         data plane, ``"queue"`` or ``"shm"``).  Otherwise shards score
         inline on the calling thread.
         """
-        self._pool_type(worker_backend)  # fail fast on unknown backends
-        normalize_transport_name(transport)  # ... and unknown transports
-        # Records queued on a shard before the stream belong to no phase:
-        # clear them out so every attribution FIFO starts aligned with its
-        # shard's batcher.
-        for shard in self.shards:
-            shard.flush()
-        attributors = [
-            PhaseAttributor(
-                normal_index=shard.pipeline.normal_index,
-                window=shard.monitor.window,
-            )
-            for shard in self.shards
-        ]
-        pools: Optional[List[WorkerPool]] = None
-        if num_workers > 0:
-            pools = self.open_pools(
-                num_workers,
-                worker_backend,
-                result_callbacks=[
-                    attributor.attribute for attributor in attributors
-                ],
-                transport=transport,
-            )
-        try:
-            served = 0
-            for stream_batch in stream:
-                if max_batches is not None and served >= max_batches:
-                    break
-                for index, indices in enumerate(
-                    self.router.route(stream_batch.records)
-                ):
-                    if len(indices) == 0:
-                        continue
-                    part = stream_batch.records.subset(indices)
-                    attributors[index].expect(stream_batch.phase, len(part))
-                    if pools is not None:
-                        pools[index].submit(part)
-                    else:
-                        for result in self.shards[index].submit(part):
-                            attributors[index].attribute(result)
-                served += 1
-            if pools is not None:
-                for pool in pools:
-                    pool.flush()
-            else:
-                for index, shard in enumerate(self.shards):
-                    for result in shard.flush():
-                        attributors[index].attribute(result)
-        finally:
-            if pools is not None:
-                for pool in pools:
-                    pool.close()
-
-        merged_phases: Dict[str, DetectionReport] = {}
-        for attributor in attributors:
-            for phase, report in attributor.reports().items():
-                existing = merged_phases.get(phase)
-                merged_phases[phase] = (
-                    report
-                    if existing is None
-                    else DetectionReport.merge([existing, report])
-                )
-        return self._merge(phase_reports=merged_phases)
+        with StreamDriver(
+            self,
+            num_workers=num_workers,
+            worker_backend=worker_backend,
+            transport=transport,
+        ) as driver:
+            return driver.run(stream, max_batches)
 
     def run_event_stream(
         self,
@@ -467,29 +445,11 @@ class ShardedDetectionService:
         from events is record-for-record identical to sharded serving of
         the equivalent featurized stream.
         """
-        from ..ingest import FlowFeatureExtractor
-        from ..ingest.lowering import EventTrafficStream
+        from ..ingest import FlowFeatureExtractor, featurize_events
 
-        if extractor is None:
-            extractor = FlowFeatureExtractor(self.shards[0].pipeline.schema)
-        batches = (
-            events.event_batches()
-            if isinstance(events, EventTrafficStream)
-            else iter(events)
-        )
-
-        def _aggregate() -> Iterable[StreamBatch]:
-            for event_batch in batches:
-                yield StreamBatch(
-                    records=extractor.extract(event_batch.events, final=True),
-                    phase=event_batch.phase,
-                    index=event_batch.index,
-                    phase_index=event_batch.phase_index,
-                    mix=event_batch.mix,
-                )
-
+        extractor = extractor or FlowFeatureExtractor(self.shards[0].pipeline.schema)
         return self.run_stream(
-            _aggregate(),
+            featurize_events(events, extractor),
             max_batches=max_batches,
             num_workers=num_workers,
             worker_backend=worker_backend,

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
-from .service import BatchResult, DetectionService, PhaseAttributor, ServiceReport
+from .driver import PhaseAttributor, StreamDriver
+from .service import BatchResult, DetectionService, ServiceReport
 
 __all__ = ["PoolStats", "WorkerPool"]
 
@@ -125,7 +127,9 @@ class WorkerPool:
         self._retired_executors: List[ThreadPoolExecutor] = []
         self._timer: Optional[threading.Thread] = None
         self._shutdown = threading.Event()
-        self._streaming = False
+        # Thread driving a stream through this pool (see _stream_lanes);
+        # only it may submit/poll/flush until the stream returns.
+        self._stream_owner: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -206,7 +210,7 @@ class WorkerPool:
                 f"{type(self).__name__} is not running; call start() or use "
                 "it as a context manager"
             )
-        if self._streaming:
+        if self._stream_owner not in (None, threading.get_ident()):
             # An external batch committing mid-stream would consume phase
             # records from the attribution FIFO and shift every later
             # record's attribution.
@@ -397,6 +401,53 @@ class WorkerPool:
         raise error
 
     # ------------------------------------------------------------------ #
+    # Stream-driver protocol (see repro.serving.driver): the pool is an
+    # engine with one lane, itself.
+    @contextmanager
+    def _stream_lanes(self):
+        """Own the pool for one stream; yields its one lane.
+
+        Starts (and afterwards closes) a pool that is not running.  Work
+        queued before the stream, on this pool or directly on the service,
+        belongs to no phase: it is drained first, through the standing
+        callback or into the :meth:`collect` buffer, where it stays
+        collectable after the stream.  While the stream runs only the
+        driving thread may submit/poll/flush, and every commit reaches both
+        the driver (through the return values) and the standing callback.
+        """
+        owns_lifecycle = not self.running
+        if owns_lifecycle:
+            self.start()
+        me = threading.get_ident()
+        standing = self._result_callback
+        stashed: List[BatchResult] = []
+
+        def tee(result: BatchResult) -> None:  # runs under _commit_cond
+            self._committed.append(result)
+            if standing is not None:
+                standing(result)
+
+        try:
+            with self._submit_lock:
+                self._require_running()
+                self._stream_owner = me
+            stashed = self.flush()
+            with self._commit_cond:
+                self._result_callback = tee
+            yield [(self, PhaseAttributor(self.service.pipeline.normal_index))]
+        finally:
+            with self._commit_cond:
+                self._result_callback = standing
+                self._committed[:0] = stashed
+            with self._submit_lock:
+                if self._stream_owner == me:
+                    self._stream_owner = None
+            if owns_lifecycle:
+                self.close()
+
+    def _stream_report(self, phase_reports) -> ServiceReport:
+        return replace(self.report(), phase_reports=phase_reports)
+
     def run_stream(
         self,
         stream: Iterable[StreamBatch],
@@ -409,67 +460,10 @@ class WorkerPool:
         synchronous run record for record — at worker-pool wall-clock speed.
         Starts and stops the pool automatically when not already running.
         The stream owns the pool for the duration: work queued beforehand
-        is drained to the previous sink first, and concurrent
-        ``submit``/``poll``/``flush`` calls are rejected until the run
-        returns (they would corrupt the phase attribution).
+        is drained to the previous sink first, and ``submit``/``poll``/
+        ``flush`` calls from other threads are rejected until the run
+        returns (they would corrupt the phase attribution).  A standing
+        ``result_callback`` keeps receiving every committed result.
         """
-        attributor = PhaseAttributor(
-            normal_index=self.service.pipeline.normal_index,
-            window=self.service.monitor.window,
-        )
-        owns_lifecycle = not self.running
-        if owns_lifecycle:
-            self.start()
-        # Take stream ownership and drain pre-stream work in one lock scope:
-        # records queued before the stream (on this pool or directly on the
-        # service) belong to no phase, and once _streaming is set no foreign
-        # submit can slip another batch in.  The drained batches commit
-        # through the *previous* sink — the standing callback, or the
-        # collect() buffer — before the attribution sink is installed.
-        with self._submit_lock:
-            self._streaming = True
-            tail = self.service.batcher.flush()
-            if tail is not None:
-                self._dispatch(tail)
-        self.join()
-
-        previous_callback = self._result_callback
-
-        def stream_sink(result: BatchResult) -> None:
-            # Attribute, then keep honouring the user's standing callback.
-            attributor.attribute(result)
-            if previous_callback is not None:
-                previous_callback(result)
-
-        with self._commit_cond:
-            self._result_callback = stream_sink
-        try:
-            served = 0
-            for stream_batch in stream:
-                if max_batches is not None and served >= max_batches:
-                    break
-                with self._submit_lock:
-                    # expect() before dispatch, under the same lock, so the
-                    # attribution FIFO is always ahead of the commits.
-                    attributor.expect(
-                        stream_batch.phase, len(stream_batch.records)
-                    )
-                    for batch in self.service.batcher.submit(stream_batch.records):
-                        self._dispatch(batch)
-                served += 1
-            # Flush the tail without collect(): results accumulated for the
-            # caller (e.g. re-stashed pre-stream work) must stay collectable.
-            with self._submit_lock:
-                tail = self.service.batcher.flush()
-                if tail is not None:
-                    self._dispatch(tail)
-            self.join()
-        finally:
-            # Mirror order: retire the sink before re-admitting submitters.
-            with self._commit_cond:
-                self._result_callback = previous_callback
-            with self._submit_lock:
-                self._streaming = False
-            if owns_lifecycle:
-                self.close()
-        return replace(self.report(), phase_reports=attributor.reports())
+        with StreamDriver(self) as driver:
+            return driver.run(stream, max_batches)

@@ -603,12 +603,54 @@ class TestDriftSupervisor:
         assert "unknown" in detected.detail["reason"]
         assert outcome.promoted
 
-    def test_worker_pool_with_callback_rejected(self, detector):
-        pool = WorkerPool(
-            _service(detector), num_workers=1, result_callback=lambda r: None
+    def test_supervised_pool_feeds_a_standing_result_callback(
+        self, detector, challenger, stream
+    ):
+        """A supervised pool keeps its own result callback: the callback sees
+        every committed result in order, and the supervised counts equal a
+        callback-less supervised run's."""
+        batches = list(stream)
+
+        def supervise(pool):
+            # unknown_ceiling=0 trips at the first boundary whatever the
+            # pool has committed by then, so both runs swap after batch 1.
+            supervisor = DriftSupervisor(
+                pool,
+                DriftPolicy(unknown_ceiling=0),
+                trainer=self._stub_trainer(challenger),
+                background=False,
+                max_retrains=1,
+            )
+            return supervisor.run_stream(batches)
+
+        delivered = []
+        with_callback = supervise(
+            WorkerPool(
+                _service(detector), num_workers=2,
+                result_callback=delivered.append,
+            )
         )
-        with pytest.raises(ValueError, match="result_callback"):
-            DriftSupervisor(pool, self.POLICY)
+        without_callback = supervise(
+            WorkerPool(_service(detector), num_workers=2)
+        )
+
+        pipeline = _service(detector).pipeline
+        np.testing.assert_array_equal(
+            np.concatenate([result.true_indices for result in delivered]),
+            np.concatenate([pipeline.encode_labels(b.records) for b in batches]),
+        )
+        assert [e.kind for e in with_callback.events] == [
+            e.kind for e in without_callback.events
+        ]
+        assert with_callback.promoted
+        assert _counts(with_callback.report) == _counts(without_callback.report)
+        assert {
+            phase: report.as_dict()
+            for phase, report in with_callback.report.phase_reports.items()
+        } == {
+            phase: report.as_dict()
+            for phase, report in without_callback.report.phase_reports.items()
+        }
 
     def test_recovery_on_the_retrain_recovery_preset(self, detector):
         """The headline story: evasion drift tanks DR, the supervisor
