@@ -7,12 +7,9 @@ the fast path reproduces the graph-path probabilities (atol 1e-6) at a
 flood scenario in each execution model: the synchronous
 :class:`repro.serving.DetectionService`, a thread :class:`WorkerPool` at
 1/2/4 workers, a :class:`ProcessWorkerPool` at 1/2/4 checkpoint-rehydrated
-child processes — on both the pickled-queue and the zero-copy
-shared-memory transports — and a 2-shard replica
-:class:`ShardedDetectionService` (2 workers per shard).  Every concurrent
-run's confusion counts are asserted bitwise-equal to the single-service
-run, and the shm rows record their slot/inline batch counters so the JSON
-proves the zero-copy path actually carried the traffic.
+child processes and a 2-shard replica :class:`ShardedDetectionService`
+(2 workers per shard).  Every concurrent run's confusion counts are
+asserted bitwise-equal to the single-service run.
 
 Scaling claims are core-count-gated: thread-pool scaling is *recorded*
 (``speedup_vs_single`` per worker count) and warned about when a
@@ -32,7 +29,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from bench_utils import emit
 from repro.core import PelicanDetector, build_network, scaled_config
@@ -50,17 +46,6 @@ REPEATS = 3
 WORKER_COUNTS = (1, 2, 4)
 ROLLING_WINDOW = 4096  # wider than the stream so count comparisons are exact
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
-
-# Transport latency probe: paced (submit, drain, repeat) round trips on a
-# 1-child pool per transport, interleaved so ambient load hits both equally.
-# Paced rounds isolate the per-batch transport cost from backlog queueing;
-# the probe batch is large because the transports differ by bytes moved.
-# Each repeat's p95 still carries scheduler noise comparable to the
-# structural gap, so the claim compares best-of-repeats — min-of-5 pins
-# each transport near its noise floor, where the gap is stable.
-PROBE_BATCH = 256
-PROBE_ROUNDS = 150
-PROBE_REPEATS = 5
 
 
 def _best_time(function, repeats: int = REPEATS) -> float:
@@ -118,61 +103,6 @@ def _counts(report):
     return (rolling.tp, rolling.tn, rolling.fp, rolling.fn)
 
 
-def _transport_probe(detector, records):
-    """Best-of-N interleaved paced p95 round trip per transport at x1.
-
-    The stream rows above measure the transports under backlog, where p95
-    is dominated by queueing; this probe drains between submissions, so
-    the round trip is encode + IPC + score + reply and the p95 columns
-    compare the data planes themselves.  Taking the best probe per
-    transport (like ``_best_time``) filters scheduler bursts on shared
-    hosts — single repeats overlap under load, their minima do not —
-    and interleaving keeps slow phases common to both."""
-    batch = records.subset(range(PROBE_BATCH))
-
-    def paced_service():
-        return DetectionService(
-            detector, max_batch_size=PROBE_BATCH, flush_interval=0.0,
-            window=ROLLING_WINDOW,
-        )
-
-    p95s = {"queue": [], "shm": []}
-    for _ in range(PROBE_REPEATS):
-        pools = {
-            transport: ProcessWorkerPool(
-                paced_service(), num_workers=1, transport=transport
-            ).start()
-            for transport in p95s
-        }
-        samples = {transport: [] for transport in p95s}
-        try:
-            for _ in range(10):  # warm the children and both data planes
-                for pool in pools.values():
-                    pool.submit(batch)
-                    pool.join()
-                    pool.poll()
-            for _ in range(PROBE_ROUNDS):
-                for transport, pool in pools.items():
-                    results = pool.submit(batch)
-                    pool.join()
-                    results += pool.poll()
-                    samples[transport].extend(r.latency for r in results)
-        finally:
-            for pool in pools.values():
-                pool.close()
-        for transport, latencies in samples.items():
-            p95s[transport].append(float(np.percentile(latencies, 95)))
-    return {
-        "batch_records": PROBE_BATCH,
-        "rounds": PROBE_ROUNDS,
-        "repeats": PROBE_REPEATS,
-        "queue_p95_s": min(p95s["queue"]),
-        "shm_p95_s": min(p95s["shm"]),
-        "queue_p95_repeats_s": p95s["queue"],
-        "shm_p95_repeats_s": p95s["shm"],
-    }
-
-
 def _measure_service(seed):
     records = load_nslkdd(n_records=500, seed=seed)
     detector = PelicanDetector(
@@ -204,49 +134,27 @@ def _measure_service(seed):
             f"worker pool ({num_workers} workers) changed the confusion counts"
         )
 
-    # The process pool runs on both data planes: pickled per-child queues
-    # and the zero-copy shared-memory slot rings (the p95 column is the one
-    # the shm transport is built to cut — latency is the parent-measured
-    # round trip, so the serialization hop is visible in it).  The x1 rows
-    # are measured interleaved, best of N, because the transports differ by
-    # tens of microseconds per batch and a single run's p95 on a shared
-    # host is dominated by ambient scheduling noise.
-    def _process_row(num_workers, transport):
-        pool = ProcessWorkerPool(
-            fresh_service(), num_workers=num_workers, transport=transport
-        )
-        report = pool.run_stream(stream)
+    # Latency is the parent-measured round trip, so the serialization hop
+    # is visible in the p95 column.  The x1 row is best of N, because a
+    # single run's p95 on a shared host is dominated by ambient scheduling
+    # noise.
+    def _process_row(num_workers):
+        report = ProcessWorkerPool(
+            fresh_service(), num_workers=num_workers
+        ).run_stream(stream)
         row = _service_row(report)
         row["speedup_vs_single"] = report.throughput / single_report.throughput
         assert _counts(report) == _counts(single_report), (
-            f"process pool ({num_workers} workers, {transport}) changed "
-            "the confusion counts"
+            f"process pool ({num_workers} workers) changed the confusion counts"
         )
-        if transport == "shm":
-            row["transport_counters"] = pool.transport_counters()
-            assert row["transport_counters"]["slot_batches"] > 0, (
-                "shm rows measured without any slot traffic"
-            )
         return row
 
-    sections = {"queue": "process_workers", "shm": "process_workers_shm"}
-    results["process_workers"] = {}
-    results["process_workers_shm"] = {}
-    repeats = {"queue": [], "shm": []}
-    for _ in range(REPEATS):
-        for transport in sections:
-            repeats[transport].append(_process_row(1, transport))
-    for transport, rows in repeats.items():
-        best = min(rows, key=lambda row: row["p95_latency_s"])
-        best["p95_repeats_s"] = [row["p95_latency_s"] for row in rows]
-        results[sections[transport]]["1"] = best
+    rows = [_process_row(1) for _ in range(REPEATS)]
+    best = min(rows, key=lambda row: row["p95_latency_s"])
+    best["p95_repeats_s"] = [row["p95_latency_s"] for row in rows]
+    results["process_workers"] = {"1": best}
     for num_workers in WORKER_COUNTS[1:]:
-        for transport, section in sections.items():
-            results[section][str(num_workers)] = _process_row(
-                num_workers, transport
-            )
-
-    results["transport_probe"] = _transport_probe(detector, records)
+        results["process_workers"][str(num_workers)] = _process_row(num_workers)
 
     sharded = ShardedDetectionService.replicated(
         detector, 2, max_batch_size=128, flush_interval=0.0,
@@ -302,29 +210,6 @@ def _render(results) -> str:
                 row["p95_latency_s"] * 1e3,
             )
         )
-    for num_workers, row in service["process_workers_shm"].items():
-        counters = row["transport_counters"]
-        lines.append(
-            "  shm process pool x{}: {:,.0f} rec/s ({:.2f}x single-thread, "
-            "p95 {:.1f} ms, {} slot / {} inline batches)".format(
-                num_workers,
-                row["throughput_rps"],
-                row["throughput_rps"] / service["throughput_rps"],
-                row["p95_latency_s"] * 1e3,
-                counters["slot_batches"],
-                counters["inline_batches"],
-            )
-        )
-    probe = service["transport_probe"]
-    lines.append(
-        "  transport probe x1 (paced, {}-record batches, best of {}): "
-        "queue p95 {:.2f} ms vs shm p95 {:.2f} ms".format(
-            probe["batch_records"],
-            probe["repeats"],
-            probe["queue_p95_s"] * 1e3,
-            probe["shm_p95_s"] * 1e3,
-        )
-    )
     sharded = service["sharded"]
     lines.append(
         "  sharded {}x{} workers: {:,.0f} rec/s (counts match: {})".format(
@@ -388,29 +273,3 @@ def test_serving_throughput(run_once, scale, seed, check_claims):
                 "single-thread throughput (target 1.5x) on a "
                 f"{os.cpu_count()}-core host"
             )
-        # The shm data plane's core-count-free claim: at x1 the two
-        # backends run identical child compute on identical batches, so the
-        # paced probe's p95 round trip isolates the transport itself — the
-        # slot write must beat pickling the batch through a queue on *any*
-        # host.
-        probe = results["service"]["transport_probe"]
-        assert probe["shm_p95_s"] < probe["queue_p95_s"], (
-            f"shm transport paced p95 at x1 ({probe['shm_p95_s'] * 1e3:.2f} "
-            f"ms) is not below the queue backend's "
-            f"({probe['queue_p95_s'] * 1e3:.2f} ms)"
-        )
-
-
-@pytest.mark.multicore(4)
-def test_shm_process_pool_scales_on_multicore(check_claims):
-    """The ≥ 3x-at-x4 gate for the zero-copy data plane, armed only where
-    four real cores exist (the ``multicore`` skip) — reads the rows the
-    main benchmark just wrote to ``BENCH_serving.json``."""
-    if not check_claims:
-        pytest.skip("claims are not checked at the smoke scale")
-    results = json.loads(RESULT_PATH.read_text())
-    scaling = results["service"]["process_workers_shm"]["4"]["speedup_vs_single"]
-    assert scaling >= 3.0, (
-        f"shm process pool x4 reached only {scaling:.2f}x the single-thread "
-        f"throughput (target 3x) on a {os.cpu_count()}-core host"
-    )

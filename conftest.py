@@ -25,9 +25,9 @@ markers:
 
 It also hosts the ``serving_leak_check`` fixture: the post-test assertion
 that nothing the serving layer spawns (non-daemon threads, child
-processes, shared-memory segments) survives a test.  It lives here so
-both the serving suite and the ingest suite (whose ingress tests drive
-the same pools and transports) wrap it in their autouse fixtures.
+processes) survives a test.  It lives here so both the serving suite and
+the ingest suite (whose ingress tests drive the same pools) wrap it in
+their autouse fixtures.
 """
 
 import faulthandler
@@ -147,15 +147,13 @@ def pytest_collection_modifyitems(config, items):
 
 @pytest.fixture
 def serving_leak_check():
-    """Fail the wrapping test if it leaks a thread, a child process or a
-    shared-memory segment past its own teardown.
+    """Fail the wrapping test if it leaks a thread or a child process past
+    its own teardown.
 
     Not autouse here: the serving and ingest suites opt in by wrapping it
     in their own autouse fixtures (see their ``conftest.py`` files), so
     suites that never touch the serving layer don't pay the import.
     """
-    from repro.serving import transport as serving_transport
-
     before_threads = {
         thread for thread in threading.enumerate() if not thread.daemon
     }
@@ -173,15 +171,11 @@ def serving_leak_check():
             and thread not in before_threads
         ]
         leaked_children = multiprocessing.active_children()
-        leaked_segments = serving_transport.live_segments()
-        if not (leaked_threads or leaked_children or leaked_segments):
+        if not (leaked_threads or leaked_children):
             return
         time.sleep(0.05)
     assert not leaked_threads, f"test leaked non-daemon threads: {leaked_threads}"
     assert not leaked_children, f"test leaked child processes: {leaked_children}"
-    assert not leaked_segments, (
-        f"test leaked shared-memory segments: {leaked_segments}"
-    )
 
 
 @pytest.fixture(autouse=True)

@@ -14,11 +14,7 @@ seeded scenarios — and shows the three concurrent execution models of
    :class:`repro.serving.ProcessWorkerPool`: each child rehydrates a
    scoring-identical detector from a checkpoint and scores off the GIL, so
    the pool scales with real cores — and the report still matches the
-   worker-pool (and synchronous) run count for count.  The pool's data
-   plane is selectable: the default ``transport="queue"`` pickles batches
-   onto per-child queues, while ``transport="shm"`` writes them into
-   per-child shared-memory slot rings so only small control tokens cross
-   the queues — with an identical report either way.
+   worker-pool (and synchronous) run count for count.
 3. **Sharded fleet** — the probe-sweep scenario routed across two detector
    shards with a ``class-family`` :class:`repro.serving.ShardRouter`: a
    "volumetric" shard for normal/DoS traffic and a "stealth" shard for the
@@ -92,36 +88,6 @@ def main() -> None:
         process_report.rolling.fp, process_report.rolling.fn,
     )
     print(f"confusion counts match the thread-pool run: {threads == procs}")
-
-    # ------------------------------------------------------------------ #
-    # 2b. Same pool, shared-memory transport.
-    # ------------------------------------------------------------------ #
-    # transport="shm" swaps the data plane under the same pool: batches are
-    # written in place into per-child SharedMemory slot rings (numeric
-    # columns zero-copy, categoricals as vocabulary codes) and children
-    # score in place, so the control queues carry only tokens.  Batches
-    # that exceed the slot capacity fall back to the pickled path; the
-    # counters below show which path each batch took.
-    print(
-        f"\nserving {flood.total_records} flood-scenario records on "
-        "2 child processes over the shared-memory transport ..."
-    )
-    shm_service = DetectionService(
-        detector, max_batch_size=128, flush_interval=0.02, window=512
-    )
-    shm_pool = ProcessWorkerPool(shm_service, num_workers=2, transport="shm")
-    shm_report = shm_pool.run_stream(flood)
-    print(shm_report)
-    shm_counts = (
-        shm_report.rolling.tp, shm_report.rolling.tn,
-        shm_report.rolling.fp, shm_report.rolling.fn,
-    )
-    counters = shm_pool.transport_counters()
-    print(f"confusion counts match the queue-transport run: {procs == shm_counts}")
-    print(
-        f"batches through shared-memory slots: {counters['slot_batches']}, "
-        f"pickled fallbacks: {counters['inline_batches']}"
-    )
 
     # ------------------------------------------------------------------ #
     # 3. Class-family sharding over the probe-sweep scenario.

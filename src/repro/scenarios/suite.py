@@ -9,10 +9,8 @@ throughput rows — the scenario-side counterpart of the serving benchmark's
   run **synchronous** (:class:`~repro.serving.service.DetectionService`),
   **worker-pool** (:class:`~repro.serving.workers.WorkerPool`),
   **process-pool** (:class:`~repro.serving.procpool.ProcessWorkerPool`,
-  scoring in checkpoint-rehydrated child processes, pickled-queue data
-  plane), **process-pool-shm** (the same pool over the zero-copy
-  shared-memory transport — see :mod:`repro.serving.transport`) and
-  **sharded** (replica :class:`~repro.serving.sharding.ShardedDetectionService`);
+  scoring in checkpoint-rehydrated child processes) and **sharded**
+  (replica :class:`~repro.serving.sharding.ShardedDetectionService`);
 * the cross-dataset **fleet** preset runs on a dataset-routed sharded
   service — inline and with per-shard worker pools — since a single
   service cannot preprocess two schemas.
@@ -69,7 +67,6 @@ SINGLE_STREAM_MODELS = (
     "synchronous",
     "worker-pool",
     "process-pool",
-    "process-pool-shm",
     "sharded",
 )
 FLEET_MODELS = ("sharded", "sharded-workers")
@@ -314,12 +311,6 @@ class ScenarioSuite:
         if model == "process-pool":
             return ProcessWorkerPool(
                 self._service(detector), num_workers=self.num_workers
-            ).run_stream(stream)
-        if model == "process-pool-shm":
-            return ProcessWorkerPool(
-                self._service(detector),
-                num_workers=self.num_workers,
-                transport="shm",
             ).run_stream(stream)
         if model == "sharded":
             sharded = ShardedDetectionService.replicated(

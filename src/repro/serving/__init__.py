@@ -35,12 +35,8 @@ Four execution models run on that path:
   from a :class:`DetectorCheckpoint` and runs preprocessing + inference
   off the GIL, while the parent keeps every monitor and commits through
   the same reorder buffer — multi-core scaling with reports still
-  record-for-record equal to the synchronous run.  Batches travel over a
-  pluggable data plane (:mod:`repro.serving.transport`):
-  :class:`QueueTransport` pickles them onto per-child queues, while
-  :class:`SharedMemoryTransport` writes them into preallocated per-child
-  shared-memory slot rings (zero-copy; only control tokens cross the
-  queues) — ``ProcessWorkerPool(..., transport="shm")``.
+  record-for-record equal to the synchronous run.  Batches travel pickled
+  on a private task/result queue pair per child.
 * **Sharded** — :class:`ShardRouter` + :class:`ShardedDetectionService`
   (:mod:`repro.serving.sharding`) fan one stream out across several fitted
   detectors (replicas, one per dataset, or one per class family) and merge
@@ -107,7 +103,6 @@ from .lifecycle import (
     ShadowReport,
 )
 from .procpool import ProcessWorkerPool
-from .transport import QueueTransport, SharedMemoryTransport, Transport
 from .fleet import (
     AutoscalePolicy,
     FleetAction,
@@ -130,9 +125,6 @@ __all__ = [
     "WorkerPool",
     "PoolStats",
     "ProcessWorkerPool",
-    "Transport",
-    "QueueTransport",
-    "SharedMemoryTransport",
     "FleetController",
     "AutoscalePolicy",
     "RolloutPolicy",

@@ -50,7 +50,6 @@ from .driver import StreamDriver
 from .monitor import RollingDetectionMonitor
 from .service import DetectionService, ServiceReport
 from .sharding import ShardedDetectionService
-from .transport import normalize_transport_name
 from .workers import PoolStats, WorkerPool
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .lifecycle.shadow import ShadowComparison, quality_deltas
@@ -256,18 +255,10 @@ class FleetController:
         ``"thread"`` (:class:`~repro.serving.workers.WorkerPool`) or
         ``"process"`` (:class:`~repro.serving.procpool.ProcessWorkerPool`)
         — the pool flavour opened per shard.
-    transport:
-        Data plane for the process backend: ``"queue"`` or ``"shm"`` (see
-        :mod:`repro.serving.transport`).  Autoscale ``resize()`` grows and
-        reclaims the per-child slot rings with the children themselves, so
-        the transport choice is invisible to the control loops.  Ignored
-        by the thread backend.
     autoscale:
         The :class:`AutoscalePolicy`; ``None`` disables autoscaling.
     rollout:
         The :class:`RolloutPolicy` governing challenger deployments.
-    control_interval:
-        Stream batches between autoscaling control ticks.
     schedule:
         A recorded schedule (from :meth:`FleetOutcome.schedule`) to replay:
         its ``resize`` actions are applied at their recorded batch indices
@@ -284,20 +275,14 @@ class FleetController:
         worker_backend: str = "thread",
         autoscale: Optional[AutoscalePolicy] = None,
         rollout: Optional[RolloutPolicy] = None,
-        control_interval: int = 1,
         schedule: Optional[Sequence[FleetAction]] = None,
-        transport="queue",
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        if control_interval <= 0:
-            raise ValueError("control_interval must be positive")
         fleet._pool_type(worker_backend)  # fail fast on unknown backends
-        normalize_transport_name(transport)  # ... and unknown transports
         self.fleet = fleet
         self.num_workers = int(num_workers)
         self.worker_backend = worker_backend
-        self.transport = transport
         self.autoscale = autoscale
         self.rollout = rollout or RolloutPolicy()
         if not 0 <= self.rollout.canary_shard < len(fleet.shards):
@@ -305,7 +290,6 @@ class FleetController:
                 f"canary shard {self.rollout.canary_shard} is outside "
                 f"[0, {len(fleet.shards)})"
             )
-        self.control_interval = int(control_interval)
         self._replay: Optional[Dict[int, List[FleetAction]]] = None
         if schedule is not None:
             self._replay = {}
@@ -562,8 +546,6 @@ class FleetController:
                     watch.clear()
 
         def control_scaling(batch_index: int) -> None:
-            if batch_index % self.control_interval != 0:
-                return
             if self._replay is not None:
                 for action in self._replay.get(batch_index, []):
                     pool = pools[action.shard]
@@ -618,7 +600,6 @@ class FleetController:
             after_batch,
             num_workers=self.num_workers,
             worker_backend=self.worker_backend,
-            transport=self.transport,
             result_callbacks=[partial(on_commit, i) for i in range(len(fleet.shards))],
         ) as driver:
             pools = driver.lanes

@@ -12,43 +12,40 @@ Division of labour:
   :class:`~repro.serving.lifecycle.DetectorCheckpoint` at startup (weights,
   buffers, preprocessor vocabularies and scaler — the restored
   ``predict(fast=True)`` is bitwise-equal to the parent's), then loops:
-  micro-batches arrive over the pool's :class:`~repro.serving.transport.Transport`
-  (pickled arrays on the queue transport, preallocated shared-memory slots
-  on the shm transport), are preprocessed and scored in the child, and the
-  predicted class indices travel back with the measured scoring time and
-  the batch's unknown-categorical tallies;
+  micro-batches arrive pickled on the child's own task queue, are
+  preprocessed and scored in the child, and the predicted class indices
+  travel back on its result queue with the measured scoring time and the
+  batch's unknown-categorical tallies;
 * the **parent** keeps every piece of mutable serving state — the
   micro-batcher, the rolling/throughput monitors, phase attribution, the
   vocabulary-drift counters (child tallies are folded back in) — and
   commits results through the :class:`WorkerPool` reorder buffer, strictly
   in submission order.
 
-Because the child's detector is scoring-identical, the transport decodes
-batches string-for-string identically (see :mod:`repro.serving.transport`),
-and all accounting stays in the parent on the in-order commit path, every
-:class:`ServiceReport` produced through a process pool is
-record-for-record identical to the synchronous run — the guarantee the
-scenario suite and the tier-1 smoke assert bit for bit, on both transports.
+Because the child's detector is scoring-identical, a pickled batch
+unpickles string-for-string identical, and all accounting stays in the
+parent on the in-order commit path, every :class:`ServiceReport` produced
+through a process pool is record-for-record identical to the synchronous
+run — the guarantee the scenario suite and the tier-1 smoke assert bit for
+bit.
 
 Latency accounting: the committed :class:`BatchResult` carries the
 parent-measured round trip — dispatch to collected reply, on the service
-clock — so the transport's serialization/IPC cost is *visible* in the
-latency columns (that is the number the shm data plane is built to cut).
-The child's pure scoring time still travels back in the reply for the
-transports' result contract.
+clock — so the serialization/IPC cost is *visible* in the latency columns.
+The child's pure scoring time still travels back in the reply.
 
 Hot-swap: :meth:`ProcessWorkerPool.swap_detector` drains the in-flight
 batches, swaps the parent engine, then re-ships the challenger's checkpoint
 to every child and waits for their acknowledgements.  Per-child task queues
-are FIFO on every transport, so any batch dispatched after the swap is
-scored by the new model — the same batch-boundary semantics as the
-in-process swap, which is what keeps a drift-supervised run's counts equal
-to a drain-stop-restart run.
+are FIFO, so any batch dispatched after the swap is scored by the new
+model — the same batch-boundary semantics as the in-process swap, which is
+what keeps a drift-supervised run's counts equal to a drain-stop-restart
+run.
 
-Start method: ``"spawn"`` by default — fork would duplicate the parent's
-running threads (age timers, other pools, test watchdogs) into the child
-mid-lock.  Spawned children re-import :mod:`repro`, so pool startup costs a
-couple of seconds; amortise it by keeping one pool alive across streams.
+Start method: ``"spawn"`` — fork would duplicate the parent's running
+threads (age timers, other pools, test watchdogs) into the child mid-lock.
+Spawned children re-import :mod:`repro`, so pool startup costs a couple of
+seconds; amortise it by keeping one pool alive across streams.
 """
 
 from __future__ import annotations
@@ -67,7 +64,6 @@ from ..data.dataset import TrafficRecords
 from ..data.schema import get_schema
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .service import BatchResult, CachedPreprocessor, DetectionService
-from .transport import Channel, child_endpoint, resolve_transport
 from .workers import PoolStats, WorkerPool
 
 __all__ = ["ProcessWorkerPool"]
@@ -76,10 +72,88 @@ __all__ = ["ProcessWorkerPool"]
 #: result queue is quiet.
 _POLL_INTERVAL = 0.1
 
+#: ``multiprocessing`` start method of every child (see the module notes).
+_START_METHOD = "spawn"
+
+#: Seconds to wait for child swap acknowledgements (and for stragglers at
+#: close) before giving up with an error.
+_HANDSHAKE_TIMEOUT = 120.0
+
+
+class _Channel:
+    """Parent-side endpoint of one child's queue pair.
+
+    One task queue AND one result queue per child: no lock is ever shared
+    between two children, so a child killed mid-write can corrupt only its
+    own queues (see :meth:`ProcessWorkerPool._spawn_child`).  Every message
+    is a pickled tuple; downstream::
+
+        ("init", checkpoint)   ("swap", checkpoint)   ("stop",)
+        ("score", sequence, numeric, categorical, labels)
+
+    and upstream::
+
+        ("scored", sequence, class_indices, child_latency, unknown_delta)
+        ("error", sequence, traceback_text)
+        ("swapped", worker_id, error_text_or_None)
+        ("init-error", worker_id, traceback_text)
+    """
+
+    def __init__(self, context) -> None:
+        self.task_queue = context.Queue()
+        self.result_queue = context.Queue()
+
+    def send_init(self, checkpoint) -> None:
+        self.task_queue.put(("init", checkpoint))
+
+    def send_swap(self, checkpoint) -> None:
+        self.task_queue.put(("swap", checkpoint))
+
+    def send_stop(self) -> None:
+        self.task_queue.put(("stop",))
+
+    def send_score(self, sequence: int, records: TrafficRecords) -> None:
+        self.task_queue.put(
+            (
+                "score",
+                sequence,
+                records.numeric,
+                dict(records.categorical),
+                records.labels,
+            )
+        )
+
+    @property
+    def reply_reader(self):
+        """The result queue's read pipe, for ``connection.wait`` multiplexing."""
+        return self.result_queue._reader
+
+    def shutdown(self) -> None:
+        """Parent-side teardown at pool close.
+
+        A child that died before draining its task queue leaves the feeder
+        thread blocked mid-write; without the cancel, the interpreter's
+        atexit handler would join that feeder forever.  On the clean path
+        children drain everything up to the stop sentinel first, so nothing
+        that matters is ever discarded.
+        """
+        self.task_queue.cancel_join_thread()
+        self.task_queue.close()
+        self.result_queue.close()
+
+
+class _ChannelFactory:
+    """``ProcessWorkerPool.transport``: opens each child's channel at spawn
+    time.  A seam, not an option — the benchmark replaces ``open_channel``
+    on the instance to time ``send_score``."""
+
+    def open_channel(self, context) -> _Channel:
+        return _Channel(context)
+
 
 @dataclass
 class _Child:
-    """One child scoring process and its transport channel.
+    """One child scoring process and its channel.
 
     ``token`` is unique for the pool's whole lifetime — slot indices are
     reused by ``resize()`` (shrink then grow), so everything keyed per child
@@ -89,10 +163,10 @@ class _Child:
 
     token: int
     process: "multiprocessing.process.BaseProcess" = field(repr=False)
-    channel: Channel = field(repr=False)
+    channel: _Channel = field(repr=False)
 
 
-def _worker_main(worker_id, schema_name, endpoint_spec):
+def _worker_main(worker_id, schema_name, task_queue, result_queue):
     """Child-process scoring loop (module-level: spawn pickles it by name).
 
     The ``Process`` arguments stay deliberately tiny: spawn writes them to
@@ -100,44 +174,27 @@ def _worker_main(worker_id, schema_name, endpoint_spec):
     a megabytes-large checkpoint there can wedge ``start()`` forever if the
     child dies before draining the pipe.  The checkpoint instead arrives as
     the first task-queue message (queue puts run on a daemon feeder thread
-    and never block the caller).
+    and never block the caller).  The messages are those of
+    :class:`_Channel`:
 
-    ``endpoint_spec`` rebuilds the transport's child endpoint
-    (:func:`repro.serving.transport.child_endpoint`), which normalizes
-    every parent message to:
-
-    * ``("init", checkpoint)`` — rehydrate the serving detector (always the
-      first message); a failure replies ``init-error`` and exits the child;
-    * ``("score", sequence, load)`` — ``load(schema)`` materializes the
-      :class:`TrafficRecords` (unpickled payload or decoded shm slot);
-      preprocess + predict, reply via ``send_scored`` (class indices +
-      scoring time + unknown tallies, written to the slot's result region
-      on the shm transport);
-    * ``("swap", checkpoint)`` — rehydrate the replacement detector, reply
-      ``("swapped", worker_id, error_text_or_None)``;
-    * ``("stop",)`` — exit the loop.
+    * ``init`` rehydrates the serving detector (always the first message);
+      a failure replies ``init-error`` and exits the child;
+    * ``score`` rebuilds the :class:`TrafficRecords`, preprocesses and
+      predicts, and replies ``scored`` (class indices + scoring time +
+      unknown tallies);
+    * ``swap`` rehydrates the replacement detector and replies ``swapped``;
+    * ``stop`` exits the loop.
 
     Scoring errors reply ``("error", sequence, traceback_text)`` and keep
     the loop alive; the parent skips the batch and surfaces the error on
     the next join/flush/close.
     """
     schema = get_schema(schema_name)
-    endpoint = child_endpoint(endpoint_spec)
-    try:
-        _worker_loop(endpoint, schema, worker_id)
-    finally:
-        # Release the endpoint's shm mapping before interpreter teardown:
-        # live numpy exports would make SharedMemory.__del__'s mmap.close()
-        # raise (and log) BufferError during shutdown.
-        endpoint.close()
-
-
-def _worker_loop(endpoint, schema, worker_id) -> None:
     detector = None
     pipeline = None
     unknown_seen: Dict[str, int] = {}
     while True:
-        message = endpoint.receive()
+        message = task_queue.get()
         kind = message[0]
         if kind == "stop":
             break
@@ -147,21 +204,23 @@ def _worker_loop(endpoint, schema, worker_id) -> None:
                 pipeline = CachedPreprocessor(detector.preprocessor)
                 unknown_seen = {}
                 if kind == "swap":
-                    endpoint.send_swapped(worker_id, None)
+                    result_queue.put(("swapped", worker_id, None))
             except BaseException:
                 # A failed rehydration is fatal either way: limping on with
                 # the *retired* detector would silently skew the counts, so
                 # the child reports and exits — the parent's liveness check
                 # then excludes it from dispatch.
                 if kind == "swap":
-                    endpoint.send_swapped(worker_id, traceback.format_exc())
+                    result_queue.put(("swapped", worker_id, traceback.format_exc()))
                 else:
-                    endpoint.send_init_error(worker_id, traceback.format_exc())
+                    result_queue.put(("init-error", worker_id, traceback.format_exc()))
                 raise SystemExit(1)
             continue
-        sequence = message[1]
+        _, sequence, numeric, categorical, labels = message
         try:
-            records = message[2](schema)
+            records = TrafficRecords(
+                schema=schema, numeric=numeric, categorical=categorical, labels=labels
+            )
             started = time.perf_counter()
             inputs = pipeline.transform_inputs(records)
             probabilities = detector.network.predict(
@@ -176,9 +235,9 @@ def _worker_loop(endpoint, schema, worker_id) -> None:
                 if count != unknown_seen.get(column, 0)
             }
             unknown_seen = unknown_now
-            endpoint.send_scored(sequence, predicted, latency, unknown_delta)
+            result_queue.put(("scored", sequence, predicted, latency, unknown_delta))
         except BaseException:
-            endpoint.send_error(sequence, traceback.format_exc())
+            result_queue.put(("error", sequence, traceback.format_exc()))
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -186,7 +245,7 @@ class ProcessWorkerPool(WorkerPool):
 
     Drop-in for :class:`WorkerPool`::
 
-        with ProcessWorkerPool(service, num_workers=4, transport="shm") as pool:
+        with ProcessWorkerPool(service, num_workers=4) as pool:
             report = pool.run_stream(stream)
 
     Parameters
@@ -202,20 +261,6 @@ class ProcessWorkerPool(WorkerPool):
         Background age-trigger period (see :class:`WorkerPool`).
     result_callback:
         In-order committed-result hook (see :class:`WorkerPool`).
-    start_method:
-        ``multiprocessing`` start method; ``"spawn"`` (default) is safe in
-        threaded parents, ``"fork"``/``"forkserver"`` start faster where the
-        caller knows no thread holds a lock.
-    handshake_timeout:
-        Seconds to wait for child swap acknowledgements (and for stragglers
-        at close) before giving up with an error.
-    transport:
-        The parent↔child data plane: ``"queue"`` (pickled per-child queues,
-        the default and equivalence oracle) or ``"shm"`` (preallocated
-        shared-memory slot rings; only control tokens cross the queues) —
-        or a ready-made :class:`~repro.serving.transport.Transport`
-        instance for custom slot sizing.  See
-        :mod:`repro.serving.transport`.
     """
 
     def __init__(
@@ -224,9 +269,6 @@ class ProcessWorkerPool(WorkerPool):
         num_workers: int = 2,
         timer_interval: Optional[float] = None,
         result_callback: Optional[Callable[[BatchResult], None]] = None,
-        start_method: str = "spawn",
-        handshake_timeout: float = 120.0,
-        transport="queue",
     ) -> None:
         super().__init__(
             service,
@@ -234,16 +276,7 @@ class ProcessWorkerPool(WorkerPool):
             timer_interval=timer_interval,
             result_callback=result_callback,
         )
-        if start_method not in multiprocessing.get_all_start_methods():
-            raise ValueError(
-                f"unknown start method {start_method!r}; this platform "
-                f"supports {multiprocessing.get_all_start_methods()}"
-            )
-        self.start_method = start_method
-        self.handshake_timeout = float(handshake_timeout)
-        # Resolved eagerly so an unknown transport name fails at
-        # construction, not at start() deep inside a stream run.
-        self.transport = resolve_transport(transport, service)
+        self.transport = _ChannelFactory()
         self._started = False
         # Active scoring slots (dispatch routes sequence % len(_slots)) and
         # the graveyard: children retired by resize() that are still
@@ -263,12 +296,6 @@ class ProcessWorkerPool(WorkerPool):
         self._failed_workers: Dict[int, str] = {}
         self._retired_clean: Set[int] = set()
         self._stopping = False
-        # Data-plane counters folded in from channels at close(), so
-        # transport_counters() stays meaningful after run_stream() (which
-        # closes the pool) has returned.
-        self._transport_totals: Dict[str, int] = {
-            "slot_batches": 0, "inline_batches": 0,
-        }
 
     # ------------------------------------------------------------------ #
     # Lifecycle
@@ -280,15 +307,14 @@ class ProcessWorkerPool(WorkerPool):
     def _spawn_child(self, checkpoint: DetectorCheckpoint) -> None:
         """Spawn one scoring child and append it to the active slots.
 
-        The transport opens one private channel per child — one task queue
-        AND one result queue (plus, on the shm transport, one slot ring):
-        no lock is ever shared between two children, so a child killed
-        mid-write (OOM, operator SIGKILL) can corrupt only its own channel
-        — the classic shared-queue deadlock (a victim dying between
-        ``send_bytes`` and the write-lock release wedges every other writer
-        forever) cannot reach the survivors.
+        Each child gets one private channel — one task queue AND one
+        result queue: no lock is ever shared between two children, so a
+        child killed mid-write (OOM, operator SIGKILL) can corrupt only its
+        own channel — the classic shared-queue deadlock (a victim dying
+        between ``send_bytes`` and the write-lock release wedges every other
+        writer forever) cannot reach the survivors.
         """
-        context = multiprocessing.get_context(self.start_method)
+        context = multiprocessing.get_context(_START_METHOD)
         token = self._next_token
         self._next_token += 1
         channel = self.transport.open_channel(context)
@@ -297,7 +323,8 @@ class ProcessWorkerPool(WorkerPool):
             args=(
                 token,
                 self.service.detector.schema.name,
-                channel.child_spec(),
+                channel.task_queue,
+                channel.result_queue,
             ),
             name=f"serving-proc-{token}",
             daemon=True,
@@ -339,8 +366,8 @@ class ProcessWorkerPool(WorkerPool):
         after every batch already dispatched to that child — close() waits
         for those results like the thread pool does.  Records still queued
         below the batch-size trigger stay in the batcher (flush() first).
-        Every channel is shut down at the end — queues closed, slot
-        segments unlinked — so no transport resource outlives the pool.
+        Every channel's queues are closed at the end, so none outlives the
+        pool.
         """
         self._shutdown.set()
         self._stop_timer()
@@ -354,7 +381,7 @@ class ProcessWorkerPool(WorkerPool):
                 children = list(self._slots) + list(self._graveyard)
         for child in self._slots:
             child.channel.send_stop()  # graveyard children already have one
-        deadline = time.monotonic() + self.handshake_timeout
+        deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
         for child in children:
             child.process.join(timeout=max(deadline - time.monotonic(), 0.1))
             if child.process.is_alive():
@@ -380,8 +407,6 @@ class ProcessWorkerPool(WorkerPool):
                 self._commit(sequence, None)
         for child in children:
             child.channel.shutdown()
-            self._transport_totals["slot_batches"] += child.channel.slot_batches
-            self._transport_totals["inline_batches"] += child.channel.inline_batches
         with self._commit_cond:
             self._slots = []
             self._graveyard = []
@@ -468,7 +493,7 @@ class ProcessWorkerPool(WorkerPool):
                 continue
             for reader in ready:
                 try:
-                    message = readers[reader].receive_nowait()
+                    message = readers[reader].result_queue.get_nowait()
                 except queue_module.Empty:
                     continue
                 except EOFError:
@@ -498,7 +523,7 @@ class ProcessWorkerPool(WorkerPool):
         for channel in channels:
             while True:
                 try:
-                    message = channel.receive(timeout=_POLL_INTERVAL)
+                    message = channel.result_queue.get(timeout=_POLL_INTERVAL)
                 except BaseException:  # Empty, or a channel torn down mid-drain
                     break
                 self._handle_message(message)
@@ -544,7 +569,7 @@ class ProcessWorkerPool(WorkerPool):
         so the drift report matches a synchronous run exactly.  ``finished``
         is stamped with the parent service's clock — the only timeline the
         throughput monitor knows — and the latency is the parent-measured
-        round trip (dispatch to collected reply, same clock), so transport
+        round trip (dispatch to collected reply, same clock), so IPC
         cost shows up in the latency columns; ``child_latency`` (the pure
         scoring time) is informational.
         """
@@ -585,9 +610,6 @@ class ProcessWorkerPool(WorkerPool):
         clean retirement (its stop sentinel drained behind its last batch);
         any other exit — an active slot exiting at all, or a retiring child
         exiting non-zero — is a failure and its in-flight work is swept.
-        Either way the child is gone, so its channel's preallocated
-        resources (the shm slot ring) are reclaimed on the spot — a
-        SIGKILL'd child must not leak its segment until pool close.
         """
         with self._commit_cond:
             active = list(self._slots)
@@ -608,7 +630,6 @@ class ProcessWorkerPool(WorkerPool):
                 # or an active child obeyed the shutdown stop during close().
                 with self._commit_cond:
                     self._retired_clean.add(child.token)
-                child.channel.reclaim()
                 continue
             reason = (
                 f"worker process {child.token} exited unexpectedly "
@@ -623,7 +644,6 @@ class ProcessWorkerPool(WorkerPool):
                     self._swap_failures.append(reason)
                 self._commit_cond.notify_all()
             self._record_error(RuntimeError(reason))
-            child.channel.reclaim()
         # Sweep every poll, not only at diagnosis time: the sweep also has
         # to catch work routed to a dead child before its failure was known.
         with self._commit_cond:
@@ -680,13 +700,11 @@ class ProcessWorkerPool(WorkerPool):
         """Grow or shrink the child-process fleet on batch boundaries.
 
         Growing spawns fresh children that rehydrate the *currently
-        serving* detector from a new checkpoint (each with its own channel
-        — on the shm transport, its own slot ring).  Shrinking retires the
-        trailing slots: each retiring child receives a stop sentinel behind
-        whatever batches it already owns (per-child queues are FIFO),
-        finishes them, replies and exits — nothing in flight is dropped,
-        its segment is reclaimed as soon as the clean exit is diagnosed,
-        and because every reply still commits through the reorder buffer in
+        serving* detector from a new checkpoint (each with its own channel).
+        Shrinking retires the trailing slots: each retiring child receives a
+        stop sentinel behind whatever batches it already owns (per-child
+        queues are FIFO), finishes them, replies and exits — nothing in
+        flight is dropped, and because every reply still commits through the reorder buffer in
         submission order, reports stay bit-equal to a fixed-size run of the
         same stream.
         """
@@ -717,7 +735,7 @@ class ProcessWorkerPool(WorkerPool):
     # ------------------------------------------------------------------ #
     # Hot-swap
     # ------------------------------------------------------------------ #
-    def swap_detector(self, detector, carry_unknown_counts: bool = True):
+    def swap_detector(self, detector):
         """Swap the parent engine and re-ship the checkpoint to the children.
 
         Drains every dispatched batch first, so the swap lands on a batch
@@ -731,9 +749,7 @@ class ProcessWorkerPool(WorkerPool):
         self.join()
         with self._submit_lock:
             self._require_running()
-            retired = self.service.swap_detector(
-                detector, carry_unknown_counts=carry_unknown_counts
-            )
+            retired = self.service.swap_detector(detector)
             checkpoint = DetectorCheckpoint.capture(detector)
             with self._commit_cond:
                 # Only surviving *active* children can acknowledge (join()
@@ -751,13 +767,13 @@ class ProcessWorkerPool(WorkerPool):
                 child.channel.send_swap(checkpoint)
         with self._commit_cond:
             acknowledged = self._commit_cond.wait_for(
-                lambda: not self._swap_awaiting, self.handshake_timeout
+                lambda: not self._swap_awaiting, _HANDSHAKE_TIMEOUT
             )
             failures = list(self._swap_failures)
         if not acknowledged:
             raise TimeoutError(
                 "child processes did not acknowledge the detector swap "
-                f"within {self.handshake_timeout} s"
+                f"within {_HANDSHAKE_TIMEOUT} s"
             )
         if failures:
             raise RuntimeError(
@@ -769,15 +785,8 @@ class ProcessWorkerPool(WorkerPool):
     # Introspection
     # ------------------------------------------------------------------ #
     def transport_counters(self) -> Dict[str, int]:
-        """Aggregate per-channel data-plane counters (slot vs inline batches)
-        across every child ever owned by this pool — the number the benches
-        record to prove the shm path actually carried traffic.  Closed
-        children's counters are folded into running totals at close(), so
-        the numbers survive ``run_stream``."""
-        with self._commit_cond:
-            children = list(self._slots) + list(self._graveyard)
-            totals = dict(self._transport_totals)
-        for child in children:
-            totals["slot_batches"] += child.channel.slot_batches
-            totals["inline_batches"] += child.channel.inline_batches
-        return totals
+        """Batches shipped to the children over this pool's lifetime, in the
+        shape the benchmark reads: every batch travels pickled on a queue
+        (``inline_batches``); ``slot_batches`` is always 0."""
+        with self._submit_lock:
+            return {"slot_batches": 0, "inline_batches": self._next_sequence}

@@ -269,11 +269,7 @@ class DetectionService:
         """The currently serving cached preprocessor."""
         return self._engine[1]
 
-    def swap_detector(
-        self,
-        detector: PelicanDetector,
-        carry_unknown_counts: bool = True,
-    ) -> PelicanDetector:
+    def swap_detector(self, detector: PelicanDetector) -> PelicanDetector:
         """Atomically replace the serving detector; returns the retired one.
 
         The swap is a single attribute store, so concurrent scorers see
@@ -285,10 +281,11 @@ class DetectionService:
         flush/join first so no batch is in flight and nothing is pending in
         the micro-batcher.
 
-        Monitors, the micro-batcher and the throughput history all survive
-        the swap untouched: the service keeps one continuous record of the
-        traffic it served, which is what makes a hot-swapped run's confusion
-        counts equal a drain-stop-restart run's record for record.
+        Monitors, the micro-batcher, the throughput history and the
+        unknown-categorical counts all survive the swap: the service keeps
+        one continuous record of the traffic it served, which is what makes
+        a hot-swapped run's confusion counts equal a drain-stop-restart
+        run's record for record.
 
         The replacement must be fitted on the same schema with the same
         class order — otherwise the rolling monitors' integer labels would
@@ -308,8 +305,7 @@ class DetectionService:
                 f"challenger is fitted on schema {detector.schema.name!r}, "
                 f"the service is serving {old_detector.schema.name!r}"
             )
-        if carry_unknown_counts:
-            new_pipeline.absorb_unknown_counts(old_pipeline.unknown_categoricals)
+        new_pipeline.absorb_unknown_counts(old_pipeline.unknown_categoricals)
         self._engine = (detector, new_pipeline)
         return old_detector
 

@@ -53,7 +53,6 @@ from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .driver import StreamDriver
 from .service import BatchResult, DetectionService, ServiceReport
-from .transport import normalize_transport_name
 from .workers import WorkerPool
 
 __all__ = ["ShardRouter", "ShardedDetectionService"]
@@ -226,16 +225,12 @@ class ShardedDetectionService:
         num_workers: int,
         worker_backend: str = "thread",
         result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
-        transport="queue",
     ) -> List[WorkerPool]:
         """Start one worker pool per shard and return them, index-aligned.
 
         The per-shard pool lifecycle seam shared by :meth:`run_stream` and
         the fleet controller: ``result_callbacks`` (index-aligned when
-        given) become each pool's in-order committed-result hook;
-        ``transport`` picks the process backend's data plane (``"queue"``
-        or ``"shm"`` — see :mod:`repro.serving.transport`; ignored by the
-        thread backend, which shares the parent's address space).  The
+        given) become each pool's in-order committed-result hook.  The
         caller owns the returned pools and must ``close()`` them.
         """
         if num_workers <= 0:
@@ -245,9 +240,6 @@ class ShardedDetectionService:
         ):
             raise ValueError("result_callbacks must be index-aligned with shards")
         pool_type = self._pool_type(worker_backend)
-        pool_kwargs = {}
-        if worker_backend == "process":
-            pool_kwargs["transport"] = transport
         return [
             pool_type(
                 shard,
@@ -255,7 +247,6 @@ class ShardedDetectionService:
                 result_callback=(
                     result_callbacks[index] if result_callbacks else None
                 ),
-                **pool_kwargs,
             ).start()
             for index, shard in enumerate(self.shards)
         ]
@@ -265,7 +256,6 @@ class ShardedDetectionService:
         index: int,
         detector: PelicanDetector,
         pool: Optional[WorkerPool] = None,
-        carry_unknown_counts: bool = True,
     ) -> PelicanDetector:
         """Hot-swap one shard's engine; returns that shard's retired detector.
 
@@ -284,12 +274,8 @@ class ShardedDetectionService:
                 raise ValueError(
                     f"pool does not wrap shard {index} ({self.names[index]!r})"
                 )
-            return pool.swap_detector(
-                detector, carry_unknown_counts=carry_unknown_counts
-            )
-        return self.shards[index].swap_detector(
-            detector, carry_unknown_counts=carry_unknown_counts
-        )
+            return pool.swap_detector(detector)
+        return self.shards[index].swap_detector(detector)
 
     # ------------------------------------------------------------------ #
     def submit(self, records: TrafficRecords) -> List[BatchResult]:
@@ -374,20 +360,16 @@ class ShardedDetectionService:
         self,
         num_workers: int = 0,
         worker_backend: str = "thread",
-        transport="queue",
         result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
     ):
         """The stream-driver lanes: the shards' own (inline scoring) or,
         with ``num_workers > 0``, those of one pool per shard, closed at
         exit."""
         self._pool_type(worker_backend)  # fail fast on unknown backends
-        normalize_transport_name(transport)  # ... and unknown transports
         with ExitStack() as stack:
             engines = self.shards
             if num_workers > 0:
-                engines = self.open_pools(
-                    num_workers, worker_backend, result_callbacks, transport
-                )
+                engines = self.open_pools(num_workers, worker_backend, result_callbacks)
                 for pool in engines:
                     stack.callback(pool.close)
             yield [
@@ -402,7 +384,6 @@ class ShardedDetectionService:
         max_batches: Optional[int] = None,
         num_workers: int = 0,
         worker_backend: str = "thread",
-        transport="queue",
     ) -> ServiceReport:
         """Serve a :class:`~repro.data.generator.TrafficStream` across the fleet.
 
@@ -414,15 +395,11 @@ class ShardedDetectionService:
         selects the pool flavour — ``"thread"`` for a :class:`WorkerPool`,
         ``"process"`` for a
         :class:`~repro.serving.procpool.ProcessWorkerPool` whose children
-        score the shard's batches off the GIL (``transport`` then picks its
-        data plane, ``"queue"`` or ``"shm"``).  Otherwise shards score
-        inline on the calling thread.
+        score the shard's batches off the GIL.  Otherwise shards score inline
+        on the calling thread.
         """
         with StreamDriver(
-            self,
-            num_workers=num_workers,
-            worker_backend=worker_backend,
-            transport=transport,
+            self, num_workers=num_workers, worker_backend=worker_backend
         ) as driver:
             return driver.run(stream, max_batches)
 
@@ -433,7 +410,6 @@ class ShardedDetectionService:
         max_batches: Optional[int] = None,
         num_workers: int = 0,
         worker_backend: str = "thread",
-        transport="queue",
     ) -> ServiceReport:
         """Serve a raw packet-event stream across the fleet.
 
@@ -453,5 +429,4 @@ class ShardedDetectionService:
             max_batches=max_batches,
             num_workers=num_workers,
             worker_backend=worker_backend,
-            transport=transport,
         )

@@ -373,7 +373,7 @@ class WorkerPool:
         """The wrapped service's current report."""
         return self.service.report()
 
-    def swap_detector(self, detector, carry_unknown_counts: bool = True):
+    def swap_detector(self, detector):
         """Hot-swap the wrapped service's engine; returns the retired detector.
 
         Drains every dispatched batch first (:meth:`join`), so no batch
@@ -383,9 +383,7 @@ class WorkerPool:
         overrides it to also re-ship the new checkpoint to its children.
         """
         self.join()
-        return self.service.swap_detector(
-            detector, carry_unknown_counts=carry_unknown_counts
-        )
+        return self.service.swap_detector(detector)
 
     def _raise_pending_error(self) -> None:
         with self._commit_cond:

@@ -2,9 +2,8 @@
 
 Every test here carries the ``ingest`` marker (module-level ``pytestmark``
 in each file, select with ``pytest -m ingest``) and the serving layer's
-resource-leak check — the ingress tests drive real services, worker pools and the
-shared-memory transport, and are held to the same no-leak standard as the
-serving suite (root ``conftest.py``, ``serving_leak_check``).
+resource-leak check — the ingress tests drive real services and worker
+pools, and are held to the same no-leak standard as the serving suite (root ``conftest.py``, ``serving_leak_check``).
 
 The ``detector`` fixture mirrors the serving suite's: fitting even a
 1-block detector dominates runtime, so the cross-model ingress tests share

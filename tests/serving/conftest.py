@@ -14,11 +14,8 @@ training their own:
 
 The autouse ``_no_leaked_serving_resources`` fixture asserts after every
 test that nothing the serving layer spawns survives it: no extra
-non-daemon threads, no live child processes, and no shared-memory
-segments still registered by :mod:`repro.serving.transport` — the
-resource-tracker assertion the zero-copy data plane is held to (a
-SIGKILL'd child must not leak its slot ring).  The check itself lives in
-the root ``conftest.py`` (``serving_leak_check``) so the ingest suite's
+non-daemon threads and no live child processes.  The check itself lives
+in the root ``conftest.py`` (``serving_leak_check``) so the ingest suite's
 ingress tests are held to the same standard.
 """
 
@@ -35,8 +32,8 @@ from repro.data import (
 
 @pytest.fixture(autouse=True)
 def _no_leaked_serving_resources(serving_leak_check):
-    """Fail any serving test that leaks a thread, a child process or a
-    shared-memory segment past its own teardown (see root conftest)."""
+    """Fail any serving test that leaks a thread or a child process past
+    its own teardown (see root conftest)."""
     yield
 
 

@@ -163,177 +163,24 @@ class TestProcessPoolBitEquality:
         assert pool._inflight == {}
 
 
-class TestSharedMemoryTransport:
-    """The zero-copy data plane: slot-ring traffic must be bit-equal to the
-    queue transport (and therefore to sync), fall back inline gracefully,
-    and never leak a segment — even when its child is killed."""
+class TestTransportCounters:
+    def test_counters_cover_every_batch_across_a_retiring_resize(self, detector):
+        """The counters the benchmark reads: every batch travels pickled on
+        a queue, including those a child retired mid-stream had scored."""
+        pool = ProcessWorkerPool(_service(detector), num_workers=2)
 
-    def test_shm_stream_report_equals_the_synchronous_run(self, detector):
-        stream = _tiny_stream()
-        sync_report = _service(detector).run_stream(stream)
-        pool = ProcessWorkerPool(_service(detector), num_workers=2, transport="shm")
-        shm_report = pool.run_stream(stream)
+        def stream():
+            for index, stream_batch in enumerate(_tiny_stream()):
+                if index == 3:
+                    pool.resize(1)
+                yield stream_batch
 
-        assert _counts(shm_report) == _counts(sync_report)
-        assert shm_report.records == sync_report.records
-        assert shm_report.batches == sync_report.batches
-        for phase, sync_phase in sync_report.phase_reports.items():
-            shm_phase = shm_report.phase_reports[phase]
-            assert (
-                sync_phase.tp, sync_phase.tn, sync_phase.fp, sync_phase.fn
-            ) == (
-                shm_phase.tp, shm_phase.tn, shm_phase.fp, shm_phase.fn
-            ), f"{phase}: per-phase counts diverge"
-
-    def test_batches_travel_in_slots_not_pickles(self, detector):
-        """Batcher-sized batches must ride the slot ring whenever a slot is
-        free; the pickled path is a fallback, not the steady state.  Drain
-        between submissions so the ring never starves (a deeper backlog
-        than the ring legitimately falls back inline — covered below)."""
-        service = _service(detector)
-        pool = ProcessWorkerPool(service, num_workers=2, transport="shm")
-        with pool:
-            for stream_batch in _tiny_stream():
-                pool.submit(stream_batch.records)
-                pool.join()
-            pool.flush()
-            counters = pool.transport_counters()
-        assert counters["slot_batches"] > 0
-        assert counters["inline_batches"] == 0
-
-    def test_out_of_schema_categoricals_ride_the_exception_path(
-        self, detector, traffic
-    ):
-        """Vocabulary-drift values cannot be vocabulary-coded; they cross on
-        the control message and the drift report must still equal sync."""
-        drifted = traffic.subset(range(len(traffic)))
-        drifted.categorical["service"] = np.array(
-            ["no-such-service"] * len(drifted), dtype=object
-        )
-        sync_service = _service(detector)
-        sync_service.process(drifted)
-        service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=2, transport="shm") as pool:
-            pool.submit(drifted)
-            pool.flush()
-            counters = pool.transport_counters()
-        assert counters["slot_batches"] > 0
-        assert (
-            service.report().unknown_categoricals
-            == sync_service.report().unknown_categoricals
-        )
-
-    def test_oversized_batches_fall_back_inline_with_equal_counts(
-        self, detector
-    ):
-        """A transport sized below the batcher's trigger forces the inline
-        fallback on every batch — counts must not care."""
-        from repro.serving import SharedMemoryTransport
-
-        stream = _tiny_stream()
-        sync_report = _service(detector).run_stream(stream)
-        service = _service(detector)
-        tiny_slots = SharedMemoryTransport(detector.schema, slot_records=8)
-        pool = ProcessWorkerPool(service, num_workers=2, transport=tiny_slots)
-        with pool:
-            for stream_batch in stream:
-                pool.submit(stream_batch.records)
-            pool.flush()
-            counters = pool.transport_counters()
-        assert counters["inline_batches"] > 0
-        report = service.report()
-        assert _counts(report) == _counts(sync_report)
-        assert report.records == sync_report.records
-
-    def test_a_killed_child_does_not_leak_its_segment(self, detector):
-        """The resource-tracker assertion: SIGKILL a child and its slot ring
-        must be unlinked as soon as the death is diagnosed — attaching by
-        name fails and the module registry no longer lists it."""
-        import time as time_module
-        from multiprocessing import shared_memory
-
-        from repro.serving.transport import live_segments
-
-        batches = list(_tiny_stream())
-        service = _service(detector)
-        pool = ProcessWorkerPool(service, num_workers=2, transport="shm")
-        pool.start()
-        try:
-            pool.submit(batches[0].records)
-            pool.submit(batches[1].records)
-            pool.join()
-            victim = pool._slots[0]
-            segment_name = victim.channel.segment_name
-            assert segment_name in live_segments()
-            victim.process.kill()
-            victim.process.join()
-            deadline = time_module.monotonic() + 5.0
-            while time_module.monotonic() < deadline:
-                if victim.token in pool._failed_workers:
-                    break
-                time_module.sleep(0.05)
-            assert victim.token in pool._failed_workers
-            assert segment_name not in live_segments()
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment_name)
-        finally:
-            try:
-                pool.close()
-            except RuntimeError:
-                pass  # the recorded death surfaces here
-        assert live_segments() == []
-
-    def test_resize_reclaims_retired_segments(self, detector):
-        """Shrinking retires children through the graveyard; their slot
-        rings must be reclaimed at the clean-exit diagnosis, not held until
-        pool close."""
-        import time as time_module
-
-        from repro.serving.transport import live_segments
-
-        service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=3, transport="shm") as pool:
-            assert len(live_segments()) == 3
-            retired_name = pool._slots[2].channel.segment_name
-            pool.resize(1)
-            deadline = time_module.monotonic() + 10.0
-            while time_module.monotonic() < deadline:
-                if retired_name not in live_segments():
-                    break
-                time_module.sleep(0.05)
-            assert retired_name not in live_segments()
-            # The survivor still serves on its own ring.
-            for stream_batch in _tiny_stream():
-                pool.submit(stream_batch.records)
-            pool.flush()
-        assert live_segments() == []
-
-    def test_swap_reships_the_checkpoint_over_shm(self, detector, challenger):
-        """Hot-swap semantics are transport-independent: the checkpoint
-        still travels the control queue and the boundary still lands
-        between batches."""
-        batches = list(_tiny_stream())
-        boundary = 3
-        service = _service(detector)
-        results = []
-        with ProcessWorkerPool(service, num_workers=2, transport="shm") as pool:
-            for index, stream_batch in enumerate(batches):
-                if index == boundary:
-                    results.extend(pool.flush())
-                    assert pool.swap_detector(challenger) is detector
-                results.extend(pool.submit(stream_batch.records))
-            results.extend(pool.flush())
-        baseline = _serve_batches(
-            _service(detector), batches[:boundary]
-        ) + _serve_batches(_service(challenger), batches[boundary:])
-        assert np.array_equal(
-            np.concatenate([r.predictions for r in results]),
-            np.concatenate([r.predictions for r in baseline]),
-        )
-
-    def test_unknown_transport_is_rejected(self, detector):
-        with pytest.raises(ValueError, match="transport"):
-            ProcessWorkerPool(_service(detector), transport="carrier-pigeon")
+        report = pool.run_stream(stream())
+        assert pool.num_workers == 1
+        assert report.batches > 3
+        assert pool.transport_counters() == {
+            "slot_batches": 0, "inline_batches": report.batches,
+        }
 
 
 class TestPoolStats:
