@@ -4,10 +4,10 @@ Trains one small detector per corpus (the same service scale as the
 serving-throughput bench), sweeps the full scenario library with
 :class:`repro.scenarios.ScenarioSuite` — flood, probe-sweep,
 imbalance-shift, slow-dos and retrain-recovery under the synchronous,
-worker-pool, process-pool (checkpoint-rehydrated child processes) and
-replica-sharded execution models, plus the cross-dataset fleet preset on
-a dataset-routed two-shard service (inline and with per-shard worker
-pools) — and writes the per-scenario, per-phase DR/FAR/throughput rows to
+process-pool (checkpoint-rehydrated child processes) and replica-sharded
+execution models, plus the cross-dataset fleet preset on a dataset-routed
+two-shard service (inline and with per-shard process pools) — and writes
+the per-scenario, per-phase DR/FAR/throughput rows to
 ``BENCH_scenarios.json`` at the repository root.  That file is the
 scenario-regression baseline future PRs diff against, alongside
 ``BENCH_serving.json``.

@@ -5,27 +5,23 @@ pass on the tape (graph) path and on the graph-free inference path, asserts
 the fast path reproduces the graph-path probabilities (atol 1e-6) at a
 ≥ 2x speedup, and then measures the serving tier end-to-end over a seeded
 flood scenario in each execution model: the synchronous
-:class:`repro.serving.DetectionService`, a thread :class:`WorkerPool` at
-1/2/4 workers, a :class:`ProcessWorkerPool` at 1/2/4 checkpoint-rehydrated
-child processes and a 2-shard replica :class:`ShardedDetectionService`
-(2 workers per shard).  Every concurrent run's confusion counts are
-asserted bitwise-equal to the single-service run.
+:class:`repro.serving.DetectionService`, a :class:`ProcessWorkerPool` at
+1/2/4 checkpoint-rehydrated child processes and a 2-shard replica
+:class:`ShardedDetectionService` (a 2-child process pool per shard).
+Every concurrent run's confusion counts are asserted bitwise-equal to the
+single-service run.
 
-Scaling claims are core-count-gated: thread-pool scaling is *recorded*
-(``speedup_vs_single`` per worker count) and warned about when a
-multi-core host stays below 1.5x — the Python-level preprocessing holds
-the GIL, so threads cannot prove multi-core scaling.  The process pool is
-the multi-core proof: on hosts with ≥ 4 cores the 4-process run is hard
-asserted at ≥ 1.5x the synchronous throughput; on smaller hosts the curve
-is recorded and the assertion auto-skips (a single core timeshares the
-same arithmetic and pays the IPC on top).  The numbers are written to
+The scaling claim is core-count-gated: on hosts with ≥ 4 cores the
+4-process run is hard asserted at ≥ 1.5x the synchronous throughput; on
+smaller hosts the curve is recorded (``speedup_vs_single`` per child
+count) and the assertion auto-skips (a single core timeshares the same
+arithmetic and pays the IPC on top).  The numbers are written to
 ``BENCH_serving.json`` at the repository root.
 """
 
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +34,6 @@ from repro.serving import (
     DetectionService,
     ProcessWorkerPool,
     ShardedDetectionService,
-    WorkerPool,
 )
 
 BATCH_SIZE = 256
@@ -123,17 +118,6 @@ def _measure_service(seed):
     single_report = fresh_service().run_stream(stream)
     results = _service_row(single_report)
 
-    results["workers"] = {}
-    for num_workers in WORKER_COUNTS:
-        pool = WorkerPool(fresh_service(), num_workers=num_workers)
-        report = pool.run_stream(stream)
-        row = _service_row(report)
-        row["speedup_vs_single"] = report.throughput / single_report.throughput
-        results["workers"][str(num_workers)] = row
-        assert _counts(report) == _counts(single_report), (
-            f"worker pool ({num_workers} workers) changed the confusion counts"
-        )
-
     # Latency is the parent-measured round trip, so the serialization hop
     # is visible in the p95 column.  The x1 row is best of N, because a
     # single run's p95 on a shared host is dominated by ambient scheduling
@@ -192,14 +176,6 @@ def _render(results) -> str:
             service["p95_latency_s"] * 1e3,
         )
     )
-    for num_workers, row in service["workers"].items():
-        lines.append(
-            "  worker pool x{}: {:,.0f} rec/s ({:.2f}x single-thread)".format(
-                num_workers,
-                row["throughput_rps"],
-                row["throughput_rps"] / service["throughput_rps"],
-            )
-        )
     for num_workers, row in service["process_workers"].items():
         lines.append(
             "  process pool x{}: {:,.0f} rec/s ({:.2f}x single-thread, "
@@ -250,21 +226,11 @@ def test_serving_throughput(run_once, scale, seed, check_claims):
                 "2x serving target"
             )
         # Concurrency can only beat the serial path when there are cores to
-        # run on; a single-core host timeshares the same arithmetic (plus
-        # IPC for the process pool), so the scaling claims auto-skip there
-        # and the curve is recorded either way.
+        # run on; a single-core host timeshares the same arithmetic plus the
+        # IPC, so the scaling claim auto-skips there and the curve is
+        # recorded either way.  The process pool scores off the GIL: this
+        # is the multi-core proof, hard asserted where the cores exist.
         if (os.cpu_count() or 1) >= 4:
-            # Thread scaling stays GIL-limited (Python preprocessing), so a
-            # shortfall is a warning, not a red bench.
-            scaling = results["service"]["workers"]["4"]["speedup_vs_single"]
-            if scaling < 1.5:
-                warnings.warn(
-                    f"4-worker pool reached only {scaling:.2f}x the "
-                    "single-thread throughput (target 1.5x) on this host",
-                    stacklevel=1,
-                )
-            # The process pool scores off the GIL: this is the multi-core
-            # proof, hard asserted where the cores exist.
             process_scaling = results["service"]["process_workers"]["4"][
                 "speedup_vs_single"
             ]

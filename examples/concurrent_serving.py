@@ -1,26 +1,22 @@
 #!/usr/bin/env python3
-"""Concurrent sharded serving: worker pools and multi-detector routing.
+"""Concurrent sharded serving: process pools and multi-detector routing.
 
 Builds on ``examples/streaming_detection.py`` — same fitted detector, same
-seeded scenarios — and shows the three concurrent execution models of
-:mod:`repro.serving`:
+seeded scenarios — and shows the concurrent execution models of
+:mod:`repro.serving` against the synchronous service:
 
-1. **Worker pool** — the flood scenario scored on a 4-thread
-   :class:`repro.serving.WorkerPool`.  Scoring fans out across threads and
-   the age trigger fires on a background timer, yet the quality report is
-   record-for-record identical to a synchronous run (results commit in
-   submission order).
-2. **Process pool** — the same flood scenario on a 2-process
-   :class:`repro.serving.ProcessWorkerPool`: each child rehydrates a
-   scoring-identical detector from a checkpoint and scores off the GIL, so
-   the pool scales with real cores — and the report still matches the
-   worker-pool (and synchronous) run count for count.
-3. **Sharded fleet** — the probe-sweep scenario routed across two detector
+1. **Process pool** — the flood scenario scored synchronously and on a
+   2-process :class:`repro.serving.ProcessWorkerPool`: each child
+   rehydrates a scoring-identical detector from a checkpoint and scores
+   off the GIL, and the age trigger fires on a background timer, yet the
+   quality report matches the synchronous run count for count (results
+   commit in submission order).
+2. **Sharded fleet** — the probe-sweep scenario routed across two detector
    shards with a ``class-family`` :class:`repro.serving.ShardRouter`: a
    "volumetric" shard for normal/DoS traffic and a "stealth" shard for the
-   reconnaissance-style families, each shard on its own 2-worker pool.  The
-   per-shard and merged rolling/per-phase reports come back in one
-   :class:`repro.serving.ServiceReport`.
+   reconnaissance-style families, each shard on its own 1-child process
+   pool.  The per-shard and merged rolling/per-phase reports come back in
+   one :class:`repro.serving.ServiceReport`.
 
 Run with::
 
@@ -34,7 +30,6 @@ from repro.serving import (
     ProcessWorkerPool,
     ShardedDetectionService,
     ShardRouter,
-    WorkerPool,
 )
 
 
@@ -59,20 +54,17 @@ def main() -> None:
     detector.fit(train_records, verbose=1)
 
     # ------------------------------------------------------------------ #
-    # 1. Worker pool over the flood scenario.
+    # 1. Synchronous service vs process pool over the flood scenario.
     # ------------------------------------------------------------------ #
     flood = TrafficStream.flood_scenario(nslkdd_generator(), batch_size=64, seed=11)
     service = DetectionService(
         detector, max_batch_size=128, flush_interval=0.02, window=512
     )
-    print(f"\nserving {flood.total_records} flood-scenario records on 4 workers ...")
-    report = WorkerPool(service, num_workers=4).run_stream(flood)
+    print(f"\nserving {flood.total_records} flood-scenario records synchronously ...")
+    report = service.run_stream(flood)
     print(report)
     print_phase_table(report)
 
-    # ------------------------------------------------------------------ #
-    # 2. Process pool over the same flood scenario.
-    # ------------------------------------------------------------------ #
     print(
         f"\nserving {flood.total_records} flood-scenario records on "
         "2 child processes (checkpoint-rehydrated) ..."
@@ -82,15 +74,15 @@ def main() -> None:
     )
     process_report = ProcessWorkerPool(process_service, num_workers=2).run_stream(flood)
     print(process_report)
-    threads = (report.rolling.tp, report.rolling.tn, report.rolling.fp, report.rolling.fn)
+    sync = (report.rolling.tp, report.rolling.tn, report.rolling.fp, report.rolling.fn)
     procs = (
         process_report.rolling.tp, process_report.rolling.tn,
         process_report.rolling.fp, process_report.rolling.fn,
     )
-    print(f"confusion counts match the thread-pool run: {threads == procs}")
+    print(f"confusion counts match the synchronous run: {sync == procs}")
 
     # ------------------------------------------------------------------ #
-    # 3. Class-family sharding over the probe-sweep scenario.
+    # 2. Class-family sharding over the probe-sweep scenario.
     # ------------------------------------------------------------------ #
     sweep = TrafficStream.probe_sweep_scenario(
         nslkdd_generator(), batch_size=64, seed=11
@@ -111,9 +103,9 @@ def main() -> None:
     )
     print(
         f"\nserving {sweep.total_records} probe-sweep records across "
-        "2 class-family shards (2 workers each) ..."
+        "2 class-family shards (1 child process each) ..."
     )
-    merged = fleet.run_stream(sweep, num_workers=2)
+    merged = fleet.run_stream(sweep, num_workers=1)
     print(merged)
     for name, shard_report in merged.shard_reports.items():
         print(f"  {name:<12s} {shard_report}")

@@ -202,7 +202,7 @@ class EventTrafficStream:
     re-iteration is bit-identical).  Iterating the stream itself yields
     ordinary :class:`StreamBatch` values — each event batch aggregated
     back through a fresh replay-mode extractor — so *every* serving
-    execution model (sync, thread pool, process pool, sharded) consumes it
+    execution model (sync, process pool, sharded) consumes it
     unchanged, and by the round-trip guarantee the batches equal the
     wrapped stream's bit for bit.
     """

@@ -22,7 +22,7 @@ benign/attack mixing ratios).  The package splits into four pieces:
   multi-corpus feeds) and :func:`build_fleet_service` (one dataset-routed
   detector shard per corpus).
 * :mod:`repro.scenarios.suite` — :class:`ScenarioSuite`, which sweeps
-  every preset through the synchronous, worker-pool and sharded execution
+  every preset through the synchronous, process-pool and sharded execution
   models and produces the ``BENCH_scenarios.json`` regression rows.
 
 Authoring guide, preset table and the determinism/re-iterability

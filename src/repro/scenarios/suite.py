@@ -7,16 +7,15 @@ throughput rows — the scenario-side counterpart of the serving benchmark's
 
 * single-schema presets (flood, probe-sweep, imbalance-shift, slow-dos)
   run **synchronous** (:class:`~repro.serving.service.DetectionService`),
-  **worker-pool** (:class:`~repro.serving.workers.WorkerPool`),
   **process-pool** (:class:`~repro.serving.procpool.ProcessWorkerPool`,
   scoring in checkpoint-rehydrated child processes) and **sharded**
   (replica :class:`~repro.serving.sharding.ShardedDetectionService`);
 * the cross-dataset **fleet** preset runs on a dataset-routed sharded
-  service — inline and with per-shard worker pools — since a single
+  service — inline and with per-shard process pools — since a single
   service cannot preprocess two schemas.
 
 Every row carries the serving layer's ordering guarantees, so for a given
-scenario the worker-pool and replica-sharded confusion counts are expected
+scenario the process-pool and replica-sharded confusion counts are expected
 to equal the synchronous run's bit for bit; ``benchmarks/
 test_bench_scenarios.py`` asserts exactly that and writes the rows to
 ``BENCH_scenarios.json`` at the repository root.
@@ -34,7 +33,6 @@ from ..serving.lifecycle import DetectorCheckpoint, DriftPolicy, DriftSupervisor
 from ..serving.procpool import ProcessWorkerPool
 from ..serving.service import DetectionService, ServiceReport
 from ..serving.sharding import ShardedDetectionService
-from ..serving.workers import WorkerPool
 from .fleet import (
     build_fleet_service,
     build_replica_fleet,
@@ -63,12 +61,7 @@ _GENERATOR_FACTORIES = {
     "unsw-nb15": unswnb15_generator,
 }
 
-SINGLE_STREAM_MODELS = (
-    "synchronous",
-    "worker-pool",
-    "process-pool",
-    "sharded",
-)
+SINGLE_STREAM_MODELS = ("synchronous", "process-pool", "sharded")
 FLEET_MODELS = ("sharded", "sharded-workers")
 
 #: Supervisor thresholds for the suite's lifecycle run.  The rolling window
@@ -194,9 +187,8 @@ class ScenarioSuite:
         stream overflows it, so the overall (rolling) counts are exact
         totals too — per-phase rows are exact totals on any window.
     num_workers:
-        Pool size for the worker-pool (threads) and process-pool (child
-        processes) models, and per shard in the ``sharded-workers`` fleet
-        model.
+        Child processes of the process-pool model, and per shard in the
+        ``sharded-workers`` fleet model.
     replica_shards:
         Shard count for the replica-sharded model.
     scenarios:
@@ -304,10 +296,6 @@ class ScenarioSuite:
     def _run_model(self, detector: PelicanDetector, stream, model: str):
         if model == "synchronous":
             return self._service(detector).run_stream(stream)
-        if model == "worker-pool":
-            return WorkerPool(
-                self._service(detector), num_workers=self.num_workers
-            ).run_stream(stream)
         if model == "process-pool":
             return ProcessWorkerPool(
                 self._service(detector), num_workers=self.num_workers

@@ -16,38 +16,34 @@ from three independently testable pieces:
   plus a records-per-second headline computed over the wall-clock busy
   span, so overlapping concurrent batches are not double-counted.
 
-Four execution models run on that path:
+Three execution models run on that path:
 
 * **Synchronous** — :class:`DetectionService` alone.  ``submit``/``poll``/
   ``flush`` score on the calling thread; the age trigger fires on the next
   call.  Results, monitor updates and phase attribution all happen in
   submission order.
-* **Worker pool** — :class:`WorkerPool` (:mod:`repro.serving.workers`)
-  wraps a service: micro-batches are scored concurrently on a thread pool
-  and the age trigger fires on a background timer.  Scoring completes out
-  of order, but a reorder buffer commits monitor updates and phase
-  attribution strictly in submission order, so every report is
-  record-for-record identical to the synchronous run — only the wall-clock
-  numbers change.
 * **Process pool** — :class:`ProcessWorkerPool`
-  (:mod:`repro.serving.procpool`), the same surface with scoring moved
-  into child processes: each child rehydrates a scoring-identical detector
-  from a :class:`DetectorCheckpoint` and runs preprocessing + inference
-  off the GIL, while the parent keeps every monitor and commits through
-  the same reorder buffer — multi-core scaling with reports still
-  record-for-record equal to the synchronous run.  Batches travel pickled
-  on a private task/result queue pair per child.
+  (:mod:`repro.serving.procpool`) wraps a service with the same surface
+  and moves scoring into child processes: each child rehydrates a
+  scoring-identical detector from a :class:`DetectorCheckpoint` and runs
+  preprocessing + inference off the GIL, and the age trigger fires on a
+  background timer.  Scoring completes out of order, but the parent keeps
+  every monitor and a reorder buffer commits monitor updates and phase
+  attribution strictly in submission order, so every report is
+  record-for-record identical to the synchronous run — only the
+  wall-clock numbers change.  Batches travel pickled on a private
+  task/result queue pair per child.
 * **Sharded** — :class:`ShardRouter` + :class:`ShardedDetectionService`
   (:mod:`repro.serving.sharding`) fan one stream out across several fitted
   detectors (replicas, one per dataset, or one per class family) and merge
   the per-shard rolling/per-phase/throughput reports into one
   :class:`ServiceReport`.  Records are partitioned, never duplicated;
   within a shard the chosen execution model's ordering guarantee applies
-  (``run_stream(..., num_workers=N, worker_backend="thread"|"process")``
-  picks the per-shard pool backend), and with replica routing the merged
-  confusion counts equal the single-service run on the same stream.
+  (``run_stream(..., num_workers=N)`` gives every shard its own process
+  pool), and with replica routing the merged confusion counts equal the
+  single-service run on the same stream.
 
-Every ``run_stream`` — the four models above and the shadow, supervisor
+Every ``run_stream`` — the three models above and the shadow, supervisor
 and fleet controller below — is one loop, :class:`StreamDriver`
 (:mod:`repro.serving.driver`): route → expect → submit → attribute per
 stream batch over the engine's *lanes* (the service, the pool, or one lane
@@ -58,10 +54,10 @@ every served record is committed and attributed once and the per-phase
 rows are exact totals whatever the rolling window.
 
 The fleet control plane (:mod:`repro.serving.fleet`) operates those
-models: :class:`FleetController` owns a sharded fleet with one worker pool
-per shard and closes two control loops on stream batch boundaries —
-utilization-driven autoscaling (live ``resize()`` on both pool backends,
-driven by :class:`PoolStats` backlog and monitor utilization, between
+models: :class:`FleetController` owns a sharded fleet with one process
+pool per shard and closes two control loops on stream batch boundaries —
+utilization-driven autoscaling (live ``resize()`` of the pools, driven
+by :class:`PoolStats` backlog and monitor utilization, between
 :class:`AutoscalePolicy` bounds) and staged canary rollout of a challenger
 detector (shadow trial on a canary shard, :class:`ShadowComparison` gate,
 staggered shard-by-shard hot-swap, automatic rollback when post-swap DR
@@ -82,15 +78,18 @@ floods, low-and-slow probes, slow-rate DoS, class-imbalance shifts and the
 cross-dataset fleet feed.  ``examples/streaming_detection.py``,
 ``examples/concurrent_serving.py`` and ``examples/cross_dataset_fleet.py``
 show the end-to-end wiring, and ``repro.scenarios.ScenarioSuite`` sweeps
-every preset across the four execution models.
+every preset across the three execution models.
 """
 
 from .batching import MicroBatcher
 from .driver import PhaseAttributor, StreamDriver
 from .monitor import RollingDetectionMonitor, ThroughputMonitor
 from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
-from .sharding import ShardedDetectionService, ShardRouter
-from .workers import PoolStats, WorkerPool
+
+# Import order matters: lifecycle first.  procpool imports the checkpoint
+# from lifecycle, whose package import pulls in the shadow deployment, which
+# imports procpool and sharding back — entered through lifecycle, each of
+# them finds what it needs already loaded.
 from .lifecycle import (
     DetectorCheckpoint,
     DriftPolicy,
@@ -102,7 +101,8 @@ from .lifecycle import (
     ShadowDeployment,
     ShadowReport,
 )
-from .procpool import ProcessWorkerPool
+from .procpool import PoolStats, ProcessWorkerPool
+from .sharding import ShardedDetectionService, ShardRouter
 from .fleet import (
     AutoscalePolicy,
     FleetAction,
@@ -122,7 +122,6 @@ __all__ = [
     "StreamDriver",
     "BatchResult",
     "ServiceReport",
-    "WorkerPool",
     "PoolStats",
     "ProcessWorkerPool",
     "FleetController",

@@ -10,8 +10,8 @@ batches under the classic two-trigger policy:
 * **age** — records never wait longer than ``flush_interval`` seconds; a
   partial batch whose oldest record has exceeded the interval is released
   on the next :meth:`submit` / :meth:`poll` (or by the
-  :class:`~repro.serving.workers.WorkerPool` background timer, which polls
-  on a schedule instead of waiting for traffic).
+  :class:`~repro.serving.procpool.ProcessWorkerPool` background timer,
+  which polls on a schedule instead of waiting for traffic).
 
 Each submission is stamped with its arrival time and the stamp travels with
 the records — including the left-behind tail when a size-triggered drain
@@ -19,7 +19,7 @@ splits a submission — so the age trigger always measures from the true
 oldest pending record.  The clock is injectable so tests (and deterministic
 replays) can drive the age trigger without sleeping.
 
-The batcher itself is not thread-safe; concurrent callers (the worker
+The batcher itself is not thread-safe; concurrent callers (the process
 pool's submitters and its age-trigger timer) serialise access through a
 lock of their own.
 """

@@ -1,7 +1,7 @@
 """The stream driver: the one loop that serves a traffic stream.
 
-Every ``run_stream`` in the serving layer — the synchronous service, both
-worker pools, the sharded fleet, the shadow deployment, the drift
+Every ``run_stream`` in the serving layer — the synchronous service, the
+process pool, the sharded fleet, the shadow deployment, the drift
 supervisor and the fleet controller — is a :class:`StreamDriver` over an
 *engine* plus a few hooks.  Per stream batch the driver runs one step::
 
@@ -12,7 +12,8 @@ and, once the stream is exhausted, flush → attribute → merge.
 * A **lane** is anything whose ``submit(records)`` / ``flush()`` return
   the committed :class:`~repro.serving.service.BatchResult` values in
   submission order: a :class:`~repro.serving.service.DetectionService`, a
-  thread or process worker pool, or one shard of a sharded fleet.
+  :class:`~repro.serving.procpool.ProcessWorkerPool`, or one shard of a
+  sharded fleet.
 * An **engine** opens its lanes for one stream: ``_stream_lanes(**options)``
   is a context yielding ``(lane, PhaseAttributor)`` pairs.  A service or a
   pool is its own single lane — records queued before the stream are

@@ -5,11 +5,11 @@ time: pools are sized once at construction, and a retrained challenger is
 hot-swapped fleet-wide in a single stroke.  :class:`FleetController`
 composes those layers into one operator.  It owns a
 :class:`~repro.serving.sharding.ShardedDetectionService`, drives the stream
-through one worker pool per shard, and closes two control loops at stream
-batch boundaries:
+through one :class:`~repro.serving.procpool.ProcessWorkerPool` per shard,
+and closes two control loops at stream batch boundaries:
 
 * **Autoscaling** — each control tick polls every pool's
-  :class:`~repro.serving.workers.PoolStats` (queue depth, in-flight count,
+  :class:`~repro.serving.procpool.PoolStats` (queue depth, in-flight count,
   busy fraction) and the shard monitor's busy-time utilization, and grows
   or shrinks the pool between :class:`AutoscalePolicy` bounds via the
   ``resize()`` seam.  Workers spawn and retire only on batch boundaries and
@@ -48,9 +48,9 @@ from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .driver import StreamDriver
 from .monitor import RollingDetectionMonitor
+from .procpool import PoolStats
 from .service import DetectionService, ServiceReport
 from .sharding import ShardedDetectionService
-from .workers import PoolStats, WorkerPool
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .lifecycle.shadow import ShadowComparison, quality_deltas
 
@@ -250,11 +250,7 @@ class FleetController:
         (replica) fleet — every shard must serve the challenger's schema
         and class order.
     num_workers:
-        Initial per-shard pool size.
-    worker_backend:
-        ``"thread"`` (:class:`~repro.serving.workers.WorkerPool`) or
-        ``"process"`` (:class:`~repro.serving.procpool.ProcessWorkerPool`)
-        — the pool flavour opened per shard.
+        Initial per-shard pool size (child processes per shard).
     autoscale:
         The :class:`AutoscalePolicy`; ``None`` disables autoscaling.
     rollout:
@@ -272,17 +268,14 @@ class FleetController:
         self,
         fleet: ShardedDetectionService,
         num_workers: int = 2,
-        worker_backend: str = "thread",
         autoscale: Optional[AutoscalePolicy] = None,
         rollout: Optional[RolloutPolicy] = None,
         schedule: Optional[Sequence[FleetAction]] = None,
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
-        fleet._pool_type(worker_backend)  # fail fast on unknown backends
         self.fleet = fleet
         self.num_workers = int(num_workers)
-        self.worker_backend = worker_backend
         self.autoscale = autoscale
         self.rollout = rollout or RolloutPolicy()
         if not 0 <= self.rollout.canary_shard < len(fleet.shards):
@@ -346,7 +339,7 @@ class FleetController:
         """Serve the stream under fleet control; returns the outcome.
 
         The :class:`~repro.serving.driver.StreamDriver` over the fleet's
-        shards, one worker pool per shard — per-shard attribution, merged
+        shards, one process pool per shard — per-shard attribution, merged
         per-phase reports, as in :meth:`ShardedDetectionService.run_stream`
         — with the two control loops as its ``after_batch`` hook.  The
         returned report carries the event timeline under ``timeline``.
@@ -411,8 +404,8 @@ class FleetController:
 
         def swap_shard(index: int, batch_index: int) -> None:
             nonlocal stage_countdown
-            # The pool-aware swap drains that shard's in-flight batches (and
-            # re-ships the checkpoint for a process pool), so the swap lands
+            # The pool-aware swap drains that shard's in-flight batches and
+            # re-ships the checkpoint to its children, so the swap lands
             # on a batch boundary and the watch monitor installed right
             # after sees post-swap records only.
             retired[index] = fleet.swap_shard(index, challenger, pool=pools[index])
@@ -599,7 +592,6 @@ class FleetController:
             before_submit,
             after_batch,
             num_workers=self.num_workers,
-            worker_backend=self.worker_backend,
             result_callbacks=[partial(on_commit, i) for i in range(len(fleet.shards))],
         ) as driver:
             pools = driver.lanes

@@ -9,7 +9,7 @@ on it.  Three pieces, composable with every execution model:
   a scoring-identical detector (``predict(fast=True)`` bitwise-equal).
 * :class:`ShadowDeployment` (:mod:`~repro.serving.lifecycle.shadow`) — a
   challenger scores the same record stream as the primary (synchronous,
-  worker-pool or sharded) into its own monitors; the result is a
+  process pool or sharded) into its own monitors; the result is a
   side-by-side :class:`ShadowComparison`.
 * :class:`DriftSupervisor` (:mod:`~repro.serving.lifecycle.supervisor`) —
   watches a :class:`DriftPolicy` over the rolling DR/FAR window and the

@@ -8,8 +8,8 @@ micro-batcher configured identically, so the micro-batch boundaries match
 ones anything downstream sees.  The primary can be any execution model:
 
 * a synchronous :class:`~repro.serving.service.DetectionService`;
-* a :class:`~repro.serving.workers.WorkerPool` (challenger scores inline on
-  the driving thread while the primary fans out to its workers);
+* a :class:`~repro.serving.procpool.ProcessWorkerPool` (challenger scores
+  inline on the driving thread while the primary fans out to its children);
 * a :class:`~repro.serving.sharding.ShardedDetectionService` (the
   challenger shadows the *whole* fleet's traffic — which requires a
   single-schema stream, i.e. replica or class-family sharding).
@@ -35,14 +35,14 @@ from ...core.detector import PelicanDetector
 from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
 from ..driver import StreamDriver
+from ..procpool import ProcessWorkerPool
 from ..service import DetectionService, ServiceReport
 from ..sharding import ShardedDetectionService
-from ..workers import WorkerPool
 
 __all__ = ["ShadowDeployment", "ShadowComparison", "ShadowReport"]
 
 #: Execution models a shadow can attach to.
-Primary = Union[DetectionService, WorkerPool, ShardedDetectionService]
+Primary = Union[DetectionService, ProcessWorkerPool, ShardedDetectionService]
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,13 @@ def template_service(target: Primary) -> DetectionService:
     batching template and the supervisor's clock and serving detector."""
     if isinstance(target, DetectionService):
         return target
-    if isinstance(target, WorkerPool):
+    if isinstance(target, ProcessWorkerPool):
         return target.service
     if isinstance(target, ShardedDetectionService):
         return target.shards[0]
     raise TypeError(
         f"unsupported execution model {type(target).__name__}; expected "
-        "DetectionService, WorkerPool or ShardedDetectionService"
+        "DetectionService, ProcessWorkerPool or ShardedDetectionService"
     )
 
 
@@ -139,7 +139,7 @@ class ShadowDeployment:
     Parameters
     ----------
     primary:
-        The serving execution model (service, worker pool or sharded fleet).
+        The serving execution model (service, process pool or sharded fleet).
     challenger:
         A fitted detector to trial, or a ready-made
         :class:`DetectionService` for it.  When a detector is given, the

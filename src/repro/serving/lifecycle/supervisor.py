@@ -26,13 +26,12 @@ only *report* it.  :class:`DriftSupervisor` closes the loop:
    confusion counts are bitwise-equal to a drain-stop-restart deployment
    of the same two models at the same boundary.
 
-The supervisor drives any of the four execution models through the
+The supervisor drives any of the three execution models through the
 :class:`~repro.serving.driver.StreamDriver`, with the watch/retrain/swap
 steps as its ``after_batch`` hook: a synchronous
 :class:`~repro.serving.service.DetectionService`, a
-:class:`~repro.serving.workers.WorkerPool` or
 :class:`~repro.serving.procpool.ProcessWorkerPool` (results commit in
-submission order, so attribution is unchanged; a process pool's swap also
+submission order, so attribution is unchanged; the pool's swap also
 re-ships the challenger's checkpoint to its children) or a
 :class:`~repro.serving.sharding.ShardedDetectionService` (shards score
 inline, as in its own ``run_stream``; a swap replaces every shard's engine
@@ -264,7 +263,7 @@ class DriftSupervisor:
     Parameters
     ----------
     target:
-        The execution model to supervise: a synchronous service, a worker
+        The execution model to supervise: a synchronous service, a process
         pool or a (replica-)sharded service.
     policy:
         The :class:`DriftPolicy` thresholds.

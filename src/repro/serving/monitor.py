@@ -8,8 +8,8 @@ latency into the serving headline numbers (records/s, mean and p95 batch
 latency).
 
 Both monitors are thread-safe: every mutation and every read of derived
-state happens under an internal lock, so the worker pool's scoring threads
-can update them concurrently with a reader polling :meth:`report` /
+state happens under an internal lock, so the process pool's collector
+thread can update them concurrently with a reader polling :meth:`report` /
 :meth:`snapshot`.
 
 Throughput accounting distinguishes three time totals:
@@ -171,7 +171,7 @@ class ThroughputMonitor:
 
         ``end_time`` is the clock reading when the batch finished; it
         defaults to "now" but concurrent callers that commit results after
-        the fact (the worker pools' reorder buffers) pass the measured value
+        the fact (the process pool's reorder buffer) pass the measured value
         so the busy span reflects when the work actually ran.  Commits may
         arrive in any order: each interval contributes exactly the portion
         of ``[end - latency, end]`` not already covered by earlier updates.

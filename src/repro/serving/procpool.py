@@ -1,10 +1,19 @@
 """Process-parallel scoring for the detection service.
 
-:class:`ProcessWorkerPool` is the fourth execution model: the same
-submit/poll/flush/report surface as the thread-based
-:class:`~repro.serving.workers.WorkerPool`, with scoring moved into **child
-processes** so the Python-level preprocessing — which holds the GIL and
-caps the thread pool at single-core throughput — runs on real cores.
+:class:`ProcessWorkerPool` turns a synchronous
+:class:`~repro.serving.service.DetectionService` into a concurrent one with
+the same submit/poll/flush/report surface:
+
+* micro-batches released by the service's
+  :class:`~repro.serving.batching.MicroBatcher` are **scored in child
+  processes**, so the Python-level preprocessing, which holds the GIL, runs
+  on real cores;
+* the **age trigger fires on a background timer** that polls the batcher
+  on a schedule, so a lull in traffic cannot strand a partial batch until
+  the next ``submit``/``poll`` call;
+* monitor updates stay **deterministic**: replies pass through a reorder
+  buffer and are committed — rolling quality, throughput, phase
+  attribution — strictly in submission order.
 
 Division of labour:
 
@@ -19,8 +28,7 @@ Division of labour:
 * the **parent** keeps every piece of mutable serving state — the
   micro-batcher, the rolling/throughput monitors, phase attribution, the
   vocabulary-drift counters (child tallies are folded back in) — and
-  commits results through the :class:`WorkerPool` reorder buffer, strictly
-  in submission order.
+  commits results through the reorder buffer.
 
 Because the child's detector is scoring-identical, a pickled batch
 unpickles string-for-string identical, and all accounting stays in the
@@ -55,18 +63,20 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..data.dataset import TrafficRecords
+from ..data.generator import StreamBatch
 from ..data.schema import get_schema
+from .driver import PhaseAttributor, StreamDriver
 from .lifecycle.checkpoint import DetectorCheckpoint
-from .service import BatchResult, CachedPreprocessor, DetectionService
-from .workers import PoolStats, WorkerPool
+from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
 
-__all__ = ["ProcessWorkerPool"]
+__all__ = ["PoolStats", "ProcessWorkerPool"]
 
 #: Collector poll period: how often child liveness is re-checked while the
 #: result queue is quiet.
@@ -240,10 +250,41 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
             result_queue.put(("error", sequence, traceback.format_exc()))
 
 
-class ProcessWorkerPool(WorkerPool):
-    """Concurrent scoring mode backed by child processes.
+@dataclass(frozen=True)
+class PoolStats:
+    """Live utilization snapshot of a pool (one lock-consistent read).
 
-    Drop-in for :class:`WorkerPool`::
+    The fleet controller's autoscaler polls this every control tick; the
+    fields are chosen so a scaling decision needs no further pool access:
+
+    * ``workers`` — current child count (the autoscaler's actuator state);
+    * ``queue_depth`` — records buffered in the micro-batcher, not yet
+      released as a batch;
+    * ``in_flight`` — batches shipped to the children and not yet
+      committed: replies still owed plus replies parked in the reorder
+      buffer behind a missing earlier sequence;
+    * ``busy_fraction`` — owed batches per child, clipped to 1.0: the
+      portion of the pool that genuinely has work (1.0 = every child).
+    """
+
+    workers: int
+    queue_depth: int
+    in_flight: int
+    busy_fraction: float
+
+    @property
+    def backlog_per_worker(self) -> float:
+        """In-flight batches plus queued records' worth, per worker."""
+        return (self.in_flight + (1.0 if self.queue_depth else 0.0)) / max(
+            self.workers, 1
+        )
+
+
+class ProcessWorkerPool:
+    """Concurrent scoring mode for a :class:`DetectionService`, backed by
+    child processes.
+
+    Use as a context manager (or call :meth:`start`/:meth:`close`)::
 
         with ProcessWorkerPool(service, num_workers=4) as pool:
             report = pool.run_stream(stream)
@@ -252,15 +293,21 @@ class ProcessWorkerPool(WorkerPool):
     ----------
     service:
         The wrapped synchronous service; its batcher and monitors stay in
-        the parent and are the only copy of the serving state.
+        the parent and are the only copy of the serving state.  The pool
+        only changes *where* scoring runs and *when* the age trigger fires.
     num_workers:
         Number of child scoring processes.  Default 2 — spawning a child
         costs a fresh interpreter plus a :mod:`repro` import, so size the
         pool to the cores you have, not higher.
     timer_interval:
-        Background age-trigger period (see :class:`WorkerPool`).
+        Period of the background age-trigger timer.  Defaults to half the
+        batcher's flush interval (at least 1 ms); pass ``0`` to disable the
+        timer, in which case age triggers fire only inside
+        :meth:`submit`/:meth:`poll`, like the synchronous service.
     result_callback:
-        In-order committed-result hook (see :class:`WorkerPool`).
+        Optional hook invoked with every committed :class:`BatchResult`,
+        in submission order.  When set, results are delivered to the
+        callback instead of accumulating for :meth:`collect`.
     """
 
     def __init__(
@@ -270,13 +317,33 @@ class ProcessWorkerPool(WorkerPool):
         timer_interval: Optional[float] = None,
         result_callback: Optional[Callable[[BatchResult], None]] = None,
     ) -> None:
-        super().__init__(
-            service,
-            num_workers=num_workers,
-            timer_interval=timer_interval,
-            result_callback=result_callback,
-        )
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        self.service = service
+        self.num_workers = int(num_workers)
+        if timer_interval is None:
+            timer_interval = max(service.batcher.flush_interval / 2.0, 0.001)
+        if timer_interval < 0:
+            raise ValueError("timer_interval must be non-negative")
+        self.timer_interval = float(timer_interval)
         self.transport = _ChannelFactory()
+        # _submit_lock serialises batcher access and sequence assignment, so
+        # sequence order == FIFO drain order.  _commit_cond guards the
+        # reorder buffer and the per-child books below; the collector
+        # commits under it and waiters block on it.
+        self._submit_lock = threading.Lock()
+        self._commit_cond = threading.Condition()
+        self._next_sequence = 0
+        self._next_commit = 0
+        self._out_of_order: Dict[int, Optional[BatchResult]] = {}
+        self._committed: List[BatchResult] = []
+        self._result_callback = result_callback
+        self._errors: List[BaseException] = []
+        self._timer: Optional[threading.Thread] = None
+        self._shutdown = threading.Event()
+        # Thread driving a stream through this pool (see _stream_lanes);
+        # only it may submit/poll/flush until the stream returns.
+        self._stream_owner: Optional[int] = None
         self._started = False
         # Active scoring slots (dispatch routes sequence % len(_slots)) and
         # the graveyard: children retired by resize() that are still
@@ -339,7 +406,9 @@ class ProcessWorkerPool(WorkerPool):
 
     def start(self) -> "ProcessWorkerPool":
         """Spawn the children (each rehydrates the current detector from a
-        checkpoint), start the collector thread and the age timer."""
+        checkpoint), start the collector thread and the age timer
+        (idempotent).  If a spawn fails partway, the children already
+        spawned are stopped before the error propagates."""
         if self._started:
             return self
         checkpoint = DetectorCheckpoint.capture(self.service.detector)
@@ -349,13 +418,25 @@ class ProcessWorkerPool(WorkerPool):
         self._retired_clean = set()
         self._slots = []
         self._graveyard = []
-        for _ in range(self.num_workers):
-            self._spawn_child(checkpoint)
+        try:
+            for _ in range(self.num_workers):
+                self._spawn_child(checkpoint)
+        except BaseException:
+            for child in self._slots:
+                child.process.terminate()
+                child.process.join(timeout=5.0)
+                child.channel.shutdown()
+            self._slots = []
+            raise
         self._collector = threading.Thread(
             target=self._collector_loop, name="serving-proc-collector", daemon=True
         )
         self._collector.start()
-        self._start_timer()
+        if self.timer_interval > 0:
+            self._timer = threading.Thread(
+                target=self._timer_loop, name="serving-age-timer", daemon=True
+            )
+            self._timer.start()
         self._started = True
         return self
 
@@ -364,13 +445,17 @@ class ProcessWorkerPool(WorkerPool):
 
         Per-child queues are FIFO, so the stop sentinel is processed only
         after every batch already dispatched to that child — close() waits
-        for those results like the thread pool does.  Records still queued
-        below the batch-size trigger stay in the batcher (flush() first).
-        Every channel's queues are closed at the end, so none outlives the
-        pool.
+        for those results.  Records still queued below the batch-size
+        trigger stay in the batcher (flush() first).  Detaching happens
+        under the submit lock, so a concurrent submitter either dispatches
+        before the shutdown (and is waited for) or is refused before it
+        drains anything from the batcher.  Every channel's queues are
+        closed at the end, so none outlives the pool.
         """
         self._shutdown.set()
-        self._stop_timer()
+        if self._timer is not None:
+            self._timer.join()
+            self._timer = None
         with self._submit_lock:
             if not self._started:
                 self._raise_pending_error()
@@ -412,14 +497,43 @@ class ProcessWorkerPool(WorkerPool):
             self._graveyard = []
         self._raise_pending_error()
 
+    def __enter__(self) -> "ProcessWorkerPool":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------ #
     # Dispatch and collection
     # ------------------------------------------------------------------ #
+    def _timer_loop(self) -> None:
+        while not self._shutdown.wait(self.timer_interval):
+            with self._submit_lock:
+                if not self._started:  # timer racing a start()/close()
+                    continue
+                batch = self.service.batcher.poll()
+                if batch is not None:
+                    self._dispatch(batch)
+
     def _require_running(self) -> None:
-        # Refuse *before* the caller drains the batcher (the base-class
-        # invariant): with every child gone, a drained batch could neither
-        # be scored nor re-queued — it would vanish from the accounting.
-        super()._require_running()
+        """Refuse before touching the batcher: draining records and then
+        failing to dispatch them would lose traffic silently — with every
+        child gone, a drained batch could neither be scored nor re-queued.
+        Callers hold ``_submit_lock``, so the check cannot race a concurrent
+        close()."""
+        if not self._started:
+            raise RuntimeError(
+                f"{type(self).__name__} is not running; call start() or use "
+                "it as a context manager"
+            )
+        if self._stream_owner not in (None, threading.get_ident()):
+            # An external batch committing mid-stream would consume phase
+            # records from the attribution FIFO and shift every later
+            # record's attribution.
+            raise RuntimeError(
+                f"{type(self).__name__} is serving a stream; submit/poll/flush "
+                "are unavailable until run_stream returns"
+            )
         with self._commit_cond:
             if all(
                 child.token in self._failed_workers for child in self._slots
@@ -599,6 +713,37 @@ class ProcessWorkerPool(WorkerPool):
             self._record_error(exc)
         self._commit(sequence, result)
 
+    def _record_error(self, error: BaseException) -> None:
+        """Stash an error for re-raise on the next join/flush/close."""
+        with self._commit_cond:
+            self._errors.append(error)
+
+    def _commit(self, sequence: int, result: Optional[BatchResult]) -> None:
+        """Feed one batch into the reorder buffer; commit what's due.
+
+        The ordering seam: the collector thread calls it with each reply,
+        the orphan sweeps with the holes of lost batches.  Results enter in
+        any order; monitor updates and callbacks leave strictly in
+        submission order.  A ``None`` result (the batch errored or was
+        lost) is skipped but still advances the commit cursor, so one
+        failure cannot stall every later batch.
+        """
+        with self._commit_cond:
+            self._out_of_order[sequence] = result
+            while self._next_commit in self._out_of_order:
+                ready = self._out_of_order.pop(self._next_commit)
+                self._next_commit += 1
+                if ready is not None:
+                    try:
+                        self.service.observe(ready)
+                        if self._result_callback is not None:
+                            self._result_callback(ready)
+                        else:
+                            self._committed.append(ready)
+                    except BaseException as exc:  # keep the buffer draining
+                        self._errors.append(exc)
+            self._commit_cond.notify_all()
+
     def _check_children(self) -> None:
         """Fail fast when a child died: a sequence dispatched to a dead
         child would otherwise block join()/flush() forever.  Each in-flight
@@ -663,22 +808,19 @@ class ProcessWorkerPool(WorkerPool):
     # Utilization
     # ------------------------------------------------------------------ #
     def stats(self) -> PoolStats:
-        """Authoritative :class:`PoolStats` for the process backend.
+        """One consistent :class:`PoolStats` snapshot (the autoscaler input).
 
-        The inherited snapshot infers ``in_flight`` from sequence-counter
-        distance (``dispatched - next_commit``), which cannot see *where*
-        a dispatched batch is: batches shipped into per-child task queues,
-        batches being scored, and batches whose replies already arrived but
-        are parked in the reorder buffer behind a missing earlier sequence
-        all look alike.  Under head-of-line blocking that reads as a
-        saturated pool when the children are actually idle — and the fleet
-        autoscaler scales from that stale backlog.
-
-        This override counts the shipped-but-uncommitted sequences from the
-        pool's own books: ``in_flight`` = batches the children still owe a
-        reply for (the per-child in-flight map) plus replies held for
-        in-order commit, and ``busy_fraction`` is computed from the *owed*
-        batches only — the portion of the fleet that genuinely has work.
+        Counted from the pool's own books, not from sequence-counter
+        distance (``dispatched - next_commit``): that distance cannot see
+        *where* a dispatched batch is — batches shipped into per-child task
+        queues, batches being scored, and batches whose replies already
+        arrived but are parked in the reorder buffer behind a missing
+        earlier sequence all look alike, so head-of-line blocking would
+        read as a saturated pool while the children are idle, and the
+        fleet autoscaler would scale from that stale backlog.
+        ``in_flight`` is the replies the children still owe plus the
+        replies held for in-order commit; ``busy_fraction`` counts the
+        *owed* batches only.
         """
         with self._submit_lock:
             workers = self.num_workers
@@ -780,6 +922,146 @@ class ProcessWorkerPool(WorkerPool):
                 "detector swap failed in child process(es): " + "; ".join(failures)
             )
         return retired
+
+    # ------------------------------------------------------------------ #
+    # Public API (mirrors the synchronous service)
+    # ------------------------------------------------------------------ #
+    def submit(self, records: TrafficRecords) -> List[BatchResult]:
+        """Enqueue records, dispatching every due micro-batch to the children.
+
+        Returns the results committed since the last call — which, because
+        scoring is asynchronous, are generally *older* batches, not the ones
+        just submitted.
+        """
+        with self._submit_lock:
+            self._require_running()
+            for batch in self.service.batcher.submit(records):
+                self._dispatch(batch)
+        return self.collect()
+
+    def poll(self) -> List[BatchResult]:
+        """Dispatch the pending partial batch if overdue; collect results."""
+        with self._submit_lock:
+            self._require_running()
+            batch = self.service.batcher.poll()
+            if batch is not None:
+                self._dispatch(batch)
+        return self.collect()
+
+    def collect(self) -> List[BatchResult]:
+        """Drain the committed results accumulated so far (non-blocking)."""
+        with self._commit_cond:
+            committed, self._committed = self._committed, []
+        return committed
+
+    def join(self, timeout: Optional[float] = None) -> None:
+        """Block until every batch dispatched so far has been committed."""
+        with self._submit_lock:
+            target = self._next_sequence
+        with self._commit_cond:
+            if not self._commit_cond.wait_for(
+                lambda: self._next_commit >= target, timeout
+            ):
+                raise TimeoutError(
+                    f"worker pool did not drain within {timeout} s "
+                    f"({target - self._next_commit} batches outstanding)"
+                )
+        self._raise_pending_error()
+
+    def flush(self) -> List[BatchResult]:
+        """Force the queued tail through, wait for everything, collect."""
+        with self._submit_lock:
+            self._require_running()
+            batch = self.service.batcher.flush()
+            if batch is not None:
+                self._dispatch(batch)
+        self.join()
+        return self.collect()
+
+    def report(self) -> ServiceReport:
+        """The wrapped service's current report."""
+        return self.service.report()
+
+    def _raise_pending_error(self) -> None:
+        with self._commit_cond:
+            if not self._errors:
+                return
+            errors, self._errors = self._errors, []
+        error = errors[0]
+        if len(errors) > 1:
+            error.add_note(
+                f"{len(errors) - 1} additional worker error(s) occurred: "
+                + "; ".join(repr(extra) for extra in errors[1:3])
+            )
+        raise error
+
+    # ------------------------------------------------------------------ #
+    # Stream-driver protocol (see repro.serving.driver): the pool is an
+    # engine with one lane, itself.
+    @contextmanager
+    def _stream_lanes(self):
+        """Own the pool for one stream; yields its one lane.
+
+        Starts (and afterwards closes) a pool that is not running.  Work
+        queued before the stream, on this pool or directly on the service,
+        belongs to no phase: it is drained first, through the standing
+        callback or into the :meth:`collect` buffer, where it stays
+        collectable after the stream.  While the stream runs only the
+        driving thread may submit/poll/flush, and every commit reaches both
+        the driver (through the return values) and the standing callback.
+        """
+        owns_lifecycle = not self.running
+        if owns_lifecycle:
+            self.start()
+        me = threading.get_ident()
+        standing = self._result_callback
+        stashed: List[BatchResult] = []
+
+        def tee(result: BatchResult) -> None:  # runs under _commit_cond
+            self._committed.append(result)
+            if standing is not None:
+                standing(result)
+
+        try:
+            with self._submit_lock:
+                self._require_running()
+                self._stream_owner = me
+            stashed = self.flush()
+            with self._commit_cond:
+                self._result_callback = tee
+            yield [(self, PhaseAttributor(self.service.pipeline.normal_index))]
+        finally:
+            with self._commit_cond:
+                self._result_callback = standing
+                self._committed[:0] = stashed
+            with self._submit_lock:
+                if self._stream_owner == me:
+                    self._stream_owner = None
+            if owns_lifecycle:
+                self.close()
+
+    def _stream_report(self, phase_reports) -> ServiceReport:
+        return replace(self.report(), phase_reports=phase_reports)
+
+    def run_stream(
+        self,
+        stream: Iterable[StreamBatch],
+        max_batches: Optional[int] = None,
+    ) -> ServiceReport:
+        """Serve a :class:`~repro.data.generator.TrafficStream` concurrently.
+
+        Identical semantics to :meth:`DetectionService.run_stream` — the
+        in-order commit makes the rolling and per-phase reports match a
+        synchronous run record for record.  Starts and stops the pool
+        automatically when not already running.  The stream owns the pool
+        for the duration: work queued beforehand is drained to the previous
+        sink first, and ``submit``/``poll``/``flush`` calls from other
+        threads are rejected until the run returns (they would corrupt the
+        phase attribution).  A standing ``result_callback`` keeps receiving
+        every committed result.
+        """
+        with StreamDriver(self) as driver:
+            return driver.run(stream, max_batches)
 
     # ------------------------------------------------------------------ #
     # Introspection

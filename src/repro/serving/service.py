@@ -24,11 +24,9 @@ Execution models on top of this path:
 * **synchronous** (this module) — :meth:`DetectionService.submit` /
   :meth:`~DetectionService.poll` / :meth:`~DetectionService.flush` run
   everything on the calling thread;
-* **worker pool** (:mod:`repro.serving.workers`) — scoring fans out to a
-  thread pool, monitor updates commit in submission order;
 * **process pool** (:mod:`repro.serving.procpool`) — scoring fans out to
-  checkpoint-rehydrated child processes (off the GIL), committing through
-  the same in-order protocol;
+  checkpoint-rehydrated child processes (off the GIL), monitor updates
+  commit in submission order;
 * **sharded** (:mod:`repro.serving.sharding`) — a router fans records out
   across several services (replicas or heterogeneous detectors) and their
   reports merge back into one.
@@ -313,8 +311,8 @@ class DetectionService:
     def score(self, records: TrafficRecords) -> BatchResult:
         """Run preprocessing + inference on one batch, without side effects.
 
-        Thread-safe: touches no monitor state, so the worker pool calls it
-        concurrently and commits the results through :meth:`observe`.  The
+        Thread-safe: touches no monitor state, so concurrent callers may
+        score at once and commit the results through :meth:`observe`.  The
         engine (detector + pipeline) is read once, so a concurrent
         :meth:`swap_detector` takes effect only between batches.
         """

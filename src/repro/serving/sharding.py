@@ -34,10 +34,9 @@ across such a fleet and merges the per-shard monitoring back into a single
 
 ``run_stream`` is the :class:`~repro.serving.driver.StreamDriver` with one
 lane per shard — one phase attributor each, merged per phase afterwards —
-and can run every shard on its own :class:`~repro.serving.workers.WorkerPool`
-(``worker_backend="thread"``) or
-:class:`~repro.serving.procpool.ProcessWorkerPool`
-(``worker_backend="process"``) for concurrent sharded serving.
+and can run every shard on its own
+:class:`~repro.serving.procpool.ProcessWorkerPool` for concurrent sharded
+serving.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .driver import StreamDriver
+from .procpool import ProcessWorkerPool
 from .service import BatchResult, DetectionService, ServiceReport
-from .workers import WorkerPool
 
 __all__ = ["ShardRouter", "ShardedDetectionService"]
 
@@ -204,34 +203,19 @@ class ShardedDetectionService:
         return cls(shards, ShardRouter(n_shards, "replica"))
 
     # ------------------------------------------------------------------ #
-    @staticmethod
-    def _pool_type(worker_backend: str):
-        """Resolve a worker-backend name to its pool class."""
-        if worker_backend == "process":
-            # Imported here: procpool pulls in the lifecycle checkpoint
-            # machinery, which imports this module back.
-            from .procpool import ProcessWorkerPool
-
-            return ProcessWorkerPool
-        if worker_backend == "thread":
-            return WorkerPool
-        raise ValueError(
-            f"unknown worker backend {worker_backend!r}; "
-            "choices: thread, process"
-        )
-
     def open_pools(
         self,
         num_workers: int,
-        worker_backend: str = "thread",
         result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
-    ) -> List[WorkerPool]:
-        """Start one worker pool per shard and return them, index-aligned.
+    ) -> List[ProcessWorkerPool]:
+        """Start one process pool per shard and return them, index-aligned.
 
         The per-shard pool lifecycle seam shared by :meth:`run_stream` and
         the fleet controller: ``result_callbacks`` (index-aligned when
         given) become each pool's in-order committed-result hook.  The
-        caller owns the returned pools and must ``close()`` them.
+        caller owns the returned pools and must ``close()`` them; if a
+        later shard's pool fails to start, the pools already started are
+        closed before the error propagates.
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive to open pools")
@@ -239,31 +223,34 @@ class ShardedDetectionService:
             self.shards
         ):
             raise ValueError("result_callbacks must be index-aligned with shards")
-        pool_type = self._pool_type(worker_backend)
-        return [
-            pool_type(
-                shard,
-                num_workers=num_workers,
-                result_callback=(
-                    result_callbacks[index] if result_callbacks else None
-                ),
-            ).start()
-            for index, shard in enumerate(self.shards)
-        ]
+        pools: List[ProcessWorkerPool] = []
+        with ExitStack() as opened:
+            for index, shard in enumerate(self.shards):
+                pool = ProcessWorkerPool(
+                    shard,
+                    num_workers=num_workers,
+                    result_callback=(
+                        result_callbacks[index] if result_callbacks else None
+                    ),
+                )
+                pools.append(pool.start())
+                opened.callback(pool.close)
+            opened.pop_all()
+        return pools
 
     def swap_shard(
         self,
         index: int,
         detector: PelicanDetector,
-        pool: Optional[WorkerPool] = None,
+        pool: Optional[ProcessWorkerPool] = None,
     ) -> PelicanDetector:
         """Hot-swap one shard's engine; returns that shard's retired detector.
 
         The per-shard addressing the staged rollout needs: unlike the
         supervisor's fleet-wide swap, only shard ``index`` changes models.
-        When the shard is being driven through a worker pool, pass it so the
-        swap drains the pool's in-flight batches first (and, for a process
-        pool, re-ships the checkpoint to that shard's children).
+        When the shard is being driven through a pool, pass it so the swap
+        drains the pool's in-flight batches first and re-ships the
+        checkpoint to that shard's children.
         """
         if not 0 <= index < len(self.shards):
             raise IndexError(
@@ -298,7 +285,7 @@ class ShardedDetectionService:
         (:meth:`DetectionReport.merge`); throughput divides the fleet's
         records by the shards' summed busy time — exact for inline runs
         (shards take turns on one thread) and a conservative lower bound
-        when worker pools overlap shards on separate cores; the latency
+        when process pools overlap shards on separate cores; the latency
         distribution pools the shards' recent windows.
         """
         return self._stream_report(phase_reports={})
@@ -306,7 +293,7 @@ class ShardedDetectionService:
     def _stream_report(self, phase_reports) -> ServiceReport:
         # One read pass per shard: the attached shard_reports and the merged
         # totals derive from the same snapshots, so the fleet row always sums
-        # to its per-shard rows even while worker pools keep committing.
+        # to its per-shard rows even while shard pools keep committing.
         snapshots = [shard.throughput.snapshot() for shard in self.shards]
         rollings = [shard.monitor.report() for shard in self.shards]
         unknowns = [shard.pipeline.unknown_categoricals for shard in self.shards]
@@ -359,17 +346,15 @@ class ShardedDetectionService:
     def _stream_lanes(
         self,
         num_workers: int = 0,
-        worker_backend: str = "thread",
         result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
     ):
         """The stream-driver lanes: the shards' own (inline scoring) or,
-        with ``num_workers > 0``, those of one pool per shard, closed at
-        exit."""
-        self._pool_type(worker_backend)  # fail fast on unknown backends
+        with ``num_workers > 0``, those of one process pool per shard,
+        closed at exit."""
         with ExitStack() as stack:
             engines = self.shards
             if num_workers > 0:
-                engines = self.open_pools(num_workers, worker_backend, result_callbacks)
+                engines = self.open_pools(num_workers, result_callbacks)
                 for pool in engines:
                     stack.callback(pool.close)
             yield [
@@ -383,24 +368,19 @@ class ShardedDetectionService:
         stream: Iterable[StreamBatch],
         max_batches: Optional[int] = None,
         num_workers: int = 0,
-        worker_backend: str = "thread",
     ) -> ServiceReport:
         """Serve a :class:`~repro.data.generator.TrafficStream` across the fleet.
 
         Each shard keeps its own phase attributor; the merged report sums
         the per-phase confusion counts across shards, so the breakdown is
         record-for-record equivalent to a single service scoring the same
-        stream.  With ``num_workers > 0`` every shard runs on its own pool
-        of that size (concurrent sharded serving); ``worker_backend``
-        selects the pool flavour — ``"thread"`` for a :class:`WorkerPool`,
-        ``"process"`` for a
-        :class:`~repro.serving.procpool.ProcessWorkerPool` whose children
-        score the shard's batches off the GIL.  Otherwise shards score inline
-        on the calling thread.
+        stream.  With ``num_workers > 0`` every shard runs on its own
+        :class:`~repro.serving.procpool.ProcessWorkerPool` of that size,
+        whose children score the shard's batches off the GIL (concurrent
+        sharded serving).  Otherwise shards score inline on the calling
+        thread.
         """
-        with StreamDriver(
-            self, num_workers=num_workers, worker_backend=worker_backend
-        ) as driver:
+        with StreamDriver(self, num_workers=num_workers) as driver:
             return driver.run(stream, max_batches)
 
     def run_event_stream(
@@ -409,7 +389,6 @@ class ShardedDetectionService:
         extractor=None,
         max_batches: Optional[int] = None,
         num_workers: int = 0,
-        worker_backend: str = "thread",
     ) -> ServiceReport:
         """Serve a raw packet-event stream across the fleet.
 
@@ -428,5 +407,4 @@ class ShardedDetectionService:
             featurize_events(events, extractor),
             max_batches=max_batches,
             num_workers=num_workers,
-            worker_backend=worker_backend,
         )

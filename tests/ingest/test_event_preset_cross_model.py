@@ -3,8 +3,8 @@
 The determinism contract of the whole PR, asserted end to end: the
 ``syn-flood-events`` preset — a scenario lowered to packets and aggregated
 back through the flow table — must score with **identical confusion
-counts** on every serving execution model (synchronous, thread pool,
-process pool, replica-sharded), and identical to the
+counts** on every serving execution model (synchronous, process pool,
+replica-sharded), and identical to the
 underlying featurized stream.  A single count off by one means the event
 plane is not a transparent ingestion front-end anymore.
 """
@@ -39,7 +39,7 @@ def _phase_counts(row):
 
 @pytest.mark.timeout(300)
 def test_event_preset_bit_equal_across_all_models(detector, generator):
-    """All four execution models, one packet-level preset, identical counts
+    """All three execution models, one packet-level preset, identical counts
     per phase and overall — driven through the suite's sweep so the test
     also covers the ``include_events`` plumbing."""
     suite = ScenarioSuite(
@@ -56,9 +56,7 @@ def test_event_preset_bit_equal_across_all_models(detector, generator):
     entry = results["scenarios"]["syn-flood-events"]
     assert entry["plane"] == "packet-events"
     models = entry["models"]
-    assert set(models) == {
-        "synchronous", "worker-pool", "process-pool", "sharded",
-    }
+    assert set(models) == {"synchronous", "process-pool", "sharded"}
     reference = models["synchronous"]
     for name, row in models.items():
         assert _counts(row) == _counts(reference), name

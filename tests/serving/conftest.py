@@ -2,7 +2,7 @@
 per-test resource-leak check.
 
 Fitting even a 1-block detector dominates the suite's runtime, so the
-service, worker-pool, sharding, fleet and scenario-suite tests all share
+service, process-pool, sharding, fleet and scenario-suite tests all share
 these package-scoped fixtures (built once per test session) instead of
 training their own:
 

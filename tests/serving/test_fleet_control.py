@@ -27,8 +27,8 @@ from repro.serving import (
     DriftPolicy,
     DriftSupervisor,
     FleetController,
+    ProcessWorkerPool,
     RolloutPolicy,
-    WorkerPool,
 )
 
 pytestmark = pytest.mark.timeout(300)
@@ -77,11 +77,11 @@ class TestPoolSeams:
         service = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0, window=256
         )
-        with WorkerPool(service, num_workers=2, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
             pool.submit(traffic)
             pool.join()
             stats = pool.stats()
-        assert stats.workers == 2
+        assert stats.workers == 1
         assert stats.queue_depth == 0
         assert stats.in_flight == 0
         assert stats.busy_fraction == 0.0
@@ -89,14 +89,16 @@ class TestPoolSeams:
 
     def test_resize_requires_a_running_pool(self, detector):
         service = DetectionService(detector, max_batch_size=32)
-        pool = WorkerPool(service, num_workers=2, timer_interval=0)
+        pool = ProcessWorkerPool(service, num_workers=1, timer_interval=0)
         with pytest.raises(RuntimeError, match="resize"):
             pool.resize(3)
         with pool:
             with pytest.raises(ValueError, match="positive"):
                 pool.resize(0)
 
-    def test_thread_resize_mid_stream_keeps_counts_equal(self, detector, traffic):
+    def test_resize_mid_stream_keeps_counts_equal(self, detector, traffic):
+        """Children spawn from a checkpoint and retire through the
+        graveyard on batch boundaries; the report still equals sync."""
         sync = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0, window=1 << 20
         )
@@ -107,8 +109,8 @@ class TestPoolSeams:
         service = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0, window=1 << 20
         )
-        with WorkerPool(service, num_workers=1, timer_interval=0) as pool:
-            sizes = [1, 3, 2, 4, 1]
+        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+            sizes = [2, 3, 1, 2]
             for step, start in enumerate(range(0, len(traffic), 50)):
                 pool.submit(
                     traffic.subset(range(start, min(start + 50, len(traffic))))
@@ -134,9 +136,10 @@ class TestPoolSeams:
 class TestAutoscale:
     # Hair-trigger thresholds: any in-flight batch at a control tick means
     # grow, any idle tick means shrink — so a run over ~18 ticks records
-    # scaling events in both directions regardless of host speed.
+    # scaling events in both directions regardless of host speed.  Two
+    # children per shard at most: every grow spawns an interpreter.
     POLICY = AutoscalePolicy(
-        min_workers=1, max_workers=3,
+        min_workers=1, max_workers=2,
         scale_up_backlog=0.01, scale_down_backlog=0.005,
     )
 
@@ -162,7 +165,7 @@ class TestAutoscale:
         resizes = [e for e in outcome.events if e.kind == "resize"]
         assert resizes, "the overload preset should force scaling events"
         for event in resizes:
-            assert 1 <= event.detail["workers"] <= 3
+            assert 1 <= event.detail["workers"] <= self.POLICY.max_workers
             assert event.detail["workers"] != event.detail["workers_before"]
         # The timeline rides along on the merged report.
         assert outcome.report.timeline == tuple(outcome.events)
@@ -193,7 +196,7 @@ class TestAutoscale:
     def test_fixed_run_equals_autoscaled_run(self, detector, overload_stream):
         """The determinism contract's other face: a plain fixed-size fleet
         serves the same confusion counts as any autoscaled run."""
-        fixed = FleetController(_fleet(detector), num_workers=2).run_stream(
+        fixed = FleetController(_fleet(detector), num_workers=1).run_stream(
             overload_stream
         )
         assert not fixed.resized
@@ -212,7 +215,7 @@ class TestRollout:
     ):
         fleet = _fleet(detector)
         controller = FleetController(
-            fleet, num_workers=2,
+            fleet, num_workers=1,
             rollout=RolloutPolicy(
                 shadow_batches=3, stagger_batches=2, min_watch_records=32
             ),
@@ -236,7 +239,7 @@ class TestRollout:
         fleet = _fleet(detector)
         primaries = [shard.detector for shard in fleet.shards]
         controller = FleetController(
-            fleet, num_workers=2,
+            fleet, num_workers=1,
             rollout=RolloutPolicy(shadow_batches=2),  # default strict gate
         )
         controller.request_rollout(_poisoned(detector))
@@ -257,7 +260,7 @@ class TestRollout:
         fleet = _fleet(detector)
         primaries = [shard.detector for shard in fleet.shards]
         controller = FleetController(
-            fleet, num_workers=2,
+            fleet, num_workers=1,
             rollout=RolloutPolicy(
                 shadow_batches=2,
                 stagger_batches=1,
@@ -390,8 +393,7 @@ class TestProcessFleetScaling:
         def run(autoscale):
             fleet = _fleet(detector, max_batch_size=128)
             controller = FleetController(
-                fleet, num_workers=1, worker_backend="process",
-                autoscale=autoscale,
+                fleet, num_workers=1, autoscale=autoscale,
             )
             started = time.monotonic()
             outcome = controller.run_stream(stream)

@@ -4,7 +4,7 @@ deployment, drift supervision and the zero-drop hot-swap.
 The hot-swap acceptance bar — served under live traffic, a swap drops or
 duplicates zero records and the confusion counts are bitwise-equal to a
 drain-stop-restart deployment at the same boundary — is asserted across
-all three execution models (synchronous, worker-pool, sharded).
+all three execution models (synchronous, process pool, sharded).
 """
 
 import threading
@@ -24,8 +24,8 @@ from repro.serving import (
     DriftSupervisor,
     ReplayBuffer,
     ShadowDeployment,
+    ProcessWorkerPool,
     ShardedDetectionService,
-    WorkerPool,
 )
 
 pytestmark = pytest.mark.timeout(120)
@@ -251,13 +251,14 @@ class TestHotSwapEquality:
         batches = list(stream)
         service = _service(detector)
         results = []
-        with WorkerPool(service, num_workers=3) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             for index, stream_batch in enumerate(batches):
                 if index == self.BOUNDARY:
                     # flush joins every in-flight batch: the swap commits on
-                    # a batch boundary with nothing pending anywhere.
+                    # a batch boundary with nothing pending anywhere, and
+                    # the pool re-ships the challenger to its child.
                     results.extend(pool.flush())
-                    service.swap_detector(challenger)
+                    pool.swap_detector(challenger)
                 results.extend(pool.submit(stream_batch.records))
             results.extend(pool.flush())
 
@@ -329,7 +330,7 @@ class TestShadowDeployment:
         assert _counts(solo) == _counts(shadowed.primary)
 
     def test_shadow_over_worker_pool(self, detector, challenger, stream):
-        pool = WorkerPool(_service(detector), num_workers=2)
+        pool = ProcessWorkerPool(_service(detector), num_workers=1)
         report = ShadowDeployment(pool, challenger).run_stream(stream)
         solo = _service(detector).run_stream(stream)
         assert _counts(report.primary) == _counts(solo)
@@ -465,18 +466,17 @@ class TestDriftSupervisor:
             r.total for r in outcome.report.phase_reports.values()
         ) == total
 
-    @pytest.mark.parametrize("model", ["synchronous", "worker-pool", "sharded"])
+    @pytest.mark.parametrize("model", ["synchronous", "sharded"])
     def test_supervised_swap_equals_drain_stop_restart(
         self, detector, challenger, stream, model
     ):
         """The acceptance criterion, supervisor-driven, per execution model:
         counts after a supervised hot-swap equal a drain-stop-restart run
-        split at the boundary the supervisor actually committed on."""
+        split at the boundary the supervisor actually committed on (the
+        process pool's case is in ``test_procpool.py``)."""
         batches = list(stream)
         if model == "synchronous":
             target = _service(detector)
-        elif model == "worker-pool":
-            target = WorkerPool(_service(detector), num_workers=2)
         else:
             target = ShardedDetectionService.replicated(
                 detector, 2, max_batch_size=32, flush_interval=0.0,
@@ -486,20 +486,7 @@ class TestDriftSupervisor:
             target, self.POLICY, trainer=self._stub_trainer(challenger),
             background=False,
         )
-
-        def paced():
-            # Drain the pool between batches: these tiny batches are all
-            # submitted in well under a millisecond, so on a loaded host
-            # the pool may commit nothing before the stream ends and the
-            # policy would never see a rolling report (a scheduling flake,
-            # not a serving bug — the boundary equality below holds for
-            # whichever boundary the supervisor picks).
-            for stream_batch in batches:
-                yield stream_batch
-                if isinstance(target, WorkerPool) and target.running:
-                    target.join()
-
-        outcome = supervisor.run_stream(paced())
+        outcome = supervisor.run_stream(batches)
         assert outcome.promoted
         promoted = next(e for e in outcome.events if e.kind == "promoted")
         boundary = promoted.batch_index + 1  # swap commits after that batch
@@ -625,13 +612,13 @@ class TestDriftSupervisor:
 
         delivered = []
         with_callback = supervise(
-            WorkerPool(
-                _service(detector), num_workers=2,
+            ProcessWorkerPool(
+                _service(detector), num_workers=1,
                 result_callback=delivered.append,
             )
         )
         without_callback = supervise(
-            WorkerPool(_service(detector), num_workers=2)
+            ProcessWorkerPool(_service(detector), num_workers=1)
         )
 
         pipeline = _service(detector).pipeline

@@ -12,8 +12,8 @@ stay exactly comparable.
 
 Schedules are few but adversarial — every spawned child costs a fresh
 interpreter, so the budget goes into action diversity per schedule rather
-than schedule count (``test_resize_fuzz.py`` carries the high-volume
-thread-pool fuzz).
+than schedule count (``test_reorder_buffer_fuzz.py`` carries the
+high-volume fuzz of the commit seam, with no children).
 """
 
 import time

@@ -1,9 +1,10 @@
 """Tests for the ScenarioSuite cross-model sweep.
 
 Includes the tier-1 cross-model smoke: *every* preset in the library, at
-tiny segment lengths, served synchronously and through a worker pool with
-bit-equal confusion counts — so the serving tier's ordering guarantee is
-checked on every ``pytest`` run, not only in the benchmark harness.
+tiny segment lengths, served synchronously, through a process pool and
+through a replica-sharded fleet (inline and on per-shard process pools)
+with bit-equal confusion counts — so the serving tier's ordering guarantee
+is checked on every ``pytest`` run, not only in the benchmark harness.
 """
 
 import pytest
@@ -18,7 +19,14 @@ from repro.scenarios import (
 )
 from repro.scenarios.suite import FLEET_MODELS, SINGLE_STREAM_MODELS
 from repro.data import nslkdd_generator
-from repro.serving import DetectionService, DriftPolicy, WorkerPool
+from repro.serving import (
+    DetectionService,
+    DriftPolicy,
+    ProcessWorkerPool,
+    ShardedDetectionService,
+)
+
+pytestmark = pytest.mark.timeout(300)
 
 
 def trimmed_flood(generator, batch_size=64, seed=0):
@@ -47,6 +55,7 @@ def overall_counts(row):
 def results(fleet_detectors):
     suite = ScenarioSuite(
         fleet_detectors, batch_size=32, seed=0, scenarios=TRIMMED,
+        num_workers=1,
     )
     return suite.run()
 
@@ -100,6 +109,7 @@ class TestScenarioSuite:
     def test_fleet_is_skipped_without_the_second_detector(self, detector):
         suite = ScenarioSuite(
             {"nsl-kdd": detector}, batch_size=32, seed=0, scenarios=TRIMMED,
+            num_workers=1,
         )
         results = suite.run()
         assert "fleet" not in results["scenarios"]
@@ -108,6 +118,7 @@ class TestScenarioSuite:
         suite = ScenarioSuite(
             fleet_detectors, batch_size=32, seed=0,
             scenarios={"flood": trimmed_flood}, include_fleet=False,
+            num_workers=1,
         )
         assert "fleet" not in suite.run()["scenarios"]
 
@@ -165,7 +176,7 @@ class TestScenarioSuite:
         suite = ScenarioSuite(
             {"nsl-kdd": detector}, batch_size=32, seed=0,
             scenarios={}, include_fleet=False,
-            include_fleet_control=True,
+            include_fleet_control=True, num_workers=1,
         )
         results = suite.run()
         entry = results["fleet_control"]
@@ -191,7 +202,7 @@ class TestScenarioSuite:
 
 
 # ---------------------------------------------------------------------- #
-# Tier-1 cross-model smoke: every preset, sync vs worker-pool, bit-equal
+# Tier-1 cross-model smoke: every preset, every execution model, bit-equal
 # ---------------------------------------------------------------------- #
 def tiny_flood(generator, batch_size=16, seed=0):
     return flood_scenario(
@@ -241,38 +252,42 @@ TINY_PRESETS = {
 class TestEveryPresetCrossModelSmoke:
     """Scaled-down cross-model agreement, in tier-1 on every pytest run.
 
-    Every preset in the library runs synchronously and through a worker
-    pool; the confusion counts must match bit for bit (the worker pool's
-    in-order-commit guarantee).  Segment lengths are tiny so the whole
-    sweep costs well under a second of scoring.
+    Every preset in the library runs synchronously, through a one-child
+    process pool and through a two-shard replica fleet, inline and on
+    one-child per-shard pools; the confusion counts must match bit for bit
+    (the in-order-commit and replica-merge guarantees).  Segment lengths
+    are tiny, so the sweep's cost is the children's start-up.
     """
 
     @pytest.mark.timeout(120)
     @pytest.mark.parametrize("name", sorted(TINY_PRESETS))
-    def test_sync_and_worker_pool_agree_bit_for_bit(self, detector, name):
+    def test_every_execution_model_agrees_bit_for_bit(self, detector, name):
         stream = TINY_PRESETS[name](nslkdd_generator(), batch_size=16, seed=0)
+        kwargs = dict(max_batch_size=16, flush_interval=0.0, window=1 << 20)
 
-        def service():
-            return DetectionService(
-                detector, max_batch_size=16, flush_interval=0.0,
-                window=1 << 20,
-            )
+        def sharded():
+            return ShardedDetectionService.replicated(detector, 2, **kwargs)
 
-        sync_report = service().run_stream(stream)
-        pool_report = WorkerPool(service(), num_workers=2).run_stream(stream)
+        sync_report = DetectionService(detector, **kwargs).run_stream(stream)
+        reports = {
+            "process-pool": ProcessWorkerPool(
+                DetectionService(detector, **kwargs), num_workers=1
+            ).run_stream(stream),
+            "sharded": sharded().run_stream(stream),
+            "sharded-pools": sharded().run_stream(stream, num_workers=1),
+        }
 
         def counts(report):
-            rolling = report.rolling
-            return (rolling.tp, rolling.tn, rolling.fp, rolling.fn)
+            return (report.tp, report.tn, report.fp, report.fn)
 
-        assert counts(sync_report) == counts(pool_report)
-        assert sync_report.records == pool_report.records == stream.total_records
-        assert set(sync_report.phase_reports) == set(pool_report.phase_reports)
-        for phase, sync_phase in sync_report.phase_reports.items():
-            pool_phase = pool_report.phase_reports[phase]
-            assert (sync_phase.tp, sync_phase.tn, sync_phase.fp, sync_phase.fn) == (
-                pool_phase.tp, pool_phase.tn, pool_phase.fp, pool_phase.fn
-            ), f"{name}/{phase}: per-phase counts diverge"
+        for model, report in reports.items():
+            assert counts(report.rolling) == counts(sync_report.rolling), model
+            assert report.records == stream.total_records, model
+            assert set(report.phase_reports) == set(sync_report.phase_reports)
+            for phase, sync_phase in sync_report.phase_reports.items():
+                assert counts(report.phase_reports[phase]) == counts(
+                    sync_phase
+                ), f"{name}/{model}/{phase}: per-phase counts diverge"
 
     def test_tiny_registry_mirrors_the_default_registry(self, detector):
         assert set(TINY_PRESETS) == set(ScenarioSuite({"nsl-kdd": detector}).scenarios)

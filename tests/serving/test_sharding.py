@@ -7,6 +7,8 @@ from repro.data import NSLKDD_SCHEMA, TrafficStream, load_nslkdd, nslkdd_generat
 from repro.data.generator import StreamBatch
 from repro.serving import DetectionService, ShardedDetectionService, ShardRouter
 
+pytestmark = pytest.mark.timeout(300)
+
 
 def make_stream(seed=11, batch_size=48):
     return TrafficStream.flood_scenario(nslkdd_generator(), batch_size=batch_size, seed=seed)
@@ -121,7 +123,7 @@ class TestShardedDetectionService:
         pooled = ShardedDetectionService.replicated(
             detector, 2, max_batch_size=96, flush_interval=0.0, window=window
         )
-        pooled_report = pooled.run_stream(make_stream(), num_workers=2)
+        pooled_report = pooled.run_stream(make_stream(), num_workers=1)
         assert pooled_report.records == inline_report.records
         assert pooled_report.rolling.as_dict() == inline_report.rolling.as_dict()
         for phase, expected in inline_report.phase_reports.items():

@@ -22,7 +22,6 @@ from repro.serving import (
     ProcessWorkerPool,
     ShadowDeployment,
     ShardedDetectionService,
-    WorkerPool,
 )
 
 pytestmark = pytest.mark.timeout(120)
@@ -56,7 +55,6 @@ def _report(outcome):
 
 ENGINES = {
     "synchronous": lambda d: _service(d).run_stream,
-    "worker-pool": lambda d: WorkerPool(_service(d), num_workers=2).run_stream,
     "process-pool": lambda d: ProcessWorkerPool(
         _service(d), num_workers=1
     ).run_stream,
