@@ -15,11 +15,14 @@ The fast-path contract:
   accepted as-is (the tape path would silently upcast them);
 * inference semantics only: dropout is a no-op and batch normalization uses
   its moving statistics, exactly like the tape path with ``training=False``;
-* outputs match the tape path to float64 round-off (well inside the 1e-6
-  tolerance the serving tests assert), because the kernels apply the same
-  formulas — the only deliberate algebraic changes are exact ones
-  (zero-padding contributions and all-zero initial recurrent states are
-  skipped instead of multiplied out).
+* outputs match the tape path to float64 round-off, not bitwise: the
+  kernels apply the same formulas but sum in a different order (up to
+  ~2e-14 on a trained 10-block Pelican).  The tests assert 1e-6 against the
+  tape, and the serving tests assert identical confusion counts on every
+  execution model.  The only deliberate algebraic changes are exact ones:
+  zero-padding contributions, all-zero initial recurrent states and, on that
+  zero state, the GRU's reset-gate columns (the gate only scales the zero
+  recurrent term) are skipped instead of multiplied out.
 
 Layers without a specialised ``fast_call`` transparently fall back to the
 tape path under ``no_grad``, so custom layers keep working.
@@ -178,11 +181,13 @@ def raw_conv1d(
 ) -> np.ndarray:
     """1-D convolution over ``(batch, steps, channels)`` without tape nodes.
 
-    Numerically identical to :func:`repro.nn.tensor.conv1d`'s forward pass,
-    but computed as a sum of per-tap matmuls that skip the zero-padded
-    region entirely.  For the paper's 1-time-step inputs this reduces the
-    contraction from ``kernel_size * channels`` to ``channels`` rows — the
-    padding rows contribute exactly zero, so the results are bitwise equal.
+    Computes :func:`repro.nn.tensor.conv1d`'s forward pass as a sum of
+    per-tap 2-D matmuls that skip the zero-padded region entirely.  For the
+    paper's 1-time-step inputs this reduces the contraction from
+    ``kernel_size * channels`` to ``channels`` rows.  The padding rows
+    contribute exactly zero, but the shorter sums round differently from the
+    tape's single im2col product, so the two agree to float64 round-off, not
+    bitwise.
     """
     kernel_size, in_channels, out_channels = kernel.shape
     batch, steps, channels = x.shape
@@ -200,7 +205,8 @@ def raw_conv1d(
     padded_steps = steps + pad_left + pad_right
     out_steps = (padded_steps - kernel_size) // stride + 1
 
-    output = np.zeros((batch, out_steps, out_channels), dtype=np.result_type(x, kernel))
+    shape = (batch, out_steps, out_channels)
+    output: Optional[np.ndarray] = None
     for tap in range(kernel_size):
         # Input index feeding output step t through this tap: t*stride + tap - pad_left.
         first_in = tap - pad_left
@@ -213,9 +219,21 @@ def raw_conv1d(
             continue
         in_start = t_min * stride + first_in
         in_stop = t_max * stride + first_in + 1
-        output[:, t_min:t_max + 1, :] += x[:, in_start:in_stop:stride, :] @ kernel[tap]
+        rows = t_max + 1 - t_min
+        # One 2-D GEMM over batch * rows: a 3-D operand would make numpy run
+        # one small product per record.  reshape copies only a strided slice.
+        taps = x[:, in_start:in_stop:stride, :].reshape(batch * rows, channels)
+        product = (taps @ kernel[tap]).reshape(batch, rows, out_channels)
+        if output is None:
+            if rows == out_steps:
+                output = product
+                continue
+            output = np.zeros(shape, dtype=np.result_type(x, kernel))
+        output[:, t_min:t_max + 1, :] += product
+    if output is None:
+        output = np.zeros(shape, dtype=np.result_type(x, kernel))
     if bias is not None:
-        output = output + bias
+        output += bias
     return output
 
 

@@ -111,14 +111,20 @@ class GRU(_RecurrentBase):
         hidden: Optional[np.ndarray] = None  # None encodes the all-zero initial state
         outputs: List[np.ndarray] = []
         for step in range(steps):
-            gates_x = inputs[:, step, :] @ kernel + bias
+            x_t = inputs[:, step, :]
             if hidden is None:
                 # h_0 == 0, so the recurrent matmul contributes exactly zero
-                # (and the reset gate, which only scales gates_h, is moot).
-                update = self.recurrent_activation_raw(gates_x[:, 0:units])
-                candidate = self.activation_raw(gates_x[:, 2 * units:3 * units])
+                # and the reset gate, which only scales gates_h, is moot:
+                # multiply only the update-gate and candidate column views.
+                update = self.recurrent_activation_raw(
+                    x_t @ kernel[:, 0:units] + bias[0:units]
+                )
+                candidate = self.activation_raw(
+                    x_t @ kernel[:, 2 * units:3 * units] + bias[2 * units:3 * units]
+                )
                 hidden = (1.0 - update) * candidate
             else:
+                gates_x = x_t @ kernel + bias
                 gates_h = hidden @ recurrent_kernel
                 update = self.recurrent_activation_raw(
                     gates_x[:, 0:units] + gates_h[:, 0:units]

@@ -66,6 +66,18 @@ class TestRawKernels:
         actual = raw_conv1d(x, kernel, bias=bias, stride=stride, padding=padding)
         np.testing.assert_allclose(actual, expected, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("stride", [2, 3])
+    def test_raw_conv1d_copies_strided_taps_before_the_gemm(self, stride):
+        """A partial strided tap slice over batch > 1 has no 2-D view."""
+        x = RNG.normal(size=(4, 12, 6))
+        partial_tap = x[:, 1:10:stride, :]
+        assert not np.shares_memory(partial_tap.reshape(-1, 6), x)
+        kernel = RNG.normal(size=(10, 6, 5))
+        bias = RNG.normal(size=5)
+        expected = conv1d(x, kernel, bias=bias, stride=stride, padding="same").data
+        actual = raw_conv1d(x, kernel, bias=bias, stride=stride, padding="same")
+        np.testing.assert_allclose(actual, expected, atol=1e-12, rtol=0)
+
     @pytest.mark.parametrize("padding", ["same", "valid"])
     @pytest.mark.parametrize("pool_size,stride", [(2, None), (3, 2), (2, 1)])
     @pytest.mark.parametrize("steps", [1, 4, 9])
@@ -110,6 +122,13 @@ class TestLayerFastPaths:
         assert_fast_matches_graph(
             Conv1D(8, kernel_size=3, activation="relu", seed=0),
             RNG.normal(size=(4, 7, 5)),
+        )
+
+    @pytest.mark.parametrize("batch", [1, 256])
+    def test_conv1d_paper_shape(self, batch):
+        """Kernel 10 over one 121-channel step: only the centre tap is real."""
+        assert_fast_matches_graph(
+            Conv1D(121, kernel_size=10, seed=0), RNG.normal(size=(batch, 1, 121))
         )
 
     def test_pooling_layers(self):
@@ -168,6 +187,17 @@ class TestLayerFastPaths:
         layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
         assert_fast_matches_graph(layer, RNG.normal(size=(4, 5, 3)))
 
+    # With test_recurrent_layers (5 steps, batch 4) this covers steps {1, 5}
+    # x batch {1, 4}; one step runs only the all-zero initial-state branch.
+    @pytest.mark.parametrize("steps,batch", [(1, 1), (1, 4), (5, 1)])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    @pytest.mark.parametrize("layer_cls", [GRU, LSTM, SimpleRNN])
+    def test_recurrent_layers_steps_and_batch(
+        self, layer_cls, return_sequences, steps, batch
+    ):
+        layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
+        assert_fast_matches_graph(layer, RNG.normal(size=(batch, steps, 3)))
+
     def test_merge_layers(self):
         a, b = RNG.normal(size=(3, 2, 4)), RNG.normal(size=(3, 2, 4))
         assert_fast_matches_graph(Add(), [a, b])
@@ -220,6 +250,23 @@ class TestModelFastPath:
         fast = network.predict(x_eval, fast=True)
         np.testing.assert_allclose(fast, graph, atol=1e-6, rtol=0)
         np.testing.assert_allclose(fast.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_residual_fast_path_is_batch_split_invariant(self):
+        """Rows scored together share one GEMM; splitting must not change them."""
+        rng = np.random.default_rng(7)
+        network = compile_for_paper(
+            build_residual21(num_classes=5, config=SMALL_CONFIG, seed=0),
+            SMALL_CONFIG,
+        )
+        x = rng.normal(size=(256, 1, SMALL_CONFIG.filters))
+        y = np.zeros((256, 5))
+        y[np.arange(256), rng.integers(0, 5, 256)] = 1.0
+        network.fit(x[:48], y[:48], epochs=1, batch_size=16)
+        whole = network.predict(x, batch_size=256, fast=True)
+        for rows in (1, 7, 129):
+            split = network.predict(x, batch_size=rows, fast=True)
+            np.testing.assert_allclose(split, whole, atol=1e-12, rtol=0)
+            np.testing.assert_array_equal(split.argmax(axis=-1), whole.argmax(axis=-1))
 
     def test_fast_predict_batches_consistently(self):
         network = Sequential([Dense(8, activation="relu", seed=0),
