@@ -135,6 +135,9 @@ class CallbackList:
     def on_train_end(self, logs=None) -> None:
         for callback in self.callbacks:
             callback.on_train_end(logs)
+            # Drop the model reference: the model keeps its History, so the
+            # pair would otherwise be a cycle only the cyclic collector frees.
+            callback.set_model(None)
 
     def on_epoch_begin(self, epoch: int, logs=None) -> None:
         for callback in self.callbacks:

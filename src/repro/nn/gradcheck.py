@@ -24,17 +24,19 @@ def numerical_gradient(
 ) -> np.ndarray:
     """Central-difference gradient of ``func(inputs).sum()`` w.r.t. ``inputs[index]``."""
     target = inputs[index]
-    gradient = np.zeros_like(target.data)
-    flat_data = target.data.reshape(-1)
-    flat_grad = gradient.reshape(-1)
-    for position in range(flat_data.size):
-        original = flat_data[position]
-        flat_data[position] = original + epsilon
+    data = target.data
+    gradient = np.zeros(data.shape)
+    # Index the array itself: for a non-contiguous array (the orthogonal
+    # initializer returns a transposed view) reshape(-1) is a copy, and
+    # perturbing it would leave the tensor unchanged.
+    for position in np.ndindex(data.shape):
+        original = data[position]
+        data[position] = original + epsilon
         upper = float(func(inputs).data.sum())
-        flat_data[position] = original - epsilon
+        data[position] = original - epsilon
         lower = float(func(inputs).data.sum())
-        flat_data[position] = original
-        flat_grad[position] = (upper - lower) / (2.0 * epsilon)
+        data[position] = original
+        gradient[position] = (upper - lower) / (2.0 * epsilon)
     return gradient
 
 

@@ -15,14 +15,19 @@ The fast-path contract:
   accepted as-is (the tape path would silently upcast them);
 * inference semantics only: dropout is a no-op and batch normalization uses
   its moving statistics, exactly like the tape path with ``training=False``;
-* outputs match the tape path to float64 round-off, not bitwise: the
-  kernels apply the same formulas but sum in a different order (up to
+* outputs match the tape path to float64 round-off, not bitwise (up to
   ~2e-14 on a trained 10-block Pelican).  The tests assert 1e-6 against the
   tape, and the serving tests assert identical confusion counts on every
-  execution model.  The only deliberate algebraic changes are exact ones:
-  zero-padding contributions, all-zero initial recurrent states and, on that
-  zero state, the GRU's reset-gate columns (the gate only scales the zero
-  recurrent term) are skipped instead of multiplied out.
+  execution model.  Both paths make the same exact algebraic shortcuts:
+  the convolution sums one GEMM per live tap on both (zero-padding taps
+  are skipped, see :func:`repro.nn.tensor.conv1d_forward`), and on the
+  GRU's all-zero initial state both skip the recurrent matmul and the
+  reset gate, which only scales that zero term (the fast LSTM and
+  SimpleRNN skip their zero-state matmul too; their tape ops still
+  multiply it out, which is also exact).  The remaining round-off
+  comes from GEMM blocking (the fast GRU multiplies kernel column views,
+  the tape the whole kernel) and from batch norm folded into one scale
+  and shift.
 
 Layers without a specialised ``fast_call`` transparently fall back to the
 tape path under ``no_grad``, so custom layers keep working.
@@ -181,60 +186,12 @@ def raw_conv1d(
 ) -> np.ndarray:
     """1-D convolution over ``(batch, steps, channels)`` without tape nodes.
 
-    Computes :func:`repro.nn.tensor.conv1d`'s forward pass as a sum of
-    per-tap 2-D matmuls that skip the zero-padded region entirely.  For the
-    paper's 1-time-step inputs this reduces the contraction from
-    ``kernel_size * channels`` to ``channels`` rows.  The padding rows
-    contribute exactly zero, but the shorter sums round differently from the
-    tape's single im2col product, so the two agree to float64 round-off, not
-    bitwise.
+    The same per-tap 2-D GEMMs as the tape's :func:`repro.nn.tensor.conv1d`
+    (see :func:`repro.nn.tensor.conv1d_forward`), which skip the zero-padded
+    region entirely: for the paper's 1-time-step inputs the contraction is
+    ``channels`` rows instead of ``kernel_size * channels``.
     """
-    kernel_size, in_channels, out_channels = kernel.shape
-    batch, steps, channels = x.shape
-    if channels != in_channels:
-        raise ValueError(
-            f"conv1d expected {in_channels} input channels, got {channels}"
-        )
-    if padding == "same":
-        pad_left, pad_right = same_padding1d(steps, kernel_size, stride)
-    elif padding == "valid":
-        pad_left = pad_right = 0
-    else:
-        raise ValueError(f"unknown padding mode: {padding!r}")
-
-    padded_steps = steps + pad_left + pad_right
-    out_steps = (padded_steps - kernel_size) // stride + 1
-
-    shape = (batch, out_steps, out_channels)
-    output: Optional[np.ndarray] = None
-    for tap in range(kernel_size):
-        # Input index feeding output step t through this tap: t*stride + tap - pad_left.
-        first_in = tap - pad_left
-        t_min = -(first_in // stride) if first_in < 0 else 0  # ceil(-first_in/stride)
-        t_max = (steps - 1 - first_in) // stride  # largest t with index < steps
-        if t_max < 0:
-            continue
-        t_max = min(t_max, out_steps - 1)
-        if t_max < t_min:
-            continue
-        in_start = t_min * stride + first_in
-        in_stop = t_max * stride + first_in + 1
-        rows = t_max + 1 - t_min
-        # One 2-D GEMM over batch * rows: a 3-D operand would make numpy run
-        # one small product per record.  reshape copies only a strided slice.
-        taps = x[:, in_start:in_stop:stride, :].reshape(batch * rows, channels)
-        product = (taps @ kernel[tap]).reshape(batch, rows, out_channels)
-        if output is None:
-            if rows == out_steps:
-                output = product
-                continue
-            output = np.zeros(shape, dtype=np.result_type(x, kernel))
-        output[:, t_min:t_max + 1, :] += product
-    if output is None:
-        output = np.zeros(shape, dtype=np.result_type(x, kernel))
-    if bias is not None:
-        output += bias
-    return output
+    return ops.conv1d_forward(x, kernel, bias, stride, padding)[0]
 
 
 def raw_max_pool1d(

@@ -82,23 +82,33 @@ class GRU(_RecurrentBase):
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
         batch, steps, _ = inputs.shape
         units = self.units
-        hidden = ops.as_tensor(np.zeros((batch, units)))
+        hidden: Optional[Tensor] = None  # None encodes the all-zero initial state
         outputs: List[Tensor] = []
         for step in range(steps):
             x_t = inputs[:, step, :]
             gates_x = ops.matmul(x_t, self.kernel) + self.bias
-            gates_h = ops.matmul(hidden, self.recurrent_kernel)
-            update = self.recurrent_activation(
-                gates_x[:, 0:units] + gates_h[:, 0:units]
-            )
-            reset = self.recurrent_activation(
-                gates_x[:, units:2 * units] + gates_h[:, units:2 * units]
-            )
-            candidate = self.activation(
-                gates_x[:, 2 * units:3 * units]
-                + reset * gates_h[:, 2 * units:3 * units]
-            )
-            hidden = update * hidden + (1.0 - update) * candidate
+            if hidden is None:
+                # h_0 == 0, so gates_h is exactly zero and the reset gate,
+                # which only scales it, is moot (as in fast_call).  The
+                # recurrent kernel's gradient is exactly zero on this step.
+                update = self.recurrent_activation(gates_x[:, 0:units])
+                candidate = self.activation(gates_x[:, 2 * units:3 * units])
+                hidden = ops.with_zero_grad(
+                    (1.0 - update) * candidate, self.recurrent_kernel
+                )
+            else:
+                gates_h = ops.matmul(hidden, self.recurrent_kernel)
+                update = self.recurrent_activation(
+                    gates_x[:, 0:units] + gates_h[:, 0:units]
+                )
+                reset = self.recurrent_activation(
+                    gates_x[:, units:2 * units] + gates_h[:, units:2 * units]
+                )
+                candidate = self.activation(
+                    gates_x[:, 2 * units:3 * units]
+                    + reset * gates_h[:, 2 * units:3 * units]
+                )
+                hidden = update * hidden + (1.0 - update) * candidate
             outputs.append(hidden)
         return self._stack_outputs(outputs)
 

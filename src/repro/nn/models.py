@@ -86,6 +86,11 @@ class Model(Layer):
         loss_value = self.loss(y, predictions)
         loss_value.backward()
         self.optimizer.step(parameters)
+        # Release the gradients (a third of a network's memory): the next
+        # step zeroes them anyway.  Listed afresh, because a model built by
+        # this forward pass had no parameters yet when ``parameters`` was
+        # taken (that first step updates nothing).
+        self.optimizer.zero_grad(self.parameters())
         logs = {"loss": float(loss_value.data)}
         for name, function in self.metric_fns.items():
             logs[name] = function(y, predictions.data)

@@ -41,9 +41,10 @@ __all__ = [
     "concatenate",
     "stack",
     "pad1d",
+    "with_zero_grad",
     "no_grad",
     "same_padding1d",
-    "im2col1d",
+    "conv1d_forward",
 ]
 
 
@@ -592,14 +593,36 @@ def transpose(a: ArrayLike, axes: Optional[Sequence[int]] = None) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
+def _is_basic_index(index) -> bool:
+    """Whether ``index`` is numpy basic indexing (ints, slices, ``...``, ``None``).
+
+    A basic index reads every source element at most once, so its gradient
+    can be assigned; fancy (array or boolean) indices may repeat elements.
+    """
+    items = index if isinstance(index, tuple) else (index,)
+    return all(
+        isinstance(item, (int, np.integer, slice, type(None), type(Ellipsis)))
+        and not isinstance(item, (bool, np.bool_))
+        for item in items
+    )
+
+
 def getitem(a: ArrayLike, index) -> Tensor:
-    """Tensor indexing/slicing; the gradient is scattered back with ``add.at``."""
+    """Tensor indexing/slicing.
+
+    The gradient of a basic slice is assigned into zeros; a fancy index
+    scatters it with ``add.at`` so that repeated elements accumulate.
+    """
     a = as_tensor(a)
     data = a.data[index]
+    basic = _is_basic_index(index)
 
     def backward(grad: np.ndarray):
         full = np.zeros_like(a.data)
-        np.add.at(full, index, grad)
+        if basic:
+            full[index] = grad
+        else:
+            np.add.at(full, index, grad)
         return (full,)
 
     return _make_result(data, (a,), backward)
@@ -630,6 +653,22 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     return _make_result(data, tuple(tensors), backward)
 
 
+def with_zero_grad(a: ArrayLike, *inputs: Tensor) -> Tensor:
+    """Pass ``a`` through, recording ``inputs`` as parents with zero gradient.
+
+    For a computation whose result provably does not depend on ``inputs``
+    (the GRU's recurrent kernel on an all-zero state), so that they still
+    receive an exact-zero gradient instead of none, like any parameter
+    that took part in the forward pass.
+    """
+    a = as_tensor(a)
+
+    def backward(grad: np.ndarray):
+        return (grad, *(np.zeros(t.shape) for t in inputs))
+
+    return _make_result(a.data, (a, *inputs), backward)
+
+
 def pad1d(a: ArrayLike, left: int, right: int) -> Tensor:
     """Zero-pad the time axis (axis 1) of a ``(batch, steps, channels)`` tensor."""
     a = as_tensor(a)
@@ -658,22 +697,67 @@ def same_padding1d(steps: int, window: int, stride: int) -> Tuple[int, int]:
     return pad_left, pad_total - pad_left
 
 
-def im2col1d(x: np.ndarray, kernel_size: int, stride: int) -> np.ndarray:
-    """Turn ``(batch, steps, channels)`` into ``(batch, out_steps, kernel*channels)``."""
+def conv1d_forward(
+    x: np.ndarray,
+    kernel: np.ndarray,
+    bias: Optional[np.ndarray],
+    stride: int,
+    padding: str,
+) -> Tuple[np.ndarray, list]:
+    """Raw 1-D convolution as one 2-D GEMM per live tap.
+
+    Shared by the tape op :func:`conv1d` and the inference kernel
+    :func:`repro.nn.inference.raw_conv1d`.  A tap is live when it reads real
+    input for at least one output step; taps that see only the zero padding
+    are skipped (for the paper's 1-step inputs with kernel 10, nine of the
+    ten).  Returns the output and, per live tap,
+    ``(tap, out_start, out_stop, in_start, in_stop, columns)``: output steps
+    ``out_start:out_stop`` read input steps ``in_start:in_stop:stride``,
+    gathered into the ``(batch * rows, channels)`` matrix ``columns``.
+    """
+    kernel_size, in_channels, out_channels = kernel.shape
     batch, steps, channels = x.shape
-    out_steps = (steps - kernel_size) // stride + 1
-    strides = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(batch, out_steps, kernel_size, channels),
-        strides=(strides[0], strides[1] * stride, strides[1], strides[2]),
-        writeable=False,
-    )
-    return windows.reshape(batch, out_steps, kernel_size * channels)
+    if channels != in_channels:
+        raise ValueError(
+            f"conv1d expected {in_channels} input channels, got {channels}"
+        )
+    if padding == "same":
+        pad_left, pad_right = same_padding1d(steps, kernel_size, stride)
+    elif padding == "valid":
+        pad_left = pad_right = 0
+    else:
+        raise ValueError(f"unknown padding mode: {padding!r}")
+    out_steps = (steps + pad_left + pad_right - kernel_size) // stride + 1
 
-
-# Backwards-compatible private alias (pre-fast-path name).
-_im2col1d = im2col1d
+    shape = (batch, out_steps, out_channels)
+    output: Optional[np.ndarray] = None
+    live = []
+    for tap in range(kernel_size):
+        # Input index feeding output step t through this tap: t*stride + tap - pad_left.
+        first_in = tap - pad_left
+        t_min = -(first_in // stride) if first_in < 0 else 0  # ceil(-first_in/stride)
+        t_max = min((steps - 1 - first_in) // stride, out_steps - 1)
+        if t_max < t_min:
+            continue
+        in_start = t_min * stride + first_in
+        in_stop = t_max * stride + first_in + 1
+        rows = t_max + 1 - t_min
+        # One 2-D GEMM over batch * rows: a 3-D operand would make numpy run
+        # one small product per record.  reshape copies only a strided slice.
+        columns = x[:, in_start:in_stop:stride, :].reshape(batch * rows, channels)
+        live.append((tap, t_min, t_max + 1, in_start, in_stop, columns))
+        product = (columns @ kernel[tap]).reshape(batch, rows, out_channels)
+        if output is None:
+            if rows == out_steps:
+                output = product
+                continue
+            output = np.zeros(shape, dtype=np.result_type(x, kernel))
+        output[:, t_min:t_max + 1, :] += product
+    if output is None:
+        output = np.zeros(shape, dtype=np.result_type(x, kernel))
+    if bias is not None:
+        output += bias
+    return output, live
 
 
 def conv1d(
@@ -692,49 +776,36 @@ def conv1d(
     padding:
         ``"same"`` pads so that ``out_steps == ceil(steps / stride)``;
         ``"valid"`` applies no padding.
+
+    Forward and backward touch only the live taps (see
+    :func:`conv1d_forward`): the zero padding contributes nothing to the
+    output or to ``grad_x``, and a tap that sees only padding gets an
+    exact-zero kernel gradient.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    kernel_size, in_channels, out_channels = kernel.shape
-    batch, steps, channels = x.shape
-    if channels != in_channels:
-        raise ValueError(
-            f"conv1d expected {in_channels} input channels, got {channels}"
-        )
-
-    if padding == "same":
-        pad_left, pad_right = same_padding1d(steps, kernel_size, stride)
-    elif padding == "valid":
-        pad_left = pad_right = 0
-    else:
-        raise ValueError(f"unknown padding mode: {padding!r}")
-
-    x_padded = np.pad(x.data, ((0, 0), (pad_left, pad_right), (0, 0)))
-    columns = im2col1d(x_padded, kernel_size, stride)
-    kernel_matrix = kernel.data.reshape(kernel_size * in_channels, out_channels)
-    data = columns @ kernel_matrix
-    if bias is not None:
-        bias = as_tensor(bias)
-        data = data + bias.data
-
-    padded_steps = x_padded.shape[1]
+    bias = None if bias is None else as_tensor(bias)
+    data, live = conv1d_forward(
+        x.data, kernel.data, None if bias is None else bias.data, stride, padding
+    )
+    batch, steps, in_channels = x.shape
+    out_channels = kernel.shape[2]
 
     def backward(grad: np.ndarray):
-        out_steps_actual = grad.shape[1]
-        grad_columns = grad @ kernel_matrix.T
-        grad_columns = grad_columns.reshape(
-            batch, out_steps_actual, kernel_size, in_channels
-        )
-        grad_x_padded = np.zeros((batch, padded_steps, in_channels))
-        for step in range(out_steps_actual):
-            start = step * stride
-            grad_x_padded[:, start:start + kernel_size, :] += grad_columns[:, step]
-        grad_x = grad_x_padded[:, pad_left:pad_left + steps, :]
-
-        grad_kernel = columns.reshape(-1, kernel_size * in_channels).T @ grad.reshape(
-            -1, out_channels
-        )
-        grad_kernel = grad_kernel.reshape(kernel_size, in_channels, out_channels)
-
+        grad_x: Optional[np.ndarray] = None
+        grad_kernel = np.zeros(kernel.shape)
+        for tap, out_start, out_stop, in_start, in_stop, columns in live:
+            rows = out_stop - out_start
+            grad_rows = grad[:, out_start:out_stop, :].reshape(batch * rows, out_channels)
+            np.matmul(columns.T, grad_rows, out=grad_kernel[tap])
+            grad_taps = (grad_rows @ kernel.data[tap].T).reshape(batch, rows, in_channels)
+            if grad_x is None:
+                if rows == steps:
+                    grad_x = grad_taps
+                    continue
+                grad_x = np.zeros(x.shape)
+            grad_x[:, in_start:in_stop:stride, :] += grad_taps
+        if grad_x is None:
+            grad_x = np.zeros(x.shape)
         grads = [grad_x, grad_kernel]
         if bias is not None:
             grads.append(grad.sum(axis=(0, 1)))
@@ -760,11 +831,14 @@ def max_pool1d(
     else:
         raise ValueError(f"unknown padding mode: {padding!r}")
 
+    padded_steps = steps + pad_left + pad_right
+    out_steps = (padded_steps - pool_size) // stride + 1
+    if steps == 1 and out_steps == 1:
+        # The one window covers the single real step (padding is -inf).
+        return x
     x_padded = np.pad(
         x.data, ((0, 0), (pad_left, pad_right), (0, 0)), constant_values=-np.inf
     )
-    padded_steps = x_padded.shape[1]
-    out_steps = (padded_steps - pool_size) // stride + 1
     strides = x_padded.strides
     windows = np.lib.stride_tricks.as_strided(
         x_padded,

@@ -7,6 +7,7 @@ analytic backward pass is compared against central differences.
 import numpy as np
 import pytest
 
+from repro.nn import GRU
 from repro.nn import tensor as ops
 from repro.nn.gradcheck import check_gradient
 from repro.nn.tensor import Tensor
@@ -108,6 +109,10 @@ class TestShapeGradients:
     def test_getitem(self):
         _assert_gradient(lambda t: t[0][:, 1:3], [_tensor((3, 5))])
 
+    def test_getitem_repeated_fancy_index_accumulates(self):
+        _assert_gradient(lambda t: t[0][[0, 2, 0, 0]], [_tensor((3, 4))])
+        _assert_gradient(lambda t: t[0][:, [1, 1, 3]], [_tensor((3, 4))])
+
     def test_concatenate(self):
         _assert_gradient(
             lambda t: ops.concatenate([t[0], t[1]], axis=1),
@@ -181,3 +186,16 @@ class TestConv1dErrors:
     def test_maxpool_unknown_padding_raises(self):
         with pytest.raises(ValueError):
             ops.max_pool1d(Tensor(np.ones((1, 4, 3))), padding="reflect")
+
+
+class TestRecurrentGradients:
+    def test_gru_multistep(self):
+        # After the first step the state is non-zero: the recurrent matmul and
+        # the reset gate are live and the recurrent kernel gets a real gradient.
+        layer = GRU(3, return_sequences=True, seed=0)
+        x = _tensor((2, 3, 4), scale=0.5)
+        layer(x)
+        _assert_gradient(
+            lambda t: layer(t[0]),
+            [x, layer.kernel, layer.recurrent_kernel, layer.bias],
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import layers as L
+from repro.nn import tensor as ops
 from repro.nn.tensor import Tensor
 
 RNG = np.random.default_rng(7)
@@ -193,6 +194,21 @@ class TestBatchNormalization:
             L.BatchNormalization(momentum=1.5)
 
 
+def _full_gate_gru(layer, inputs):
+    """One GRU step on h_0 == 0 with every gate multiplied out."""
+    units = layer.units
+    hidden = Tensor(np.zeros((inputs.shape[0], units)))
+    x_t = inputs[:, 0, :]
+    gates_x = ops.matmul(x_t, layer.kernel) + layer.bias
+    gates_h = ops.matmul(hidden, layer.recurrent_kernel)
+    update = ops.hard_sigmoid(gates_x[:, 0:units] + gates_h[:, 0:units])
+    reset = ops.hard_sigmoid(gates_x[:, units:2 * units] + gates_h[:, units:2 * units])
+    candidate = ops.tanh(
+        gates_x[:, 2 * units:3 * units] + reset * gates_h[:, 2 * units:3 * units]
+    )
+    return update * hidden + (1.0 - update) * candidate
+
+
 class TestRecurrent:
     def test_gru_output_shape_last_state(self):
         layer = L.GRU(12)
@@ -241,6 +257,26 @@ class TestRecurrent:
     def test_invalid_units(self):
         with pytest.raises(ValueError):
             L.GRU(0)
+
+    def test_gru_zero_state_step_matches_full_gate_formula(self):
+        """On one step the tape skips the recurrent matmul and the reset gate
+        (h_0 == 0); output and gradients stay bit-equal to the full formula."""
+        layer = L.GRU(6, seed=0)
+        x = Tensor(RNG.normal(size=(5, 1, 4)), requires_grad=True)
+        upstream = RNG.normal(size=(5, 6))
+        output = layer(x)
+        output.backward(upstream)
+        kernel_grad, bias_grad, grad_x = layer.kernel.grad, layer.bias.grad, x.grad
+        assert np.all(layer.recurrent_kernel.grad == 0.0)
+
+        for parameter in (x, *layer.parameters()):
+            parameter.zero_grad()
+        expected = _full_gate_gru(layer, x)
+        expected.backward(upstream)
+        assert np.array_equal(output.data, expected.data)
+        assert np.array_equal(kernel_grad, layer.kernel.grad)
+        assert np.array_equal(bias_grad, layer.bias.grad)
+        assert np.array_equal(grad_x, x.grad)
 
     def test_gru_gradients_flow_to_all_parameters(self):
         layer = L.GRU(5)

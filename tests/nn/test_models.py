@@ -1,5 +1,8 @@
 """Tests for the Sequential model container: training loop, callbacks, inference."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,62 @@ class TestTrainingLoop:
         model = _dense_model()
         logs = model.train_on_batch(X, Y)
         assert set(logs) == {"loss", "accuracy"}
+
+
+def _paper_shaped_model(seed=0):
+    """Conv1D(kernel 10) -> max pool -> GRU -> softmax on 1-step inputs, RMSprop."""
+    model = nn.Sequential(
+        [
+            nn.Conv1D(8, 10, padding="same", activation="relu", seed=seed),
+            nn.MaxPooling1D(2),
+            nn.GRU(6, seed=seed),
+            nn.Dense(2, activation="softmax", seed=seed),
+        ]
+    )
+    model.compile(optimizer=nn.RMSprop(0.01), loss="categorical_crossentropy")
+    return model
+
+
+class TestGradientRelease:
+    def test_train_on_batch_leaves_no_gradients(self):
+        X, Y, _ = _toy_classification(n=32)
+        model = _paper_shaped_model()
+        for _ in range(2):  # the first step also builds the model
+            model.train_on_batch(X[:, None, :], Y)
+            assert all(parameter.grad is None for parameter in model.parameters())
+
+    def test_weights_match_a_loop_that_keeps_gradients(self):
+        X, Y, _ = _toy_classification(n=96)
+        X = X[:, None, :]
+        released, kept = _paper_shaped_model(), _paper_shaped_model()
+        released(X[:1])
+        kept(X[:1])
+        for start in range(0, 96, 32):
+            batch_x, batch_y = X[start:start + 32], Y[start:start + 32]
+            released.train_on_batch(batch_x, batch_y)
+            parameters = kept.parameters()
+            kept.optimizer.zero_grad(parameters)
+            kept.loss(batch_y, kept(batch_x, training=True)).backward()
+            kept.optimizer.step(parameters)
+        assert all(parameter.grad is not None for parameter in kept.parameters())
+        for after_release, after_keep in zip(released.get_weights(), kept.get_weights()):
+            assert np.array_equal(after_release, after_keep)
+
+
+class TestReferenceCycles:
+    def test_fitted_model_is_freed_without_the_cyclic_collector(self):
+        """History drops its model at train end: no model <-> history cycle."""
+        X, Y, _ = _toy_classification(n=40)
+        gc.disable()
+        try:
+            model = _dense_model()
+            history = model.fit(X, Y, epochs=2, batch_size=20)
+            alive = weakref.ref(model)
+            del model
+            assert alive() is None
+            assert len(history.history["loss"]) == 2
+        finally:
+            gc.enable()
 
 
 class TestInference:
