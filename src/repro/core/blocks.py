@@ -155,15 +155,24 @@ class PlainBlock(Layer):
         return outputs
 
     def fast_transform(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Graph-free :meth:`transform` (inference semantics, raw ndarrays)."""
-        normalized = self.input_norm.fast_forward(inputs)
-        features = self.convolution.fast_forward(normalized)
-        features = self.pooling.fast_forward(features)
-        features = self.recurrent_norm.fast_forward(features)
-        features = self.recurrent.fast_forward(features)
-        features = self.reshape.fast_forward(features)
-        features = self.dropout.fast_forward(features)
-        return features, normalized
+        """Graph-free :meth:`transform` (inference semantics, raw ndarrays).
+
+        ``inputs`` is only read.  Every later array is one the block just
+        allocated: the convolution's GEMM output (which max pooling returns
+        as is on one step) takes the second batch norm in place, and the
+        GRU output is returned for the caller to own.  Dropout is a no-op
+        at inference.
+        """
+        scale, shift = self.input_norm.folded_constants()
+        normalized = inputs * scale
+        normalized += shift
+        features = self.convolution.fast_call(normalized)
+        features = self.pooling.fast_call(features)
+        scale, shift = self.recurrent_norm.folded_constants()
+        features *= scale
+        features += shift
+        features = self.recurrent.fast_call(features)
+        return features.reshape(len(features), 1, self.recurrent_units), normalized
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         outputs, _ = self.fast_transform(inputs)
@@ -265,7 +274,8 @@ class ResidualBlock(PlainBlock):
             shortcut = shortcut.mean(axis=1).reshape(batch, 1, channels)
         if channels != self.recurrent_units:
             shortcut = self._ensure_projection().fast_forward(shortcut)
-        return outputs + shortcut
+        outputs += shortcut
+        return outputs
 
     def parameter_layer_count(self) -> int:
         """Parameter layers contributed by this block (plus any projection)."""

@@ -29,6 +29,18 @@ The fast-path contract:
   the tape the whole kernel) and from batch norm folded into one scale
   and shift.
 
+Ownership rule: a fast kernel writes only into arrays it allocated.  The
+raw ``relu``, ``hard_sigmoid`` and ``tanh`` kernels overwrite and return
+their argument (``linear`` returns it untouched; ``sigmoid`` and
+``softmax`` allocate), so a layer hands them only a GEMM output or another
+temporary it just created, and copies first when the array is not its own
+(:class:`~repro.nn.layers.core.Activation` copies its input, the LSTM its
+carried cell state).  No ``fast_call`` ever writes into its input, so the
+caller's array survives the forward pass unchanged.  Batch normalization
+runs as ``out = x * scale; out += shift`` with the folded constants from
+:func:`fold_batch_norm`, and a residual block applies its second batch norm
+and its shortcut add in place on arrays it owns.
+
 Layers without a specialised ``fast_call`` transparently fall back to the
 tape path under ``no_grad``, so custom layers keep working.
 
@@ -64,7 +76,6 @@ __all__ = [
     "get_raw_activation",
     "raw_conv1d",
     "raw_max_pool1d",
-    "raw_batch_norm",
     "fold_batch_norm",
     "weights_epoch",
     "invalidate_weight_caches",
@@ -97,26 +108,29 @@ def invalidate_weight_caches() -> int:
 
 
 # ---------------------------------------------------------------------- #
-# Raw activations (same formulas as the tape ops in repro.nn.tensor)
+# Raw activations (same formulas as the tape ops in repro.nn.tensor).
+# relu, hard_sigmoid and tanh overwrite and return their argument.
 # ---------------------------------------------------------------------- #
 def _raw_linear(x: np.ndarray) -> np.ndarray:
     return x
 
 
 def _raw_relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=x)
 
 
 def _raw_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    return ops.sigmoid_forward(x)
 
 
 def _raw_hard_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.clip(0.2 * x + 0.5, 0.0, 1.0)
+    x *= 0.2
+    x += 0.5
+    return np.clip(x, 0.0, 1.0, out=x)
 
 
 def _raw_tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+    return np.tanh(x, out=x)
 
 
 def _raw_softmax(x: np.ndarray) -> np.ndarray:
@@ -189,7 +203,8 @@ def raw_conv1d(
     The same per-tap 2-D GEMMs as the tape's :func:`repro.nn.tensor.conv1d`
     (see :func:`repro.nn.tensor.conv1d_forward`), which skip the zero-padded
     region entirely: for the paper's 1-time-step inputs the contraction is
-    ``channels`` rows instead of ``kernel_size * channels``.
+    ``channels`` rows instead of ``kernel_size * channels``.  The result is
+    always a fresh array (the bias is added in place), so callers own it.
     """
     return ops.conv1d_forward(x, kernel, bias, stride, padding)[0]
 
@@ -245,15 +260,3 @@ def fold_batch_norm(
     scale = gamma / np.sqrt(variance + epsilon)
     return scale, beta - mean * scale
 
-
-def raw_batch_norm(
-    x: np.ndarray,
-    gamma: np.ndarray,
-    beta: np.ndarray,
-    mean: np.ndarray,
-    variance: np.ndarray,
-    epsilon: float,
-) -> np.ndarray:
-    """Inference-mode batch norm folded into one scale and one shift."""
-    scale, shift = fold_batch_norm(gamma, beta, mean, variance, epsilon)
-    return x * scale + shift

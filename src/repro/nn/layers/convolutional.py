@@ -96,4 +96,4 @@ class Conv1D(Layer):
             stride=self.strides,
             padding=self.padding,
         )
-        return self.activation_raw(outputs)
+        return self.activation_raw(outputs)  # in place on the fresh output

@@ -95,7 +95,7 @@ class Dense(Layer):
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         outputs = inputs @ self.kernel.data
         if self.use_bias:
-            outputs = outputs + self.bias.data
+            outputs += self.bias.data
         return self.activation_raw(outputs)
 
 
@@ -111,7 +111,9 @@ class Activation(Layer):
         return self.activation(inputs)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        return self.activation_raw(inputs)
+        # The raw kernels work in place, so give them a copy; the dtype is
+        # the one the allocating formula would produce (float32 stays).
+        return self.activation_raw(inputs.astype(np.result_type(inputs, 0.0)))
 
 
 class Dropout(Layer):

@@ -130,4 +130,6 @@ class BatchNormalization(Layer):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         scale, shift = self.folded_constants()
-        return inputs * scale + shift
+        outputs = inputs * scale
+        outputs += shift
+        return outputs

@@ -126,13 +126,15 @@ class GRU(_RecurrentBase):
                 # h_0 == 0, so the recurrent matmul contributes exactly zero
                 # and the reset gate, which only scales gates_h, is moot:
                 # multiply only the update-gate and candidate column views.
-                update = self.recurrent_activation_raw(
-                    x_t @ kernel[:, 0:units] + bias[0:units]
-                )
-                candidate = self.activation_raw(
-                    x_t @ kernel[:, 2 * units:3 * units] + bias[2 * units:3 * units]
-                )
-                hidden = (1.0 - update) * candidate
+                # Both products are fresh, so everything after runs in place.
+                update = x_t @ kernel[:, 0:units]
+                update += bias[0:units]
+                update = self.recurrent_activation_raw(update)
+                candidate = x_t @ kernel[:, 2 * units:3 * units]
+                candidate += bias[2 * units:3 * units]
+                candidate = self.activation_raw(candidate)
+                hidden = np.subtract(1.0, update, out=update)
+                hidden *= candidate
             else:
                 gates_x = x_t @ kernel + bias
                 gates_h = hidden @ recurrent_kernel
@@ -208,14 +210,15 @@ class LSTM(_RecurrentBase):
         for step in range(steps):
             gates = inputs[:, step, :] @ kernel
             if hidden is not None:
-                gates = gates + hidden @ recurrent_kernel
-            gates = gates + bias
+                gates += hidden @ recurrent_kernel
+            gates += bias
             input_gate = self.recurrent_activation_raw(gates[:, 0:units])
             forget_gate = self.recurrent_activation_raw(gates[:, units:2 * units])
             candidate = self.activation_raw(gates[:, 2 * units:3 * units])
             output_gate = self.recurrent_activation_raw(gates[:, 3 * units:4 * units])
             cell = input_gate * candidate if cell is None else forget_gate * cell + input_gate * candidate
-            hidden = output_gate * self.activation_raw(cell)
+            # cell is carried to the next step; the raw kernel works in place.
+            hidden = output_gate * self.activation_raw(cell.copy())
             if self.return_sequences:
                 outputs.append(hidden)
         return np.stack(outputs, axis=1) if self.return_sequences else hidden
@@ -258,8 +261,9 @@ class SimpleRNN(_RecurrentBase):
         for step in range(steps):
             preact = inputs[:, step, :] @ kernel
             if hidden is not None:
-                preact = preact + hidden @ recurrent_kernel
-            hidden = self.activation_raw(preact + bias)
+                preact += hidden @ recurrent_kernel
+            preact += bias
+            hidden = self.activation_raw(preact)
             if self.return_sequences:
                 outputs.append(hidden)
         return np.stack(outputs, axis=1) if self.return_sequences else hidden

@@ -32,6 +32,7 @@ __all__ = [
     "matmul",
     "relu",
     "sigmoid",
+    "sigmoid_forward",
     "hard_sigmoid",
     "tanh",
     "exp",
@@ -422,11 +423,23 @@ def relu(a: ArrayLike) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
+def sigmoid_forward(x: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid that never overflows.
+
+    With ``e = exp(-|x|)``, ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
+    below zero are exactly the two textbook branches, but ``np.where``
+    evaluates both everywhere, so neither may exponentiate a large positive
+    number.  Shared by the tape op :func:`sigmoid` and the inference kernel.
+    """
+    e = np.exp(-np.abs(x))
+    denominator = 1.0 + e
+    return np.where(x >= 0, 1.0 / denominator, e / denominator)
+
+
 def sigmoid(a: ArrayLike) -> Tensor:
     """Numerically stable logistic sigmoid."""
     a = as_tensor(a)
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+    data = sigmoid_forward(a.data)
 
     def backward(grad: np.ndarray):
         return (grad * data * (1.0 - data),)

@@ -37,7 +37,7 @@ from repro.nn.inference import (
     weights_epoch,
 )
 from repro.nn.optimizers import SGD
-from repro.nn.tensor import max_pool1d, relu
+from repro.nn.tensor import Tensor, max_pool1d, relu, sigmoid
 
 
 RNG = np.random.default_rng(42)
@@ -319,3 +319,138 @@ class TestEmptyBatchFixes:
         network = self._built_network()
         with pytest.raises(ValueError, match="cannot evaluate on empty data"):
             network.evaluate(np.empty((0, 6)), np.empty((0, 4)))
+
+
+def _old_sigmoid(x):
+    """The two-exponential formula the stable sigmoid replaced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+
+
+class TestStableSigmoid:
+    def test_extreme_inputs_do_not_overflow(self):
+        x = np.array([-1000.0, -750.0, 0.0, 750.0, 1000.0])
+        with np.errstate(over="raise", invalid="raise"):
+            raw = get_raw_activation("sigmoid")(x)
+            tape = Tensor(x, requires_grad=True)
+            result = sigmoid(tape)
+            result.backward(np.ones_like(x))
+        np.testing.assert_array_equal(raw, [0.0, 0.0, 0.5, 1.0, 1.0])
+        np.testing.assert_array_equal(result.data, raw)
+        np.testing.assert_array_equal(tape.grad, raw * (1.0 - raw))
+
+    def test_bit_equal_to_the_two_exponential_formula(self):
+        x = np.concatenate([RNG.normal(scale=30.0, size=2000), [0.0, -0.0, 700.0, -700.0]])
+        expected = _old_sigmoid(x)
+        assert np.array_equal(get_raw_activation("sigmoid")(x), expected)
+        assert np.array_equal(sigmoid(x).data, expected)
+
+
+ALLOCATING_ACTIVATIONS = {
+    "relu": lambda x: np.maximum(x, 0.0),
+    "hard_sigmoid": lambda x: np.clip(0.2 * x + 0.5, 0.0, 1.0),
+    "tanh": np.tanh,
+}
+
+
+class TestInPlaceKernels:
+    """Fast kernels work in place on arrays they own, bit-equal to the formulas."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("name", sorted(ALLOCATING_ACTIVATIONS))
+    def test_raw_activation_overwrites_its_argument(self, name, dtype):
+        x = (RNG.normal(scale=4.0, size=(6, 9))).astype(dtype)
+        expected = ALLOCATING_ACTIVATIONS[name](x.copy())
+        result = get_raw_activation(name)(x)
+        assert result is x
+        assert result.dtype == expected.dtype
+        assert np.array_equal(result, expected)
+
+    def test_batch_norm_fast_call_is_bit_equal_to_scale_and_shift(self):
+        layer = BatchNormalization(seed=0)
+        layer(RNG.normal(loc=1.0, scale=2.0, size=(16, 1, 5)), training=True)
+        x = RNG.normal(size=(8, 1, 5))
+        scale, shift = layer.folded_constants()
+        assert np.array_equal(layer.fast_forward(x), x * scale + shift)
+
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    def test_multi_step_lstm_keeps_its_cell_state(self, return_sequences):
+        layer = LSTM(units=6, return_sequences=return_sequences, seed=0)
+        x = RNG.normal(size=(4, 5, 3))
+        fast = layer.fast_forward(x)
+        kernel, recurrent_kernel, bias = (
+            layer.kernel.data, layer.recurrent_kernel.data, layer.bias.data
+        )
+        gate = ALLOCATING_ACTIVATIONS["hard_sigmoid"]
+        units = layer.units
+        hidden = cell = None
+        outputs = []
+        for step in range(x.shape[1]):
+            gates = x[:, step, :] @ kernel
+            if hidden is not None:
+                gates = gates + hidden @ recurrent_kernel
+            gates = gates + bias
+            input_gate = gate(gates[:, 0:units])
+            forget_gate = gate(gates[:, units:2 * units])
+            candidate = np.tanh(gates[:, 2 * units:3 * units])
+            output_gate = gate(gates[:, 3 * units:4 * units])
+            cell = (input_gate * candidate if cell is None
+                    else forget_gate * cell + input_gate * candidate)
+            hidden = output_gate * np.tanh(cell)
+            outputs.append(hidden)
+        expected = np.stack(outputs, axis=1) if return_sequences else hidden
+        assert np.array_equal(fast, expected)
+
+
+def _read_only(x):
+    x = np.array(x)
+    x.flags.writeable = False
+    return x
+
+
+def assert_input_untouched(layer, inputs):
+    """``fast_forward`` must not write into the caller's (read-only) array."""
+    if isinstance(inputs, list):
+        frozen = [_read_only(x) for x in inputs]
+        before = [x.copy() for x in frozen]
+    else:
+        frozen = _read_only(inputs)
+        before = frozen.copy()
+    layer.fast_forward(frozen)
+    np.testing.assert_array_equal(frozen, before)
+
+
+class TestFastPathOwnership:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "hard_sigmoid", "softmax", None])
+    def test_dense_and_activation(self, activation):
+        x = RNG.normal(size=(6, 9))
+        assert_input_untouched(Dense(5, activation=activation, seed=0), x)
+        if activation is not None:
+            assert_input_untouched(Activation(activation), x)
+
+    def test_activation_copy_keeps_float32(self):
+        x = _read_only(RNG.normal(size=(4, 3)).astype(np.float32))
+        assert Activation("relu").fast_forward(x).dtype == np.float32
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_conv1d_and_batch_norm(self, steps):
+        x = RNG.normal(size=(4, steps, 5))
+        assert_input_untouched(Conv1D(6, kernel_size=3, activation="relu", seed=0), x)
+        layer = BatchNormalization(seed=0)
+        layer(RNG.normal(size=(16, steps, 5)), training=True)
+        assert_input_untouched(layer, x)
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    def test_pooling_and_add(self, steps):
+        x = RNG.normal(size=(4, steps, 3))
+        for layer in (MaxPooling1D(pool_size=2), AveragePooling1D(pool_size=2),
+                      GlobalAveragePooling1D(), GlobalMaxPooling1D()):
+            assert_input_untouched(layer, x)
+        assert_input_untouched(Add(), [x, RNG.normal(size=x.shape)])
+
+    @pytest.mark.parametrize("steps", [1, 5])
+    @pytest.mark.parametrize("return_sequences", [False, True])
+    @pytest.mark.parametrize("layer_cls", [GRU, LSTM, SimpleRNN])
+    def test_recurrent_layers(self, layer_cls, return_sequences, steps):
+        layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
+        assert_input_untouched(layer, RNG.normal(size=(4, steps, 3)))
