@@ -8,8 +8,8 @@ service:
    archive and restored into a scoring-identical copy (bitwise-equal
    ``predict(fast=True)``).
 2. **Shadow deployment** — a challenger scores the same flood scenario the
-   primary serves, into its own monitors; the comparison report says
-   whether it should take over.
+   primary serves, and both are judged on those same records; the
+   comparison report says whether it should take over.
 3. **Drift supervision** — the retrain-recovery scenario drifts attack
    traffic towards the benign region (evasion drift) until DR collapses;
    a :class:`DriftSupervisor` notices on its rolling window, retrains a

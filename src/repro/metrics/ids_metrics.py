@@ -120,6 +120,16 @@ class DetectionReport:
         }
         return _report_from_counts(counts)
 
+    def minus(self, earlier: "DetectionReport") -> "DetectionReport":
+        """The counts added since ``earlier``, a report over a prefix of
+        the same records (running totals read at two points)."""
+        return _report_from_counts({
+            "tp": self.tp - earlier.tp,
+            "tn": self.tn - earlier.tn,
+            "fp": self.fp - earlier.fp,
+            "fn": self.fn - earlier.fn,
+        })
+
 
 def _report_from_counts(counts: Dict[str, int]) -> DetectionReport:
     return DetectionReport(

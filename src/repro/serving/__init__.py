@@ -56,9 +56,9 @@ rows are exact totals whatever the rolling window.
 The fleet control plane (:mod:`repro.serving.fleet`) operates those
 models: :class:`FleetController` owns a sharded fleet with one process
 pool per shard and closes two control loops on stream batch boundaries —
-utilization-driven autoscaling (live ``resize()`` of the pools, driven
-by :class:`PoolStats` backlog and monitor utilization, between
-:class:`AutoscalePolicy` bounds) and staged canary rollout of a challenger
+backlog-driven autoscaling (live ``resize()`` of the pools on the
+:class:`PoolStats` backlog per worker, between :class:`AutoscalePolicy`
+bounds) and staged canary rollout of a challenger
 detector (shadow trial on a canary shard, :class:`ShadowComparison` gate,
 staggered shard-by-shard hot-swap, automatic rollback when post-swap DR
 falls through the :class:`RolloutPolicy` floor).  Every decision lands in
@@ -66,8 +66,9 @@ a replayable fleet timeline on the report (see ``docs/SERVING.md``).
 
 The model lifecycle lives in :mod:`repro.serving.lifecycle`:
 :class:`DetectorCheckpoint` (single-archive save/load reconstructing a
-scoring-identical detector), :class:`ShadowDeployment` (a challenger scores
-the primary's traffic into its own monitors, any execution model) and
+scoring-identical detector), :class:`ShadowDeployment` (a whole-stream
+:class:`~repro.serving.lifecycle.Trial`: a challenger scores the primary's
+traffic and both sides are compared over the same records) and
 :class:`DriftSupervisor` (rolling-FAR/DR + vocabulary-drift thresholds →
 replay-buffer retrain → atomic zero-drop hot-swap on a batch boundary).
 See ``docs/SERVING.md``.

@@ -1,4 +1,4 @@
-"""Fleet control plane: utilization-driven autoscaling and staged rollout.
+"""Fleet control plane: backlog-driven autoscaling and staged rollout.
 
 Every serving layer below this module is driven by hand, one service at a
 time: pools are sized once at construction, and a retrained challenger is
@@ -9,26 +9,27 @@ through one :class:`~repro.serving.procpool.ProcessWorkerPool` per shard,
 and closes two control loops at stream batch boundaries:
 
 * **Autoscaling** — each control tick polls every pool's
-  :class:`~repro.serving.procpool.PoolStats` (queue depth, in-flight count,
-  busy fraction) and the shard monitor's busy-time utilization, and grows
-  or shrinks the pool between :class:`AutoscalePolicy` bounds via the
-  ``resize()`` seam.  Workers spawn and retire only on batch boundaries and
+  :class:`~repro.serving.procpool.PoolStats` and grows or shrinks the pool
+  on its backlog per worker, between :class:`AutoscalePolicy` bounds, via
+  the ``resize()`` seam.  Workers spawn and retire only on batch boundaries and
   every result still commits through the reorder buffer in submission
   order, so scaling changes wall-clock behaviour only — reports stay
   bit-equal to a fixed-size run.
 * **Canary rollout** — a challenger handed to :meth:`request_rollout`
   (e.g. by a :class:`~repro.serving.lifecycle.DriftSupervisor` whose
-  ``promotion_hook`` delegates fleet promotion here) first *shadows* the
-  canary shard's traffic into its own monitors, is gated on the standing
-  :class:`~repro.serving.lifecycle.ShadowComparison` verdict, then
-  hot-swaps shard by shard with a configurable stagger.  Between stages the
-  controller watches the swapped shards' post-swap rolling DR; if it
-  degrades past the :class:`RolloutPolicy` floor, every already-swapped
-  shard is rolled back to its retired primary detector.
+  ``promotion_hook`` delegates fleet promotion here) first shadows the
+  canary shard's traffic as a :class:`~repro.serving.lifecycle.shadow.Trial`,
+  is gated on its :class:`~repro.serving.lifecycle.ShadowComparison`
+  verdict, then hot-swaps shard by shard with a configurable stagger.
+  Between stages the controller watches the swapped shards' DR over the
+  records they committed since their swaps; if it degrades past the
+  :class:`RolloutPolicy` floor, every already-swapped shard is rolled back
+  to its retired primary detector.
 
-Determinism contract: all rollout decisions are functions of committed
-confusion counts at pool-drained boundaries, so they replay identically on
-the same stream.  Autoscaling decisions read wall-clock-dependent queue
+Determinism contract: every rollout decision — trial start and verdict,
+swap, watch, rollback — runs right after a flush of every lane and reads
+only committed confusion counts, so it replays identically on the same
+stream.  Autoscaling decisions read wall-clock-dependent queue
 stats, so they do *not* — instead every decision is recorded as a
 :class:`FleetEvent` in the report's ``timeline``, and replaying the
 realized schedule (``FleetController(..., schedule=outcome.schedule())``)
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from functools import partial
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -47,12 +47,11 @@ from ..core.detector import PelicanDetector
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .driver import StreamDriver
-from .monitor import RollingDetectionMonitor
 from .procpool import PoolStats
-from .service import DetectionService, ServiceReport
+from .service import ServiceReport
 from .sharding import ShardedDetectionService
 from .lifecycle.checkpoint import DetectorCheckpoint
-from .lifecycle.shadow import ShadowComparison, quality_deltas
+from .lifecycle.shadow import Trial, counts_since, overall
 
 __all__ = [
     "AutoscalePolicy",
@@ -62,11 +61,6 @@ __all__ = [
     "FleetOutcome",
     "FleetController",
 ]
-
-#: Monitor width for trial/watch bookkeeping: wide enough that counts are
-#: exact totals over any realistic trial or watch window.
-_EXACT_WINDOW = 1 << 20
-
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
@@ -128,7 +122,7 @@ class RolloutPolicy:
         The :meth:`~repro.serving.lifecycle.ShadowComparison.challenger_wins`
         gate thresholds.
     dr_floor:
-        Rollback floor: if the swapped shards' merged *post-swap* rolling DR
+        Rollback floor: if the swapped shards' merged *post-swap* DR
         falls below this (with at least ``min_watch_records`` watched and
         attack traffic present), every swapped shard reverts to its retired
         primary.  ``None`` disables rollback.
@@ -146,8 +140,9 @@ class RolloutPolicy:
     min_watch_records: int = 64
 
     def __post_init__(self) -> None:
-        if self.shadow_batches < 0:
-            raise ValueError("shadow_batches must be non-negative")
+        if self.shadow_batches < 1:
+            # A zero-record trial has no canary traffic: it can only reject.
+            raise ValueError("shadow_batches must be positive")
         if self.stagger_batches < 0:
             raise ValueError("stagger_batches must be non-negative")
         if self.canary_shard < 0:
@@ -345,28 +340,19 @@ class FleetController:
         returned report carries the event timeline under ``timeline``.
         """
         fleet = self.fleet
+        canary = self.rollout.canary_shard
         events: List[FleetEvent] = []
-        # Rollout state.  All mutated on the driving thread only; the
-        # callbacks below read trial/watch sinks between pool joins, where
-        # no commit can race the mutation.
-        trial_primary: Optional[RollingDetectionMonitor] = None
-        trial_service: Optional[DetectionService] = None
-        trial_remaining = 0
+        # Rollout state, touched on the driving thread only.  Every trial,
+        # swap and watch decision reads the driver's exact per-lane totals
+        # right after a driver.flush(), so it judges committed counts only.
+        trial: Optional[Trial] = None
         challenger: Optional[PelicanDetector] = None
         staging: List[int] = []      # shard indices not yet swapped
         swapped: List[int] = []      # shard indices swapped, in swap order
         retired: Dict[int, PelicanDetector] = {}
-        watch: Dict[int, RollingDetectionMonitor] = {}
+        # Swapped shard -> its lane's per-phase totals at the swap.
+        watch: Dict[int, Dict[str, DetectionReport]] = {}
         stage_countdown = 0
-
-        def on_commit(index: int, result) -> None:
-            # Each shard pool's result callback: feeds the trial and watch
-            # monitors as results commit, so they are current after a join.
-            sink = watch.get(index)
-            if sink is not None:
-                sink.update(result.true_indices, result.class_indices)
-            if trial_primary is not None and index == self.rollout.canary_shard:
-                trial_primary.update(result.true_indices, result.class_indices)
 
         def log(kind: str, batch_index: int, shard: Optional[int] = None, **detail):
             events.append(
@@ -381,89 +367,45 @@ class FleetController:
             )
 
         def begin_trial(batch_index: int) -> None:
-            nonlocal trial_primary, trial_service, trial_remaining, challenger
+            nonlocal trial, challenger
             with self._pending_lock:
                 if not self._pending_rollouts:
                     return
-                candidate = self._pending_rollouts.popleft()
-            canary = fleet.shards[self.rollout.canary_shard]
-            # Drain the canary first: from here on its committed results and
-            # the challenger's shadow scores cover the identical records.
-            pools[self.rollout.canary_shard].join()
-            challenger = candidate
-            # process() scores each canary part whole, bypassing the
-            # micro-batcher.
-            trial_service = DetectionService(
-                challenger, window=_EXACT_WINDOW, clock=canary.clock
-            )
-            trial_primary = RollingDetectionMonitor(
-                normal_index=canary.pipeline.normal_index, window=_EXACT_WINDOW
-            )
-            trial_remaining = max(self.rollout.shadow_batches, 1)
-            log("shadow-start", batch_index, shard=self.rollout.canary_shard)
+                challenger = self._pending_rollouts.popleft()
+            trial = Trial(driver, challenger, lanes=[canary])
+            log("shadow-start", batch_index, shard=canary)
 
         def swap_shard(index: int, batch_index: int) -> None:
             nonlocal stage_countdown
-            # The pool-aware swap drains that shard's in-flight batches and
-            # re-ships the checkpoint to its children, so the swap lands
-            # on a batch boundary and the watch monitor installed right
-            # after sees post-swap records only.
+            # Called on a flushed boundary: nothing of this shard's is
+            # pending or in flight, so the old model scored everything
+            # before the swap and the watch baseline ends exactly there.
+            # The pool-aware swap re-ships the checkpoint to its children.
             retired[index] = fleet.swap_shard(index, challenger, pool=pools[index])
-            watch[index] = RollingDetectionMonitor(
-                normal_index=fleet.shards[index].pipeline.normal_index,
-                window=_EXACT_WINDOW,
-            )
+            watch[index] = driver.attributors[index].reports()
             staging.remove(index)
             swapped.append(index)
             stage_countdown = self.rollout.stagger_batches
             log("swap", batch_index, shard=index)
 
         def end_trial(batch_index: int) -> None:
-            nonlocal trial_primary, trial_service, challenger
-            primary_report = trial_primary.report()
-            challenger_report = trial_service.monitor.report()
-            verdict = ShadowComparison(
-                challenger_report.total if primary_report and challenger_report else 0,
-                *quality_deltas(primary_report, challenger_report),
-            )
-            trial_primary, trial_service = None, None
+            nonlocal trial, challenger
+            verdict = trial.verdict()
+            trial = None
             if verdict.records == 0 or not verdict.challenger_wins(
                 self.rollout.min_dr_gain, self.rollout.max_far_regression
             ):
                 reason = (
                     "no canary traffic" if verdict.records == 0 else str(verdict)
                 )
-                log(
-                    "reject",
-                    batch_index,
-                    shard=self.rollout.canary_shard,
-                    comparison=reason,
-                )
+                log("reject", batch_index, shard=canary, comparison=reason)
                 challenger = None
                 return
-            log(
-                "promote",
-                batch_index,
-                shard=self.rollout.canary_shard,
-                comparison=str(verdict),
-            )
+            log("promote", batch_index, shard=canary, comparison=str(verdict))
             staging.extend(
-                [self.rollout.canary_shard]
-                + [
-                    i
-                    for i in range(len(fleet.shards))
-                    if i != self.rollout.canary_shard
-                ]
+                [canary] + [i for i in range(len(fleet.shards)) if i != canary]
             )
-            swap_shard(self.rollout.canary_shard, batch_index)
-
-        def watch_report() -> Optional[DetectionReport]:
-            parts = [
-                report
-                for index in swapped
-                if (report := watch[index].report()) is not None
-            ]
-            return DetectionReport.merge(parts) if parts else None
+            swap_shard(canary, batch_index)
 
         def degradation(report: Optional[DetectionReport]) -> Optional[float]:
             """The failing DR, or None while the watch looks healthy."""
@@ -483,7 +425,7 @@ class FleetController:
             # moment during the unwind the fleet is a prefix of the rollout.
             for index in reversed(swapped):
                 fleet.swap_shard(index, retired.pop(index), pool=pools[index])
-                watch.pop(index, None)
+                watch.pop(index)
                 log(
                     "rollback",
                     batch_index,
@@ -496,22 +438,19 @@ class FleetController:
             challenger = None
 
         def control_rollout(batch_index: int) -> None:
-            nonlocal trial_remaining, stage_countdown, challenger
-            if trial_service is not None:
-                trial_remaining -= 1
-                if trial_remaining <= 0:
-                    pools[self.rollout.canary_shard].join()
+            nonlocal stage_countdown, challenger
+            if trial is not None:
+                if trial.batches == self.rollout.shadow_batches:
                     end_trial(batch_index)
                 return
             if not swapped:
                 if challenger is None:
                     begin_trial(batch_index)
                 return
-            # Staging / final watch: judge only drained counts, so the
-            # decision is a deterministic function of the stream.
-            for index in swapped:
-                pools[index].join()
-            report = watch_report()
+            # Staging / final watch: the swapped lanes' counts since their
+            # swaps, a deterministic function of the stream.
+            driver.flush()
+            report = overall(counts_since(driver, watch))
             failing_dr = degradation(report)
             if failing_dr is not None:
                 roll_back(batch_index, failing_dr)
@@ -576,39 +515,31 @@ class FleetController:
                 )
 
         def before_submit(stream_batch: StreamBatch, parts) -> None:
-            # The challenger shadows the canary's records before the canary
-            # itself sees them — the ShadowDeployment tee order, so both
-            # sides score the identical sequence.
-            for index, part in parts:
-                if trial_service is not None and index == self.rollout.canary_shard:
-                    trial_service.process(part)
+            if trial is not None:
+                trial.submit(stream_batch, parts)
 
         def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
             control_rollout(batch_index)
             control_scaling(batch_index)
 
         with StreamDriver(
-            fleet,
-            before_submit,
-            after_batch,
-            num_workers=self.num_workers,
-            result_callbacks=[partial(on_commit, i) for i in range(len(fleet.shards))],
+            fleet, before_submit, after_batch, num_workers=self.num_workers
         ) as driver:
             pools = driver.lanes
             report = driver.run(stream, max_batches)
-            if trial_service is not None:
+            if trial is not None:
                 log(
                     "trial-abandoned",
                     driver.served,
-                    shard=self.rollout.canary_shard,
-                    remaining=trial_remaining,
+                    shard=canary,
+                    remaining=self.rollout.shadow_batches - trial.batches,
                 )
             elif staging and swapped:
                 log("rollout-incomplete", driver.served, unswapped=len(staging))
             elif challenger is not None and swapped:
                 # Fully swapped but the final watch never accumulated
                 # enough records: report it rather than claiming success.
-                watched = watch_report()
+                watched = overall(counts_since(driver, watch))
                 log(
                     "rollout-incomplete",
                     driver.served,

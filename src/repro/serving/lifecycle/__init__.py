@@ -7,10 +7,11 @@ on it.  Three pieces, composable with every execution model:
   — a single-archive bundle of architecture config, network weights *and*
   buffers, and the fitted preprocessing statistics; ``restore()`` rebuilds
   a scoring-identical detector (``predict(fast=True)`` bitwise-equal).
-* :class:`ShadowDeployment` (:mod:`~repro.serving.lifecycle.shadow`) — a
-  challenger scores the same record stream as the primary (synchronous,
-  process pool or sharded) into its own monitors; the result is a
-  side-by-side :class:`ShadowComparison`.
+* :class:`Trial` and :class:`ShadowDeployment`
+  (:mod:`~repro.serving.lifecycle.shadow`) — a challenger scores the
+  records the primary (synchronous, process pool or sharded) serves, and
+  both sides are compared over exactly those records: a side-by-side
+  :class:`ShadowComparison`.
 * :class:`DriftSupervisor` (:mod:`~repro.serving.lifecycle.supervisor`) —
   watches a :class:`DriftPolicy` over the rolling DR/FAR window and the
   unknown-categorical drift counters, keeps a bounded :class:`ReplayBuffer`
@@ -23,7 +24,7 @@ Format, semantics and guarantees: ``docs/SERVING.md``.
 """
 
 from .checkpoint import CHECKPOINT_FORMAT, DetectorCheckpoint
-from .shadow import ShadowComparison, ShadowDeployment, ShadowReport
+from .shadow import ShadowComparison, ShadowDeployment, ShadowReport, Trial
 from .supervisor import (
     DriftPolicy,
     DriftSupervisor,
@@ -39,6 +40,7 @@ __all__ = [
     "ShadowDeployment",
     "ShadowComparison",
     "ShadowReport",
+    "Trial",
     "DriftPolicy",
     "DriftSupervisor",
     "LifecycleEvent",

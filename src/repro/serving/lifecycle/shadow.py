@@ -1,35 +1,32 @@
-"""Shadow deployment: trial a challenger detector on live traffic.
+"""Challenger trials: judge a challenger on the primary's live traffic.
 
 A challenger fresh out of retraining should not take over the request path
-on faith.  :class:`ShadowDeployment` runs it *in shadow*: the challenger
-scores exactly the records the primary serves — through its own
-micro-batcher configured identically, so the micro-batch boundaries match
-— into its **own** monitors, while the primary's results remain the only
-ones anything downstream sees.  The primary can be any execution model:
+on faith.  A :class:`Trial` runs it *in shadow* beside a primary served by
+a :class:`~repro.serving.driver.StreamDriver` — a synchronous service, a
+process pool or a sharded fleet:
 
-* a synchronous :class:`~repro.serving.service.DetectionService`;
-* a :class:`~repro.serving.procpool.ProcessWorkerPool` (challenger scores
-  inline on the driving thread while the primary fans out to its children);
-* a :class:`~repro.serving.sharding.ShardedDetectionService` (the
-  challenger shadows the *whole* fleet's traffic — which requires a
-  single-schema stream, i.e. replica or class-family sharding).
+* the **challenger** scores, through its own driver and a service batching
+  like the primary's, the records routed to the trial's lanes (all lanes,
+  or one canary shard).  :meth:`Trial.submit` is the tee: the primary
+  driver's ``before_submit`` hook, so the challenger sees each stream
+  batch before the primary does;
+* the **primary** side is the primary driver's own exact per-lane phase
+  totals, read as a delta from a baseline taken on a flushed boundary;
+* the **verdict** flushes both drivers and compares the two sides over the
+  identical records: a :class:`ShadowComparison` of overall and per-phase
+  DR/FAR/ACC deltas.
 
-The deployment's :meth:`~ShadowDeployment.run_stream` tees the stream:
-the primary is driven by a :class:`~repro.serving.driver.StreamDriver`
-whose ``before_submit`` hook first feeds each
-:class:`~repro.data.generator.StreamBatch` to a second driver over the
-challenger (with its own per-phase attribution), so both sides observe the
-identical record sequence and the primary's ordering guarantees are
-untouched.  The
-result is a :class:`ShadowReport` carrying both service reports plus a
-:class:`ShadowComparison` — per-phase and overall DR/FAR/ACC deltas and a
-promotion verdict.
+:class:`ShadowDeployment` is a whole-stream trial with an empty baseline.
+The :class:`~repro.serving.lifecycle.DriftSupervisor` trials a retrained
+challenger before its promotion gate, and the
+:class:`~repro.serving.fleet.FleetController` trials a rollout on its
+canary shard and watches swapped shards with :func:`counts_since`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ...core.detector import PelicanDetector
 from ...data.generator import StreamBatch
@@ -39,10 +36,13 @@ from ..procpool import ProcessWorkerPool
 from ..service import DetectionService, ServiceReport
 from ..sharding import ShardedDetectionService
 
-__all__ = ["ShadowDeployment", "ShadowComparison", "ShadowReport"]
+__all__ = ["Trial", "ShadowDeployment", "ShadowComparison", "ShadowReport"]
 
-#: Execution models a shadow can attach to.
+#: Execution models a trial can attach to.
 Primary = Union[DetectionService, ProcessWorkerPool, ShardedDetectionService]
+
+#: Per-phase confusion counts.
+Phases = Dict[str, DetectionReport]
 
 
 @dataclass(frozen=True)
@@ -88,38 +88,8 @@ class ShadowReport:
     comparison: ShadowComparison
 
 
-def quality_deltas(
-    primary: Optional[DetectionReport], challenger: Optional[DetectionReport]
-) -> Tuple[float, float, float]:
-    """(ΔDR, ΔFAR, ΔACC), challenger minus primary; zeros if a side is empty."""
-    if primary is None or challenger is None:
-        return 0.0, 0.0, 0.0
-    return (
-        challenger.detection_rate - primary.detection_rate,
-        challenger.false_alarm_rate - primary.false_alarm_rate,
-        challenger.accuracy - primary.accuracy,
-    )
-
-
-def compare_reports(
-    primary: ServiceReport, challenger: ServiceReport
-) -> ShadowComparison:
-    """Build the delta row from two service reports over the same records."""
-    phase_deltas: Dict[str, Dict[str, float]] = {}
-    for phase, primary_phase in primary.phase_reports.items():
-        challenger_phase = challenger.phase_reports.get(phase)
-        if challenger_phase is not None:
-            dr, far, acc = quality_deltas(primary_phase, challenger_phase)
-            phase_deltas[phase] = {"dr": dr, "far": far, "acc": acc}
-    return ShadowComparison(
-        challenger.records,
-        *quality_deltas(primary.rolling, challenger.rolling),
-        phase_deltas=phase_deltas,
-    )
-
-
 def template_service(target: Primary) -> DetectionService:
-    """The (first) service an execution model scores through: the shadow's
+    """The (first) service an execution model scores through: the trial's
     batching template and the supervisor's clock and serving detector."""
     if isinstance(target, DetectionService):
         return target
@@ -133,8 +103,133 @@ def template_service(target: Primary) -> DetectionService:
     )
 
 
+def mirror_service(
+    template: DetectionService,
+    challenger: Union[PelicanDetector, DetectionService],
+) -> DetectionService:
+    """The challenger's service: ``challenger`` itself when it is one,
+    otherwise a service batching and windowing exactly like ``template``.
+    Either way its class order must match the template's."""
+    service = challenger
+    if not isinstance(challenger, DetectionService):
+        service = DetectionService(
+            challenger,
+            max_batch_size=template.batcher.max_batch_size,
+            flush_interval=template.batcher.flush_interval,
+            window=template.monitor.window,
+            clock=template.clock,
+        )
+    if service.pipeline.class_names != template.pipeline.class_names:
+        raise ValueError(
+            "challenger class order does not match the primary's; a "
+            "shadow comparison over mismatched labels is meaningless"
+        )
+    return service
+
+
+def counts_since(driver: StreamDriver, baselines: Mapping[int, Phases]) -> Phases:
+    """Per-phase counts the driver attributed on each lane of ``baselines``
+    since that lane's baseline (an earlier read of its attributor's
+    totals), summed over those lanes; phases without new records are
+    omitted.  Exact once the driver is flushed."""
+    parts: Dict[str, List[DetectionReport]] = {}
+    for lane, baseline in baselines.items():
+        for phase, report in driver.attributors[lane].reports().items():
+            before = baseline.get(phase)
+            if before is not None:
+                if report.total == before.total:
+                    continue
+                report = report.minus(before)
+            parts.setdefault(phase, []).append(report)
+    return {phase: DetectionReport.merge(reports) for phase, reports in parts.items()}
+
+
+def overall(phases: Phases) -> Optional[DetectionReport]:
+    """The phases' summed counts (``None`` when there are none)."""
+    return DetectionReport.merge(list(phases.values())) if phases else None
+
+
+def _deltas(
+    primary: Optional[DetectionReport], challenger: Optional[DetectionReport]
+) -> Tuple[float, float, float]:
+    """(ΔDR, ΔFAR, ΔACC), challenger minus primary; zeros if a side is empty."""
+    if primary is None or challenger is None:
+        return 0.0, 0.0, 0.0
+    return (
+        challenger.detection_rate - primary.detection_rate,
+        challenger.false_alarm_rate - primary.false_alarm_rate,
+        challenger.accuracy - primary.accuracy,
+    )
+
+
+class Trial:
+    """A challenger judged against a served primary; see the module docstring.
+
+    Parameters
+    ----------
+    primary:
+        The primary's open :class:`StreamDriver`.  Creating the trial
+        flushes it: the baseline is taken on a drained boundary.
+    challenger:
+        A fitted detector (scored through a service mirroring the first
+        trial lane's batching) or a ready-made :class:`DetectionService`.
+    lanes:
+        The primary lanes the trial covers; ``None`` means all of them.
+
+    After :meth:`verdict`, ``primary_report`` and ``challenger_report``
+    hold each side's counts over the trial's records.
+    """
+
+    def __init__(
+        self,
+        primary: StreamDriver,
+        challenger: Union[PelicanDetector, DetectionService],
+        lanes: Optional[Sequence[int]] = None,
+    ) -> None:
+        self.primary = primary
+        self.lanes = range(len(primary.lanes)) if lanes is None else tuple(lanes)
+        template = template_service(primary.lanes[self.lanes[0]])
+        self.challenger = StreamDriver(mirror_service(template, challenger))
+        self.challenger.__enter__()
+        self.batches = 0  # stream batches teed so far
+        primary.flush()
+        self._baselines = {
+            lane: primary.attributors[lane].reports() for lane in self.lanes
+        }
+        self.primary_report: Optional[DetectionReport] = None
+        self.challenger_report: Optional[DetectionReport] = None
+
+    def submit(self, stream_batch: StreamBatch, parts) -> None:
+        """The tee (a ``before_submit`` hook): the challenger scores the
+        trial lanes' records of a stream batch before the primary does."""
+        for lane, part in parts:
+            if lane in self.lanes:
+                self.challenger.submit(replace(stream_batch, records=part))
+        self.batches += 1
+
+    def verdict(self) -> ShadowComparison:
+        """Flush both sides and compare them over the trial's records."""
+        self.primary.flush()
+        self.challenger.flush()
+        self.challenger.__exit__(None, None, None)
+        primary = counts_since(self.primary, self._baselines)
+        challenger = self.challenger.attributors[0].reports()
+        self.primary_report = overall(primary)
+        self.challenger_report = overall(challenger)
+        phase_deltas: Dict[str, Dict[str, float]] = {}
+        for phase, report in primary.items():
+            if phase in challenger:
+                dr, far, acc = _deltas(report, challenger[phase])
+                phase_deltas[phase] = {"dr": dr, "far": far, "acc": acc}
+        return ShadowComparison(
+            self.challenger_report.total if self.challenger_report else 0,
+            *_deltas(self.primary_report, self.challenger_report),
+            phase_deltas=phase_deltas,
+        )
+
+
 class ShadowDeployment:
-    """Score a challenger on the primary's traffic without serving it.
+    """Score a challenger on the primary's whole stream without serving it.
 
     Parameters
     ----------
@@ -153,25 +248,9 @@ class ShadowDeployment:
         challenger: Union[PelicanDetector, DetectionService],
     ) -> None:
         self.primary = primary
-        template = template_service(primary)
-        if isinstance(challenger, DetectionService):
-            self.challenger_service = challenger
-        else:
-            self.challenger_service = DetectionService(
-                challenger,
-                max_batch_size=template.batcher.max_batch_size,
-                flush_interval=template.batcher.flush_interval,
-                window=template.monitor.window,
-                clock=template.clock,
-            )
-        if (
-            self.challenger_service.pipeline.class_names
-            != template.pipeline.class_names
-        ):
-            raise ValueError(
-                "challenger class order does not match the primary's; a "
-                "shadow comparison over mismatched labels is meaningless"
-            )
+        self.challenger_service = mirror_service(
+            template_service(primary), challenger
+        )
 
     # ------------------------------------------------------------------ #
     def run_stream(
@@ -184,21 +263,20 @@ class ShadowDeployment:
 
         Extra keyword arguments select the primary's lanes as in its
         ``run_stream`` (e.g. ``num_workers=...`` for a sharded primary).
-        The challenger scores each stream batch synchronously on the
-        driving thread *before* the batch is handed to the primary, so both
-        sides see the identical record sequence; its report carries its own
-        per-phase attribution.
+        The run is one :class:`Trial` over every lane, started before the
+        first batch (an empty baseline); the challenger's report carries
+        its own per-phase attribution.
         """
-        with StreamDriver(self.challenger_service) as shadow, StreamDriver(
+        with StreamDriver(
             self.primary,
-            before_submit=lambda batch, _parts: shadow.submit(batch),
+            before_submit=lambda batch, parts: trial.submit(batch, parts),
             **primary_kwargs,
         ) as primary:
+            trial = Trial(primary, self.challenger_service)
             primary_report = primary.run(stream, max_batches)
-            shadow.flush()
-            challenger_report = shadow.report()
+            comparison = trial.verdict()
         return ShadowReport(
             primary=primary_report,
-            challenger=challenger_report,
-            comparison=compare_reports(primary_report, challenger_report),
+            challenger=trial.challenger.report(),
+            comparison=comparison,
         )

@@ -15,8 +15,9 @@ only *report* it.  :class:`DriftSupervisor` closes the loop:
    background thread by default so serving continues at full rate, or
    inline (``background=False``) for deterministic tests.
 4. **Trial** — optionally the challenger shadows the next
-   ``shadow_batches`` stream batches into its own monitor before a
-   promotion decision is taken.
+   ``shadow_batches`` stream batches as a
+   :class:`~repro.serving.lifecycle.shadow.Trial`, and the promotion gate
+   compares the two sides over exactly those records.
 5. **Swap** — promotion is an atomic hot-swap committed on a batch
    boundary: the execution model is flushed (every dispatched batch scored
    and committed, nothing pending in any micro-batcher), then
@@ -56,8 +57,8 @@ from ...data.dataset import TrafficRecords
 from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
 from ..driver import StreamDriver
-from ..service import DetectionService, ServiceReport
-from .shadow import Primary, template_service
+from ..service import ServiceReport
+from .shadow import Primary, Trial, template_service
 
 __all__ = [
     "DriftPolicy",
@@ -278,9 +279,10 @@ class DriftSupervisor:
         decision; ``0`` promotes at the first boundary after the retrain
         completes.
     promote_if:
-        Optional ``(challenger trial report, primary rolling report) ->
-        bool`` gate evaluated after the trial; defaults to unconditional
-        promotion.  Only consulted when ``shadow_batches > 0``.
+        Optional ``(challenger trial report, primary trial report) ->
+        bool`` gate evaluated after the trial: both reports count the same
+        records, the ones served during the trial.  Defaults to
+        unconditional promotion.  Only consulted when ``shadow_batches > 0``.
     background:
         Retrain on a daemon thread (serving continues meanwhile).  With
         ``False`` the retrain runs inline at the trigger boundary —
@@ -347,8 +349,7 @@ class DriftSupervisor:
         retrain_thread: Optional[threading.Thread] = None
         retrain_box: Dict[str, object] = {}
         challenger: Optional[PelicanDetector] = None
-        shadow_service: Optional[DetectionService] = None
-        shadow_remaining = 0
+        trial: Optional[Trial] = None
         retrains = 0
 
         # Live readings, merged across the driver's lanes.
@@ -393,7 +394,7 @@ class DriftSupervisor:
 
         def collect_retrain(batch_index: int, wait: bool) -> None:
             """Move a finished retrain's result into the challenger slot."""
-            nonlocal retrain_thread, challenger, shadow_service, shadow_remaining
+            nonlocal retrain_thread, challenger, trial
             if retrain_thread is not None:
                 if wait:
                     retrain_thread.join()
@@ -418,25 +419,23 @@ class DriftSupervisor:
             challenger = retrain_box.pop("challenger")
             log("retrain-complete", batch_index, replay_records=len(self.replay))
             if self.shadow_batches > 0:
-                # process() scores each trial batch whole, bypassing the
-                # micro-batcher; the wide window keeps exact trial totals.
-                shadow_service = DetectionService(challenger, window=1 << 20)
-                shadow_remaining = self.shadow_batches
+                trial = Trial(driver, challenger)
 
         def promote(batch_index: int) -> None:
-            nonlocal challenger, shadow_service, unknown_mark, cooldown_mark
+            nonlocal challenger, trial, unknown_mark, cooldown_mark
             trial_report = None
-            if shadow_service is not None:
-                trial_report = shadow_service.monitor.report()
+            if trial is not None:
+                trial.verdict()
+                trial_report = trial.challenger_report
                 if self.promote_if is not None and not self.promote_if(
-                    trial_report, driver.report().rolling
+                    trial_report, trial.primary_report
                 ):
                     log(
                         "trial-rejected",
                         batch_index,
                         trial=str(trial_report) if trial_report else "no traffic",
                     )
-                    challenger, shadow_service = None, None
+                    challenger, trial = None, None
                     cooldown_mark = records_seen()
                     return
             if self.promotion_hook is not None:
@@ -450,7 +449,7 @@ class DriftSupervisor:
                     batch_index,
                     challenger_schema=handed_off.schema.name,
                 )
-                challenger, shadow_service = None, None
+                challenger, trial = None, None
                 unknown_mark = unknown_total()
                 cooldown_mark = records_seen()
                 self.promotion_hook(handed_off)
@@ -465,24 +464,25 @@ class DriftSupervisor:
             if trial_report is not None:
                 detail["trial"] = str(trial_report)
             log("promoted", batch_index, **detail)
-            challenger, shadow_service = None, None
+            challenger, trial = None, None
             unknown_mark = unknown_total()
             cooldown_mark = records_seen()
 
-        def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
-            nonlocal shadow_remaining
-            self.replay.append(stream_batch.records)
-            if shadow_service is not None and shadow_remaining > 0:
-                shadow_service.process(stream_batch.records)
-                shadow_remaining -= 1
+        def before_submit(stream_batch: StreamBatch, parts) -> None:
+            if trial is not None:
+                trial.submit(stream_batch, parts)
 
+        def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
+            self.replay.append(stream_batch.records)
             report = driver.report()
             rolling = report.rolling
             dr_curve.append(rolling.detection_rate if rolling else None)
             far_curve.append(rolling.false_alarm_rate if rolling else None)
 
             collect_retrain(batch_index, wait=False)
-            if challenger is not None and shadow_remaining == 0:
+            if challenger is not None and (
+                trial is None or trial.batches == self.shadow_batches
+            ):
                 promote(batch_index)
             elif (
                 challenger is None
@@ -496,7 +496,7 @@ class DriftSupervisor:
                 if reason is not None:
                     start_retrain(batch_index, reason)
 
-        with StreamDriver(self.target, after_batch=after_batch) as driver:
+        with StreamDriver(self.target, before_submit, after_batch) as driver:
             # Marks taken once pre-stream work is drained: it belongs to no
             # phase and does not count towards drift or cooldown.
             unknown_mark = unknown_total()

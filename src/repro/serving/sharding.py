@@ -203,36 +203,20 @@ class ShardedDetectionService:
         return cls(shards, ShardRouter(n_shards, "replica"))
 
     # ------------------------------------------------------------------ #
-    def open_pools(
-        self,
-        num_workers: int,
-        result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
-    ) -> List[ProcessWorkerPool]:
+    def open_pools(self, num_workers: int) -> List[ProcessWorkerPool]:
         """Start one process pool per shard and return them, index-aligned.
 
-        The per-shard pool lifecycle seam shared by :meth:`run_stream` and
-        the fleet controller: ``result_callbacks`` (index-aligned when
-        given) become each pool's in-order committed-result hook.  The
-        caller owns the returned pools and must ``close()`` them; if a
-        later shard's pool fails to start, the pools already started are
-        closed before the error propagates.
+        The per-shard pool lifecycle seam of :meth:`run_stream` and the
+        fleet controller.  The caller owns the returned pools and must
+        ``close()`` them; if a later shard's pool fails to start, the pools
+        already started are closed before the error propagates.
         """
         if num_workers <= 0:
             raise ValueError("num_workers must be positive to open pools")
-        if result_callbacks is not None and len(result_callbacks) != len(
-            self.shards
-        ):
-            raise ValueError("result_callbacks must be index-aligned with shards")
         pools: List[ProcessWorkerPool] = []
         with ExitStack() as opened:
-            for index, shard in enumerate(self.shards):
-                pool = ProcessWorkerPool(
-                    shard,
-                    num_workers=num_workers,
-                    result_callback=(
-                        result_callbacks[index] if result_callbacks else None
-                    ),
-                )
+            for shard in self.shards:
+                pool = ProcessWorkerPool(shard, num_workers=num_workers)
                 pools.append(pool.start())
                 opened.callback(pool.close)
             opened.pop_all()
@@ -343,18 +327,14 @@ class ShardedDetectionService:
 
     # ------------------------------------------------------------------ #
     @contextmanager
-    def _stream_lanes(
-        self,
-        num_workers: int = 0,
-        result_callbacks: Optional[Sequence[Callable[[BatchResult], None]]] = None,
-    ):
+    def _stream_lanes(self, num_workers: int = 0):
         """The stream-driver lanes: the shards' own (inline scoring) or,
         with ``num_workers > 0``, those of one process pool per shard,
         closed at exit."""
         with ExitStack() as stack:
             engines = self.shards
             if num_workers > 0:
-                engines = self.open_pools(num_workers, result_callbacks)
+                engines = self.open_pools(num_workers)
                 for pool in engines:
                     stack.callback(pool.close)
             yield [

@@ -29,7 +29,9 @@ from repro.serving import (
     FleetController,
     ProcessWorkerPool,
     RolloutPolicy,
+    ShardRouter,
 )
+from repro.serving.lifecycle import Trial
 
 pytestmark = pytest.mark.timeout(300)
 
@@ -306,6 +308,55 @@ class TestRollout:
         controller.request_rollout(DetectorCheckpoint.capture(detector))
         outcome = controller.run_stream(rollout_stream)
         assert outcome.promoted and outcome.completed
+
+    def test_policy_rejects_an_empty_trial(self):
+        """A zero-batch canary trial sees no canary traffic, so its gate
+        could only reject: the policy refuses it outright."""
+        with pytest.raises(ValueError, match="shadow_batches"):
+            RolloutPolicy(shadow_batches=0)
+
+    @pytest.mark.parametrize("max_batch_size", [16, 32])
+    def test_held_records_do_not_skew_the_canary_gate(
+        self, detector, rollout_stream, monkeypatch, max_batch_size
+    ):
+        """With a long age trigger the canary's micro-batcher still holds
+        records when the trial ends.  The verdict flushes both sides, so a
+        scoring-identical challenger is judged on exactly the records the
+        canary served during the trial, and promotes."""
+        verdicts = []
+        verdict = Trial.verdict
+
+        def recording(trial):
+            verdicts.append(verdict(trial))
+            return verdicts[-1]
+
+        monkeypatch.setattr(Trial, "verdict", recording)
+        fleet = _fleet(
+            detector, max_batch_size=max_batch_size, flush_interval=10.0
+        )
+        controller = FleetController(
+            fleet, num_workers=1,
+            rollout=RolloutPolicy(
+                shadow_batches=3, stagger_batches=2, min_watch_records=32
+            ),
+        )
+        controller.request_rollout(DetectorCheckpoint.capture(detector).restore())
+        outcome = controller.run_stream(rollout_stream)
+
+        kinds = [event.kind for event in outcome.events]
+        assert kinds[:2] == ["shadow-start", "promote"]
+        assert outcome.promoted and outcome.completed
+        start, promote = outcome.events[0].batch_index, outcome.events[1].batch_index
+        router = ShardRouter(2, "replica")
+        canary_records = 0
+        for stream_batch in rollout_stream:
+            # Route every batch, so the replica stripe stays in step.
+            canary = router.route(stream_batch.records)[0]
+            if start < stream_batch.index <= promote:
+                canary_records += len(canary)
+        [comparison] = verdicts
+        assert comparison.records == canary_records > 0
+        assert (comparison.dr_delta, comparison.far_delta) == (0.0, 0.0)
 
     def test_unfinished_trial_is_reported(self, detector, rollout_stream):
         controller = FleetController(

@@ -572,6 +572,40 @@ class TestDriftSupervisor:
         assert "trial" in promoted.detail
         assert service.detector is challenger
 
+    @pytest.mark.parametrize("model", ["synchronous", "process-pool", "sharded"])
+    def test_trial_gate_compares_the_same_records(self, detector, stream, model):
+        """promote_if gets the challenger's and the primary's reports over
+        the trial's records, not the primary's rolling window: for a
+        scoring-identical challenger the two agree count for count."""
+        if model == "synchronous":
+            target = _service(detector)
+        elif model == "process-pool":
+            target = ProcessWorkerPool(_service(detector), num_workers=1)
+        else:
+            target = ShardedDetectionService.replicated(
+                detector, 2, max_batch_size=32, flush_interval=0.0,
+                window=1 << 20,
+            )
+        judged = []
+        supervisor = DriftSupervisor(
+            target,
+            DriftPolicy(unknown_ceiling=0),  # trips at the first boundary
+            trainer=lambda records, serving: (
+                DetectorCheckpoint.capture(serving).restore()
+            ),
+            background=False, shadow_batches=2, max_retrains=1,
+            promote_if=lambda trial, primary: judged.append((trial, primary))
+            or True,
+        )
+        outcome = supervisor.run_stream(stream)
+
+        assert outcome.promoted
+        [(trial, primary)] = judged
+        assert trial.total == primary.total == 2 * 32
+        assert (trial.tp, trial.tn, trial.fp, trial.fn) == (
+            primary.tp, primary.tn, primary.fp, primary.fn
+        )
+
     def test_unknown_categorical_trigger(self, detector, challenger):
         def inject_unknown(batches):
             for stream_batch in batches:

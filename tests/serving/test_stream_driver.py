@@ -48,6 +48,14 @@ def _sharded(detector):
     )
 
 
+def _fleet_with_rollout(detector):
+    """A fleet whose queued rollout opens a canary trial at the first
+    boundary: the trial's flush and tee run inside the stream."""
+    controller = FleetController(_sharded(detector), num_workers=1)
+    controller.request_rollout(detector)
+    return controller.run_stream
+
+
 def _report(outcome):
     """The service report inside whatever an engine's run_stream returns."""
     return getattr(outcome, "report", getattr(outcome, "primary", outcome))
@@ -68,7 +76,12 @@ ENGINES = {
     "supervisor": lambda d: DriftSupervisor(
         _service(d), DriftPolicy(far_ceiling=1.0), background=False
     ).run_stream,
+    "supervisor-trial": lambda d: DriftSupervisor(
+        _service(d), DriftPolicy(unknown_ceiling=0), trainer=lambda r, s: s,
+        background=False, shadow_batches=2,
+    ).run_stream,
     "fleet": lambda d: FleetController(_sharded(d), num_workers=1).run_stream,
+    "fleet-rollout": _fleet_with_rollout,
 }
 
 
