@@ -1,16 +1,16 @@
 """Scenario-suite benchmark: every preset, every execution model.
 
-Trains one small detector per corpus (the same service scale as the
-serving-throughput bench), sweeps the full scenario library with
-:class:`repro.scenarios.ScenarioSuite` — flood, probe-sweep,
+Trains one small 1-block detector per corpus, sweeps the full scenario
+library with :class:`repro.scenarios.ScenarioSuite` — flood, probe-sweep,
 imbalance-shift, slow-dos and retrain-recovery under the synchronous,
 process-pool (checkpoint-rehydrated child processes) and replica-sharded
 execution models, plus the cross-dataset fleet preset on a dataset-routed
 two-shard service (inline and with per-shard process pools) — and writes
 the per-scenario, per-phase DR/FAR/throughput rows to
 ``BENCH_scenarios.json`` at the repository root.  That file is the
-scenario-regression baseline future PRs diff against, alongside
-``BENCH_serving.json``.
+scenario-regression baseline future changes diff against; throughput is
+wall clock (records over the span from the earliest batch start to the
+latest commit).  Speed itself is measured by ``perfbench/``.
 
 The suite additionally exercises the fleet control plane: the ``overload``
 preset on an autoscaled replica fleet (recording scaling-event counts and

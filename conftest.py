@@ -16,9 +16,8 @@ markers:
   suite — a deadlocked reorder buffer or hot-swap surfaces in seconds.
 * ``multicore(min_cores)`` — tests that only mean anything with real
   parallel hardware (process-pool scaling claims) are skipped when
-  ``os.cpu_count()`` is below the requested core count (default 2) — the
-  same gate the serving benchmark applies to its ≥ 1.5x worker-scaling
-  claim — so tier-1 stays green on the single-core dev container while
+  ``os.cpu_count()`` is below the requested core count (default 2), so
+  the 4-process ≥ 1.5x scaling gate is skipped on smaller hosts while
   multi-core CI hosts exercise the scaling assertions.
 * ``ingest`` — raw-event ingestion front-end tests (flow table, feature
   extractor, event lowering); select them with ``pytest -m ingest``.

@@ -5,13 +5,13 @@ Builds on ``examples/concurrent_serving.py`` — same corpus, same seeded
 scenario style — and drives a replica fleet through the two control loops
 of :class:`repro.serving.FleetController`:
 
-1. **Utilization-driven autoscaling** — the overload preset (calm →
+1. **Backlog-driven autoscaling** — the overload preset (calm →
    sustained surge → cooldown) served on a two-shard replica fleet whose
-   per-shard worker pools start at one thread.  At every stream batch
-   boundary the controller polls each pool's
-   :class:`repro.serving.PoolStats` and resizes between the
-   :class:`repro.serving.AutoscalePolicy` bounds; every decision lands in
-   the report's fleet timeline.  The run's confusion counts are then
+   per-shard worker pools start at one child process.  At every stream
+   batch boundary the controller polls each pool's
+   :class:`repro.serving.PoolStats`, reads its backlog per worker and
+   resizes between the :class:`repro.serving.AutoscalePolicy` bounds;
+   every decision lands in the report's fleet timeline.  The run's confusion counts are then
    checked against an uncontrolled fixed-size run (autoscaling is
    invisible in reports), and the *recorded schedule* is replayed to show
    the run reproduces decision for decision.
@@ -85,7 +85,7 @@ def main() -> None:
     generator = nslkdd_generator()
 
     # ------------------------------------------------------------------ #
-    print("\n=== 1. utilization-driven autoscaling (overload preset) ===")
+    print("\n=== 1. backlog-driven autoscaling (overload preset) ===")
     stream = overload_scenario(generator, batch_size=96, seed=3)
     controller = FleetController(
         build_fleet(detector),

@@ -120,8 +120,8 @@ class FlowFeatureExtractor:
         self._derived = (
             _DERIVED_COLUMNS.get(self.schema.name, {}) if derive_features else {}
         )
-        # Throughput accounting for the serving bench (events vs rows, time
-        # spent aggregating vs scoring).
+        # Throughput accounting (events vs rows, time spent aggregating vs
+        # scoring), read by the ingest speed floors and perfbench.
         self.events_seen = 0
         self.rows_emitted = 0
         self.extract_seconds = 0.0

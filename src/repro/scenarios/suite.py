@@ -2,8 +2,7 @@
 
 :class:`ScenarioSuite` sweeps the scenario library through the serving
 tier's execution models and collects per-scenario, per-phase quality and
-throughput rows — the scenario-side counterpart of the serving benchmark's
-``BENCH_serving.json`` baseline:
+wall-clock throughput rows:
 
 * single-schema presets (flood, probe-sweep, imbalance-shift, slow-dos)
   run **synchronous** (:class:`~repro.serving.service.DetectionService`),

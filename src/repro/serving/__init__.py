@@ -13,8 +13,9 @@ from three independently testable pieces:
   ``fast=True`` forward pass, with per-batch latency accounting;
 * :class:`RollingDetectionMonitor` / :class:`ThroughputMonitor`
   (:mod:`repro.serving.monitor`) — thread-safe sliding-window ACC/DR/FAR
-  plus a records-per-second headline computed over the wall-clock busy
-  span, so overlapping concurrent batches are not double-counted.
+  plus a records-per-second headline over the wall-clock span from the
+  earliest batch start to the latest commit, so overlapping concurrent
+  batches are not double-counted.
 
 Three execution models run on that path:
 

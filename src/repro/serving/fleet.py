@@ -509,9 +509,6 @@ class FleetController:
                     queue_depth=stats.queue_depth,
                     in_flight=stats.in_flight,
                     busy_fraction=round(stats.busy_fraction, 4),
-                    utilization=round(
-                        fleet.shards[index].throughput.utilization, 4
-                    ),
                 )
 
         def before_submit(stream_batch: StreamBatch, parts) -> None:

@@ -12,28 +12,14 @@ state happens under an internal lock, so the process pool's collector
 thread can update them concurrently with a reader polling :meth:`report` /
 :meth:`snapshot`.
 
-Throughput accounting distinguishes three time totals:
-
-* ``total_time`` — the *summed* per-batch latencies.  On a single thread
-  this is the service's busy time, but as soon as batches overlap on
-  concurrent workers the sum double-counts wall-clock time and dividing by
-  it understates throughput.
-* ``busy_time`` — the overlap-merged union of the batch scoring intervals:
-  equal to ``total_time`` while batches never overlap, smaller once
-  concurrent workers score simultaneously, and — unlike a first-to-last
-  span — free of the idle gaps between batches, so a long-lived service
-  with sporadic traffic is not diluted towards records-per-uptime.
-  ``records / busy_time`` is the records-per-second headline.  The union
-  is maintained as a small bounded set of pending disjoint intervals, so
-  batches may commit in any order (parallel workers reorder freely): a
-  late-committing interval still contributes exactly its uncovered
-  portion.  Only when more than the bounded number of disjoint intervals
-  are simultaneously pending does the oldest get frozen, after which a
-  batch committing entirely before it is dropped — an undercount, never a
-  double count, and ``busy_time <= busy_span`` always holds.
-* ``busy_span`` — the wall-clock distance from the start of the earliest
-  batch to the end of the latest one (busy and idle alike), kept for
-  wall-time introspection.
+Throughput is wall clock: records divided by the *wall span*, from the
+start of the earliest batch to the end of the latest one on the service
+clock (busy and idle time alike).  A batch starts when scoring starts on
+the synchronous service and when it is dispatched on the process pool,
+so the span leaves out only the first batch's queue wait (at most the
+``flush_interval``).  Overlapping batches on concurrent workers are
+counted once, because the span is one interval; commits may arrive in any
+order.
 """
 
 from __future__ import annotations
@@ -41,7 +27,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -120,10 +106,10 @@ class RollingDetectionMonitor:
 class ThroughputMonitor:
     """Per-batch latency/throughput accounting.
 
-    Totals (records, batches, time) are running counters, so they cover the
-    service's whole lifetime; the latency distribution (mean/p95) is kept
-    over a bounded window of the most recent batches so a long-lived service
-    neither grows without bound nor averages incidents away.
+    Totals (records, batches, wall span) cover the service's whole
+    lifetime; the latency distribution (mean/p95) is kept over a bounded
+    window of the most recent batches so a long-lived service neither grows
+    without bound nor averages incidents away.
 
     Parameters
     ----------
@@ -131,15 +117,9 @@ class ThroughputMonitor:
         Number of most-recent batch latencies kept for the mean/p95 stats.
     clock:
         Injectable time source; must be the same clock that produced the
-        latencies (the service passes its own), so the busy span and the
+        latencies (the service passes its own), so the wall span and the
         per-batch latencies live on one timeline.
     """
-
-    #: Maximum number of pending disjoint intervals the busy-time merge
-    #: keeps before freezing the oldest.  Out-of-order commits only pile up
-    #: disjoint holes while more batches than this are simultaneously in
-    #: flight and reordered — far beyond any real worker pool.
-    MAX_PENDING_INTERVALS = 64
 
     def __init__(
         self, window: int = 1024, clock: Callable[[], float] = time.monotonic
@@ -152,15 +132,6 @@ class ThroughputMonitor:
         self._recent_latencies: Deque[float] = deque(maxlen=window)
         self._total_batches = 0
         self._total_records = 0
-        self._total_time = 0.0
-        self._busy_time = 0.0
-        # The busy-time union: a bounded, sorted list of pending disjoint
-        # [start, end] intervals whose lengths are already in _busy_time,
-        # plus a frozen floor — everything at or before it is treated as
-        # covered, so a straggler clipped by the floor can undercount but
-        # never double count.
-        self._pending_intervals: List[List[float]] = []
-        self._covered_floor: Optional[float] = None
         self._span_start: Optional[float] = None
         self._span_end: Optional[float] = None
 
@@ -172,9 +143,8 @@ class ThroughputMonitor:
         ``end_time`` is the clock reading when the batch finished; it
         defaults to "now" but concurrent callers that commit results after
         the fact (the process pool's reorder buffer) pass the measured value
-        so the busy span reflects when the work actually ran.  Commits may
-        arrive in any order: each interval contributes exactly the portion
-        of ``[end - latency, end]`` not already covered by earlier updates.
+        so the wall span reflects when the work actually ran.  The batch
+        started at ``end_time - latency``.  Commits may arrive in any order.
         """
         if batch_size < 0 or latency < 0:
             raise ValueError("batch_size and latency must be non-negative")
@@ -183,54 +153,11 @@ class ThroughputMonitor:
         with self._lock:
             self._total_batches += 1
             self._total_records += int(batch_size)
-            self._total_time += float(latency)
             self._recent_latencies.append(float(latency))
-            self._merge_busy_interval(start, end)
             if self._span_start is None or start < self._span_start:
                 self._span_start = start
             if self._span_end is None or end > self._span_end:
                 self._span_end = end
-
-    def _merge_busy_interval(self, start: float, end: float) -> None:
-        """Fold ``[start, end]`` into the pending-interval union (locked).
-
-        The uncovered portion — the interval's length minus its overlap
-        with the pending intervals, clipped at the frozen floor — is added
-        to ``_busy_time``; overlapping pending intervals coalesce into one.
-        Both the disjointness of the pending set and the clip at the floor
-        make double-counting impossible, and every counted sliver lies
-        inside ``[span_start, span_end]``, so ``busy_time <= busy_span``.
-        """
-        if self._covered_floor is not None:
-            start = max(start, self._covered_floor)
-            end = max(end, self._covered_floor)
-        merged_start, merged_end = start, end
-        overlap = 0.0
-        kept: List[List[float]] = []
-        insert_at = 0
-        for interval in self._pending_intervals:
-            if interval[1] < start:
-                kept.append(interval)
-                insert_at = len(kept)
-            elif interval[0] > end:
-                kept.append(interval)
-            else:
-                overlap += min(interval[1], end) - max(interval[0], start)
-                merged_start = min(merged_start, interval[0])
-                merged_end = max(merged_end, interval[1])
-        self._busy_time += (end - start) - overlap
-        kept.insert(insert_at, [merged_start, merged_end])
-        # Freeze the oldest intervals in one slice instead of a pop(0) loop:
-        # the intervals are sorted, so the largest frozen end — the new
-        # floor — is the last frozen interval's end, and no element shifting
-        # is paid on the hot path.
-        excess = len(kept) - self.MAX_PENDING_INTERVALS
-        if excess > 0:
-            floor = kept[excess - 1][1]
-            if self._covered_floor is None or floor > self._covered_floor:
-                self._covered_floor = floor
-            kept = kept[excess:]
-        self._pending_intervals = kept
 
     @property
     def total_batches(self) -> int:
@@ -242,25 +169,16 @@ class ThroughputMonitor:
         with self._lock:
             return self._total_records
 
-    @property
-    def total_time(self) -> float:
-        """Summed in-service processing time across all batches."""
-        with self._lock:
-            return self._total_time
-
     # Locked helpers: one formula each, shared by the properties and the
     # consistent-snapshot path (caller holds self._lock).
-    def _busy_span_locked(self) -> float:
+    def _wall_span_locked(self) -> float:
         if self._span_start is None or self._span_end is None:
             return 0.0
         return max(self._span_end - self._span_start, 0.0)
 
     def _throughput_locked(self) -> float:
-        if self._busy_time > 0:
-            return self._total_records / self._busy_time
-        if self._total_time > 0:
-            return self._total_records / self._total_time
-        return 0.0
+        span = self._wall_span_locked()
+        return self._total_records / span if span > 0 else 0.0
 
     def _latency_window_locked(self) -> np.ndarray:
         return np.fromiter(
@@ -280,42 +198,14 @@ class ThroughputMonitor:
         return float(np.percentile(self._latency_window_locked(), 95))
 
     @property
-    def busy_span(self) -> float:
+    def wall_span(self) -> float:
         """Wall-clock span from the earliest batch start to the latest end."""
         with self._lock:
-            return self._busy_span_locked()
-
-    @property
-    def busy_time(self) -> float:
-        """Overlap-merged union of the batch scoring intervals."""
-        with self._lock:
-            return self._busy_time
-
-    def _utilization_locked(self) -> float:
-        span = self._busy_span_locked()
-        if span <= 0.0:
-            return 0.0
-        return min(self._busy_time / span, 1.0)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of the busy span actually spent scoring (0.0 to 1.0).
-
-        ``busy_time / busy_span``: 1.0 means the service never sat idle
-        between batches, values near 0 mean sporadic traffic.  This is the
-        saturation signal the fleet controller's autoscaler reads — it needs
-        no extra bookkeeping because both totals are already maintained.
-        """
-        with self._lock:
-            return self._utilization_locked()
+            return self._wall_span_locked()
 
     @property
     def throughput(self) -> float:
-        """Records per second of busy time (0.0 before any batch).
-
-        Falls back to the summed-latency total when the merged busy time is
-        degenerate (instantaneous batches under a frozen test clock).
-        """
+        """Records per second of wall span (0.0 while the span is empty)."""
         with self._lock:
             return self._throughput_locked()
 
@@ -342,16 +232,17 @@ class ThroughputMonitor:
 
         Computed under a single lock acquisition, so concurrent updates
         cannot tear the row (e.g. a record count that already includes a
-        batch whose latency the throughput does not).
+        batch whose span the throughput does not).  ``wall_start_s`` and
+        ``wall_end_s`` bound the span (0.0 before any batch), so a sharded
+        fleet can merge its shards' spans into one.
         """
         with self._lock:
             return {
                 "batches": float(self._total_batches),
                 "records": float(self._total_records),
-                "total_time_s": self._total_time,
-                "busy_time_s": self._busy_time,
-                "busy_span_s": self._busy_span_locked(),
-                "utilization": self._utilization_locked(),
+                "wall_start_s": self._span_start or 0.0,
+                "wall_end_s": self._span_end or 0.0,
+                "wall_span_s": self._wall_span_locked(),
                 "throughput_rps": self._throughput_locked(),
                 "mean_latency_s": self._mean_latency_locked(),
                 "p95_latency_s": self._p95_latency_locked(),

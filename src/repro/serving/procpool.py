@@ -252,7 +252,7 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
 
 @dataclass(frozen=True)
 class PoolStats:
-    """Live utilization snapshot of a pool (one lock-consistent read).
+    """Live load snapshot of a pool (one lock-consistent read).
 
     The fleet controller's autoscaler polls this every control tick; the
     fields are chosen so a scaling decision needs no further pool access:

@@ -186,7 +186,7 @@ class ServiceReport:
 
     batches: int
     records: int
-    throughput: float                # records / second of merged busy time
+    throughput: float                # records / second of wall span
     mean_latency: float
     p95_latency: float
     rolling: Optional[DetectionReport]

@@ -27,10 +27,9 @@ across such a fleet and merges the per-shard monitoring back into a single
   :class:`~repro.serving.service.DetectionService` per shard, fans
   submissions out through the router and merges rolling quality (summed
   confusion counts), per-phase attribution, vocabulary-drift counters and
-  throughput (records over the shards' summed busy time — exact for
-  inline runs, a conservative lower bound when worker pools overlap
-  shards on separate cores) into one report, with the per-shard reports
-  attached under ``shard_reports``.
+  throughput (the fleet's records over its wall span: the earliest
+  batch start to the latest commit across the shards) into one report,
+  with the per-shard reports attached under ``shard_reports``.
 
 ``run_stream`` is the :class:`~repro.serving.driver.StreamDriver` with one
 lane per shard — one phase attributor each, merged per phase afterwards —
@@ -267,9 +266,9 @@ class ShardedDetectionService:
 
         Quality merges by summing confusion counts
         (:meth:`DetectionReport.merge`); throughput divides the fleet's
-        records by the shards' summed busy time — exact for inline runs
-        (shards take turns on one thread) and a conservative lower bound
-        when process pools overlap shards on separate cores; the latency
+        records by the fleet's wall span, from the earliest batch start to
+        the latest commit over every shard, so shards that score at the
+        same time on separate pools are counted once; the latency
         distribution pools the shards' recent windows.
         """
         return self._stream_report(phase_reports={})
@@ -297,12 +296,13 @@ class ShardedDetectionService:
         }
         records = int(sum(s["records"] for s in snapshots))
         batches = int(sum(s["batches"] for s in snapshots))
-        busy_time = sum(s["busy_time_s"] for s in snapshots)
-        if busy_time > 0:
-            throughput = records / busy_time
-        else:
-            total_time = sum(s["total_time_s"] for s in snapshots)
-            throughput = records / total_time if total_time > 0 else 0.0
+        served = [s for s in snapshots if s["batches"]]
+        wall_span = (
+            max(s["wall_end_s"] for s in served)
+            - min(s["wall_start_s"] for s in served)
+            if served else 0.0
+        )
+        throughput = records / wall_span if wall_span > 0 else 0.0
         latencies = [
             latency
             for shard in self.shards

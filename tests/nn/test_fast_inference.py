@@ -1,10 +1,19 @@
 """Tests for the graph-free inference fast path and the empty-batch fixes."""
 
+import time
+
 import numpy as np
 import pytest
 
-from repro.core import NetworkConfig, compile_for_paper
+from repro.core import (
+    NetworkConfig,
+    build_network,
+    compile_for_paper,
+    get_scale,
+    scaled_config,
+)
 from repro.core.pelican import (
+    PAPER_BLOCK_COUNTS,
     build_plain21,
     build_plain41,
     build_residual21,
@@ -269,6 +278,39 @@ class TestModelFastPath:
             split = network.predict(x, batch_size=rows, fast=True)
             np.testing.assert_allclose(split, whole, atol=1e-12, rtol=0)
             np.testing.assert_array_equal(split.argmax(axis=-1), whole.argmax(axis=-1))
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("name", sorted(PAPER_BLOCK_COUNTS))
+    def test_fast_path_is_twice_the_tape_at_bench_scale(self, name):
+        """The serving target: at ``bench`` scale and batch 256, the fast
+        path's best of 3 predicts is at least 2x the tape's."""
+        scale = get_scale("bench")
+        config = scaled_config("nsl-kdd", scale)
+        network = build_network(
+            num_blocks=scale.scale_blocks(PAPER_BLOCK_COUNTS[name]),
+            num_classes=5,
+            config=config,
+            residual=name.startswith("residual"),
+            seed=0,
+        )
+        x = np.random.default_rng(0).normal(size=(256, 1, config.filters))
+        graph = network.predict(x)  # also builds the layers
+        np.testing.assert_allclose(
+            network.predict(x, fast=True), graph, atol=1e-6, rtol=0
+        )
+
+        def best_time(fast):
+            best = float("inf")
+            for _ in range(3):
+                started = time.perf_counter()
+                network.predict(x, fast=fast)
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        speedup = best_time(fast=False) / best_time(fast=True)
+        assert speedup >= 2.0, (
+            f"{name}: fast path speedup {speedup:.2f}x below the 2x serving target"
+        )
 
     def test_fast_predict_batches_consistently(self):
         network = Sequential([Dense(8, activation="relu", seed=0),

@@ -121,16 +121,6 @@ class TestPoolSeams:
             pool.flush()
         assert _counts(service.report()) == _counts(sync.report())
 
-    def test_utilization_is_exported_and_bounded(self, detector, traffic):
-        service = DetectionService(
-            detector, max_batch_size=32, flush_interval=0.0, window=256
-        )
-        service.submit(traffic)
-        service.flush()
-        snapshot = service.throughput.snapshot()
-        assert 0.0 < snapshot["utilization"] <= 1.0
-        assert snapshot["utilization"] == service.throughput.utilization
-
 
 # ---------------------------------------------------------------------- #
 # Autoscaling

@@ -1,22 +1,15 @@
-"""Seeded fuzz test for the ThroughputMonitor busy-time interval merge.
+"""Seeded fuzz test for the ThroughputMonitor wall-clock accounting.
 
-Under process- or thread-parallel scoring, batches commit in arbitrary
-order with arbitrarily overlapping ``[end - latency, end]`` intervals.
-The busy-time union must hold its invariants under *any* commit order:
+Under process-parallel scoring, batches commit in arbitrary order with
+arbitrarily overlapping ``[end - latency, end]`` intervals.  The monitor
+must hold its invariants under *any* commit order:
 
-* ``busy_time`` equals the exact measure of the interval union whenever
-  the number of simultaneously pending disjoint intervals stays within
-  the merge's bound (every realistic schedule);
-* ``max(latency) <= busy_time <= busy_span`` and
-  ``busy_time <= total_time`` — no double counting, no time invented
-  outside the span, and never less than the single longest batch;
-* commit order is irrelevant: shuffled commits of the same intervals
-  produce the same busy time.
-
-A regression case pins the bug this replaced: a batch committing fully
-behind the high-water mark used to contribute *nothing* (an admitted
-undercount that grows under out-of-order parallel commits); its uncovered
-portion now counts.
+* every committed batch and record is counted exactly once;
+* ``wall_span == max(end) - min(start)`` exactly — the span from the
+  earliest batch start to the latest commit, overlaps counted once and
+  idle gaps included;
+* commit order is irrelevant: shuffled commits of the same batches give
+  the same span and the same throughput.
 """
 
 import numpy as np
@@ -27,55 +20,50 @@ from repro.serving import ThroughputMonitor
 N_SCHEDULES = 200
 
 
-def _union_measure(intervals):
-    """Exact measure of a union of [start, end] intervals (offline oracle)."""
-    total = 0.0
-    covered_until = None
-    for start, end in sorted(intervals):
-        if covered_until is None or start > covered_until:
-            total += end - start
-            covered_until = end
-        elif end > covered_until:
-            total += end - covered_until
-            covered_until = end
-    return total
+def _random_batches(rng, n):
+    """n (size, latency, end) batches with overlaps, nesting, gaps and
+    duplicates.  A batch starts at ``end - latency``, as in the monitor."""
+    sizes = rng.integers(0, 300, size=n)
+    latencies = rng.uniform(0.0, 5.0, size=n)
+    ends = rng.uniform(0.0, 50.0, size=n) + latencies
+    return [
+        (int(size), float(latency), float(end))
+        for size, latency, end in zip(sizes, latencies, ends)
+    ]
 
 
-def _random_intervals(rng, n):
-    """n intervals with a mix of overlaps, nesting, gaps and duplicates."""
-    starts = rng.uniform(0.0, 50.0, size=n)
-    lengths = rng.uniform(0.0, 5.0, size=n)
-    return [(float(s), float(s + d)) for s, d in zip(starts, lengths)]
+def _commit(batches, order):
+    monitor = ThroughputMonitor()
+    for index in order:
+        size, latency, end = batches[index]
+        monitor.update(size, latency, end_time=end)
+    return monitor
 
 
-class TestBusyTimeFuzz:
-    def test_shuffled_overlapping_commits_match_the_exact_union(self):
+class TestWallClockFuzz:
+    def test_shuffled_commits_count_once_and_span_exactly(self):
         failures = []
         for schedule in range(N_SCHEDULES):
             rng = np.random.default_rng(schedule)
-            n = int(rng.integers(1, ThroughputMonitor.MAX_PENDING_INTERVALS))
-            intervals = _random_intervals(rng, n)
-            order = rng.permutation(n)
+            batches = _random_batches(rng, int(rng.integers(1, 80)))
+            monitor = _commit(batches, rng.permutation(len(batches)))
 
-            monitor = ThroughputMonitor()
-            for index in order:
-                start, end = intervals[index]
-                monitor.update(1, end - start, end_time=end)
-
-            exact = _union_measure(intervals)
-            latencies = [end - start for start, end in intervals]
-            busy = monitor.busy_time
-            span = monitor.busy_span
+            records = sum(size for size, _, _ in batches)
+            span = max(end for _, _, end in batches) - min(
+                end - latency for _, latency, end in batches
+            )
             checks = [
-                (abs(busy - exact) < 1e-9, f"busy {busy} != union {exact}"),
-                (busy <= span + 1e-9, f"busy {busy} > span {span}"),
                 (
-                    busy <= monitor.total_time + 1e-9,
-                    f"busy {busy} > summed latencies {monitor.total_time}",
+                    monitor.total_batches == len(batches),
+                    f"batches {monitor.total_batches} != {len(batches)}",
                 ),
                 (
-                    max(latencies) <= busy + 1e-9,
-                    f"busy {busy} < longest batch {max(latencies)}",
+                    monitor.total_records == records,
+                    f"records {monitor.total_records} != {records}",
+                ),
+                (
+                    monitor.wall_span == span,
+                    f"span {monitor.wall_span} != {span}",
                 ),
             ]
             for ok, message in checks:
@@ -85,63 +73,31 @@ class TestBusyTimeFuzz:
 
     def test_commit_order_is_irrelevant(self):
         rng = np.random.default_rng(7)
-        intervals = _random_intervals(rng, 40)
-        totals = set()
-        for _ in range(5):
-            order = rng.permutation(len(intervals))
-            monitor = ThroughputMonitor()
-            for index in order:
-                start, end = intervals[index]
-                monitor.update(1, end - start, end_time=end)
-            totals.add(round(monitor.busy_time, 12))
-        assert len(totals) == 1
+        batches = _random_batches(rng, 40)
+        rows = {
+            (
+                monitor.total_records,
+                monitor.total_batches,
+                monitor.wall_span,
+                monitor.throughput,
+            )
+            for monitor in (
+                _commit(batches, rng.permutation(len(batches))) for _ in range(5)
+            )
+        }
+        assert len(rows) == 1
 
-    def test_straggler_behind_the_mark_still_counts(self):
-        """Regression: [10, 20] then [0, 5] — the old high-water-mark merge
-        dropped the second batch entirely (busy 10); its 5 uncovered
-        seconds must count (busy 15)."""
+    def test_straggler_before_the_span_extends_it(self):
+        """[10, 20] then a late commit of [0, 5]: the span grows to 20 s."""
         monitor = ThroughputMonitor()
-        monitor.update(1, 10.0, end_time=20.0)
-        monitor.update(1, 5.0, end_time=5.0)
-        assert monitor.busy_time == pytest.approx(15.0)
-        assert monitor.busy_span == pytest.approx(20.0)
+        monitor.update(100, 10.0, end_time=20.0)
+        monitor.update(100, 5.0, end_time=5.0)
+        assert monitor.wall_span == pytest.approx(20.0)
+        assert monitor.throughput == pytest.approx(10.0)
 
-    def test_straggler_inside_covered_time_adds_nothing(self):
+    def test_nested_batch_leaves_the_span_unchanged(self):
         monitor = ThroughputMonitor()
-        monitor.update(1, 10.0, end_time=20.0)
-        monitor.update(1, 2.0, end_time=15.0)  # nested: fully covered
-        assert monitor.busy_time == pytest.approx(10.0)
-
-    def test_partial_overlap_counts_only_the_uncovered_portion(self):
-        monitor = ThroughputMonitor()
-        monitor.update(1, 4.0, end_time=10.0)   # [6, 10]
-        monitor.update(1, 4.0, end_time=8.0)    # [4, 8]: 2 new seconds
-        assert monitor.busy_time == pytest.approx(6.0)
-
-    def test_bounded_memory_never_overcounts(self):
-        """Far more reordered disjoint intervals than the pending bound:
-        the frozen floor may undercount stragglers, but the total must stay
-        a lower bound of the exact union and within the span."""
-        cap = ThroughputMonitor.MAX_PENDING_INTERVALS
-        n = cap * 4
-        # Disjoint unit intervals [2k, 2k+1], committed in reverse order —
-        # the worst case for a bounded pending set.
-        intervals = [(2.0 * k, 2.0 * k + 1.0) for k in range(n)]
-        monitor = ThroughputMonitor()
-        for start, end in reversed(intervals):
-            monitor.update(1, end - start, end_time=end)
-        exact = _union_measure(intervals)
-        assert monitor.busy_time <= exact + 1e-9
-        assert monitor.busy_time <= monitor.busy_span + 1e-9
-        # Reverse order is the bounded merge's worst case: once the floor
-        # freezes, every later (earlier-in-time) interval is clipped away.
-        # The undercount is bounded by the pending cap — at least the first
-        # cap+1 intervals were counted in full before the first freeze.
-        assert monitor.busy_time >= float(cap + 1) - 1e-9
-
-    def test_pending_intervals_stay_bounded(self):
-        cap = ThroughputMonitor.MAX_PENDING_INTERVALS
-        monitor = ThroughputMonitor()
-        for k in range(cap * 10):
-            monitor.update(1, 0.5, end_time=2.0 * k + 1.0)
-        assert len(monitor._pending_intervals) <= cap
+        monitor.update(100, 10.0, end_time=20.0)
+        monitor.update(100, 2.0, end_time=15.0)  # nested inside [10, 20]
+        assert monitor.wall_span == pytest.approx(10.0)
+        assert monitor.throughput == pytest.approx(20.0)

@@ -19,9 +19,10 @@ The tier-1 acceptance bar:
 Tests spawn one child unless they need more: every child is a fresh
 interpreter importing :mod:`repro`.
 
-Scaling claims live in the ``multicore``-marked test, skipped on
-single-core hosts (the dev container), and in
-``benchmarks/test_bench_serving_throughput.py``.
+Scaling claims live in the ``multicore``-marked tests, skipped on hosts
+with fewer cores than they need.  They compare wall-clock throughput
+(records over the span from the earliest batch start to the latest
+commit) on a stream built before either arm runs.
 """
 
 import multiprocessing
@@ -532,23 +533,42 @@ class TestShardedProcessBackend:
         assert _serving_children() == []
 
 
+def _scaling_reports(detector, num_workers):
+    """Wall-clock reports of the sync service and a ``num_workers``-child
+    pool on one flood stream, materialised before either arm is timed."""
+    stream = list(flood_scenario(
+        nslkdd_generator(), batch_size=64, seed=0,
+        baseline_batches=30, burst_batches=20, drift_batches=20,
+    ))
+    sync_report = _service(detector, max_batch_size=64).run_stream(stream)
+    pool_report = ProcessWorkerPool(
+        _service(detector, max_batch_size=64), num_workers=num_workers
+    ).run_stream(stream)
+    assert _counts(pool_report) == _counts(sync_report)
+    return sync_report, pool_report
+
+
 @pytest.mark.multicore(2)
 def test_process_pool_scales_past_the_gil(detector):
     """Only meaningful with real cores (skipped on single-core hosts):
     two checkpoint-rehydrated children must beat the synchronous path on
     a serving workload the GIL caps for in-process threads.  The margin is
     deliberately loose — this is a does-parallelism-exist gate, not the
-    benchmark (see BENCH_serving.json for the curve)."""
-    stream = flood_scenario(
-        nslkdd_generator(), batch_size=64, seed=0,
-        baseline_batches=30, burst_batches=20, drift_batches=20,
-    )
-    sync_report = _service(detector, max_batch_size=64).run_stream(stream)
-    pool_report = ProcessWorkerPool(
-        _service(detector, max_batch_size=64), num_workers=2
-    ).run_stream(stream)
-    assert _counts(pool_report) == _counts(sync_report)
+    benchmark (perfbench's ``pool-open`` workload measures the pool)."""
+    sync_report, pool_report = _scaling_reports(detector, num_workers=2)
     assert pool_report.throughput >= 1.1 * sync_report.throughput, (
         f"2-process pool reached {pool_report.throughput:,.0f} rec/s vs "
         f"{sync_report.throughput:,.0f} synchronous on a multi-core host"
+    )
+
+
+@pytest.mark.multicore(4)
+def test_four_process_pool_reaches_one_and_a_half_times_sync(detector):
+    """Four children on a host with at least four cores serve at least
+    1.5x the synchronous wall-clock throughput."""
+    sync_report, pool_report = _scaling_reports(detector, num_workers=4)
+    assert pool_report.throughput >= 1.5 * sync_report.throughput, (
+        f"4-process pool reached {pool_report.throughput:,.0f} rec/s vs "
+        f"{sync_report.throughput:,.0f} synchronous (target 1.5x) on a "
+        "multi-core host"
     )

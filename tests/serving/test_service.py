@@ -62,14 +62,14 @@ class TestMonitors:
         monitor.update(300, 0.5, end_time=1.0)
         assert monitor.total_records == 400
         assert monitor.total_batches == 2
-        assert monitor.total_time == pytest.approx(1.0)
-        assert monitor.busy_time == pytest.approx(1.0)
-        assert monitor.busy_span == pytest.approx(1.0)
+        assert monitor.wall_span == pytest.approx(1.0)
         assert monitor.throughput == pytest.approx(400.0)
         assert monitor.mean_latency == pytest.approx(0.5)
         snapshot = monitor.snapshot()
         assert snapshot["records"] == 400.0
-        assert snapshot["busy_time_s"] == pytest.approx(1.0)
+        assert snapshot["wall_span_s"] == pytest.approx(1.0)
+        assert snapshot["wall_start_s"] == pytest.approx(0.0)
+        assert snapshot["wall_end_s"] == pytest.approx(1.0)
         assert snapshot["throughput_rps"] == pytest.approx(400.0)
 
     def test_throughput_overlapping_batches_use_the_wall_clock_span(self):
@@ -77,29 +77,27 @@ class TestMonitors:
 
         Two workers each score a 1-second batch over the *same* wall-clock
         second.  Dividing by the 2 s latency sum would report half the real
-        rate; the busy span (1 s) reports the truth.
+        rate; the wall span (1 s) reports the truth.
         """
         monitor = ThroughputMonitor()
         monitor.update(100, 1.0, end_time=1.0)
         monitor.update(100, 1.0, end_time=1.0)
-        assert monitor.total_time == pytest.approx(2.0)
-        assert monitor.busy_time == pytest.approx(1.0)
+        assert monitor.wall_span == pytest.approx(1.0)
         assert monitor.throughput == pytest.approx(200.0)
 
-    def test_throughput_excludes_idle_gaps_between_batches(self):
-        """A long-lived, sporadically loaded service must report serving
-        capacity, not records-per-uptime."""
+    def test_throughput_counts_idle_gaps_between_batches(self):
+        """Throughput is wall clock: an hour of idle time between two
+        1-second batches counts, so 2000 records span 3601 s."""
         monitor = ThroughputMonitor()
         monitor.update(1000, 1.0, end_time=1.0)
         monitor.update(1000, 1.0, end_time=3601.0)  # an hour of idle between
-        assert monitor.busy_time == pytest.approx(2.0)
-        assert monitor.busy_span == pytest.approx(3601.0)
-        assert monitor.throughput == pytest.approx(1000.0)
+        assert monitor.wall_span == pytest.approx(3601.0)
+        assert monitor.throughput == pytest.approx(2000.0 / 3601.0)
 
-    def test_throughput_degenerate_span_falls_back_to_summed_time(self):
+    def test_throughput_is_zero_until_the_span_opens(self):
         monitor = ThroughputMonitor()
         monitor.update(100, 0.0, end_time=1.0)  # zero-length span
-        assert monitor.busy_span == 0.0
+        assert monitor.wall_span == 0.0
         assert monitor.throughput == 0.0
         monitor.update(100, 0.5, end_time=1.0)
         assert monitor.throughput == pytest.approx(400.0)
