@@ -87,6 +87,51 @@ class TestWallClockFuzz:
         }
         assert len(rows) == 1
 
+    def test_snapshot_bounds_are_the_earliest_start_and_latest_end(self):
+        """The span bounds a sharded fleet merges: for every commit order
+        the snapshot's start and end are exact and agree with its span and
+        throughput."""
+        failures = []
+        for schedule in range(N_SCHEDULES):
+            rng = np.random.default_rng(schedule)
+            batches = _random_batches(rng, int(rng.integers(1, 80)))
+            snapshot = _commit(batches, rng.permutation(len(batches))).snapshot()
+
+            start = min(end - latency for _, latency, end in batches)
+            end = max(end for _, _, end in batches)
+            span = snapshot["wall_span_s"]
+            records = sum(size for size, _, _ in batches)
+            rate = records / span if span > 0 else 0.0
+            if (
+                snapshot["wall_start_s"] != start
+                or snapshot["wall_end_s"] != end
+                or span != end - start
+                or snapshot["throughput_rps"] != rate
+            ):
+                failures.append(f"schedule {schedule}: {snapshot}")
+        assert not failures, "\n".join(failures[:10])
+
+    def test_long_lived_monitor_keeps_only_the_latency_window(self):
+        """Memory stays bounded: latencies are kept for the last ``window``
+        batches only, while the totals and the span cover every batch."""
+        monitor = ThroughputMonitor(window=16)
+        for index in range(1000):
+            latency = 9.0 if index < 984 else 1.0  # only the last 16 are 1 s
+            monitor.update(10, latency, end_time=10.0 * (index + 1))
+        assert len(monitor.recent_latencies) == 16
+        assert monitor.mean_latency == pytest.approx(1.0)
+        assert monitor.p95_latency == pytest.approx(1.0)
+        assert monitor.total_batches == 1000
+        assert monitor.total_records == 10000
+        assert monitor.wall_span == pytest.approx(10000.0 - 1.0)
+
+    def test_partial_overlap_extends_the_span_by_the_uncovered_portion(self):
+        monitor = ThroughputMonitor()
+        monitor.update(1, 4.0, end_time=10.0)   # [6, 10]
+        monitor.update(1, 4.0, end_time=8.0)    # [4, 8]: 2 new seconds
+        assert monitor.wall_span == pytest.approx(6.0)
+        assert monitor.throughput == pytest.approx(2 / 6.0)
+
     def test_straggler_before_the_span_extends_it(self):
         """[10, 20] then a late commit of [0, 5]: the span grows to 20 s."""
         monitor = ThroughputMonitor()

@@ -264,6 +264,26 @@ class TestPoolSurface:
                 pool.join(timeout=0.01)
             pool.join(timeout=60.0)
 
+    def test_wall_span_runs_from_dispatch_to_commit(self, detector, traffic):
+        """A pool batch starts when it is dispatched, on the service clock,
+        so the span lies inside the submit-to-flush window and the
+        throughput is the records over that one span."""
+        service = _service(detector)
+        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+            before = service.clock()
+            pool.submit(traffic)
+            pool.flush()
+            after = service.clock()
+        snapshot = service.throughput.snapshot()
+        assert before <= snapshot["wall_start_s"] < snapshot["wall_end_s"] <= after
+        assert snapshot["wall_span_s"] == (
+            snapshot["wall_end_s"] - snapshot["wall_start_s"]
+        )
+        assert snapshot["records"] == len(traffic)
+        assert snapshot["throughput_rps"] == (
+            snapshot["records"] / snapshot["wall_span_s"]
+        )
+
     def test_concurrent_submitters_lose_no_records(self, detector, traffic):
         """Several threads hammering submit() while the timer drains
         partials: every record must be scored exactly once."""

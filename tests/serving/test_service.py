@@ -134,6 +134,27 @@ class TestDetectionService:
         assert tail.size == 22
         assert service.throughput.total_records == len(traffic)
 
+    def test_wall_span_starts_when_scoring_starts(self, detector, traffic):
+        """On the service clock the span opens at the first score() start,
+        not at the first record's arrival: the 100 s the first batch waited
+        in the queue is left out, the 60 s idle gap after it counts."""
+        now = [0.0]
+        service = DetectionService(
+            detector, max_batch_size=1024, flush_interval=1e9,
+            clock=lambda: now[0],
+        )
+        service.submit(traffic.subset(range(10)))  # queued at t=0
+        now[0] = 100.0
+        service.flush()
+        now[0] = 160.0
+        service.submit(traffic.subset(range(10, 30)))
+        service.flush()
+        snapshot = service.throughput.snapshot()
+        assert snapshot["wall_start_s"] == 100.0
+        assert snapshot["wall_end_s"] == 160.0
+        assert snapshot["wall_span_s"] == 60.0
+        assert snapshot["throughput_rps"] == pytest.approx(30 / 60.0)
+
     def test_empty_submission_is_safe(self, detector, traffic):
         service = DetectionService(detector)
         assert service.submit(traffic.subset(range(0))) == []
