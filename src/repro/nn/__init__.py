@@ -36,7 +36,6 @@ from .layers import (
     Layer,
     MaxPooling1D,
     Reshape,
-    SimpleRNN,
 )
 from .losses import (
     BinaryCrossentropy,
@@ -68,7 +67,6 @@ __all__ = [
     "BatchNormalization",
     "GRU",
     "LSTM",
-    "SimpleRNN",
     "Add",
     "Concatenate",
     "Model",

@@ -18,16 +18,18 @@ The fast-path contract:
 * outputs match the tape path to float64 round-off, not bitwise (up to
   ~2e-14 on a trained 10-block Pelican).  The tests assert 1e-6 against the
   tape, and the serving tests assert identical confusion counts on every
-  execution model.  Both paths make the same exact algebraic shortcuts:
-  the convolution sums one GEMM per live tap on both (zero-padding taps
-  are skipped, see :func:`repro.nn.tensor.conv1d_forward`), and on the
-  GRU's all-zero initial state both skip the recurrent matmul and the
-  reset gate, which only scales that zero term (the fast LSTM and
-  SimpleRNN skip their zero-state matmul too; their tape ops still
-  multiply it out, which is also exact).  The remaining round-off
-  comes from GEMM blocking (the fast GRU multiplies kernel column views,
-  the tape the whole kernel) and from batch norm folded into one scale
-  and shift.
+  execution model.  Both paths run the same parameters and make the same
+  exact algebraic shortcuts: the convolution sums one GEMM per live tap
+  on both (zero-padding taps are skipped, see
+  :func:`repro.nn.tensor.conv1d_forward`; a 1-step ``Conv1D`` stores only
+  its live tap), and on the GRU's all-zero initial state both skip the
+  recurrent matmul and the reset gate, which only scales that zero term
+  (a 1-step ``GRU`` stores no recurrent kernel and no reset columns at
+  all).  The fast LSTM skips its zero-state matmul too; its tape op
+  still multiplies it out, which is also exact.  The remaining round-off
+  comes from GEMM blocking (on the zero state the fast GRU multiplies the
+  update and candidate column views, the tape its whole kernel) and from
+  batch norm folded into one scale and shift.
 
 Ownership rule: a fast kernel writes only into arrays it allocated.  The
 raw ``relu``, ``hard_sigmoid`` and ``tanh`` kernels overwrite and return
@@ -202,9 +204,10 @@ def raw_conv1d(
 
     The same per-tap 2-D GEMMs as the tape's :func:`repro.nn.tensor.conv1d`
     (see :func:`repro.nn.tensor.conv1d_forward`), which skip the zero-padded
-    region entirely: for the paper's 1-time-step inputs the contraction is
-    ``channels`` rows instead of ``kernel_size * channels``.  The result is
-    always a fresh array (the bias is added in place), so callers own it.
+    region entirely.  The paper's 1-step ``Conv1D`` passes its one stored
+    tap, so the contraction is ``channels`` rows instead of
+    ``kernel_size * channels``.  The result is always a fresh array (the
+    bias is added in place), so callers own it.
     """
     return ops.conv1d_forward(x, kernel, bias, stride, padding)[0]
 

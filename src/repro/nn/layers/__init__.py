@@ -11,7 +11,7 @@ from .pooling import (
     GlobalMaxPooling1D,
     MaxPooling1D,
 )
-from .recurrent import GRU, LSTM, SimpleRNN
+from .recurrent import GRU, LSTM
 
 __all__ = [
     "Layer",
@@ -29,7 +29,6 @@ __all__ = [
     "BatchNormalization",
     "GRU",
     "LSTM",
-    "SimpleRNN",
     "Add",
     "Concatenate",
 ]

@@ -58,11 +58,21 @@ class Layer:
         name: str,
         shape: Tuple[int, ...],
         initializer: Union[str, Initializer] = "glorot_uniform",
+        live=None,
     ) -> Tensor:
-        """Create, register and return a trainable parameter tensor."""
+        """Create, register and return a trainable parameter tensor.
+
+        ``live`` is an optional index into the initial value: the value is
+        drawn at the full ``shape`` (same generator, same fans) and only
+        ``value[live]`` is kept, so a layer that stores part of a kernel
+        starts from exactly that part of the full kernel.
+        """
         initializer = get_initializer(initializer)
+        value = initializer(shape, self.rng)
+        if live is not None:
+            value = value[live].copy()  # a copy: a view would pin the full array
         parameter = Tensor(
-            initializer(shape, self.rng),
+            value,
             requires_grad=True,
             name=f"{self.name}/{name}",
         )

@@ -34,6 +34,16 @@ class Conv1D(Layer):
     activation:
         Optional activation applied to the convolution output (ReLU in the
         paper's plain block).
+
+    Built on a 1-step input with ``"same"`` padding (the paper's shape),
+    the layer stores only the tap that reads the real step, index
+    ``(kernel_size - 1) // 2``, as a ``(1, in_channels, filters)`` kernel.
+    Every other tap reads only zero padding, so it adds nothing to the
+    output and never gets a gradient: a kernel-1 convolution over that tap
+    is exactly the full convolution.  The tap is sliced from a kernel drawn
+    at the full shape, so the initial values (and the Glorot fans) are
+    those of the full kernel.  Inputs of more than one step keep the full
+    ``(kernel_size, in_channels, filters)`` kernel.
     """
 
     def __init__(
@@ -63,6 +73,7 @@ class Conv1D(Layer):
         self.kernel_initializer = kernel_initializer
         self.kernel: Optional[Tensor] = None
         self.bias: Optional[Tensor] = None
+        self.one_step = False  # built on 1 step: stores only the centre tap
 
     def build(self, input_shape: Tuple[int, ...]) -> None:
         if len(input_shape) != 3:
@@ -70,15 +81,31 @@ class Conv1D(Layer):
                 f"Conv1D expects (batch, steps, channels) inputs, got {input_shape}"
             )
         in_channels = input_shape[-1]
+        live = None
+        if input_shape[1] == 1 and self.padding == "same" and self.kernel_size > 1:
+            # Only the centre tap reads the one real step; the others see
+            # only zero padding.  Keep that tap as a kernel-1 convolution.
+            tap = (self.kernel_size - 1) // 2
+            live = slice(tap, tap + 1)
+            self.one_step = True
         self.kernel = self.add_parameter(
             "kernel",
             (self.kernel_size, in_channels, self.filters),
             self.kernel_initializer,
+            live=live,
         )
         if self.use_bias:
             self.bias = self.add_parameter("bias", (self.filters,), "zeros")
 
+    def _check_steps(self, steps: int) -> None:
+        if self.one_step and steps != 1:
+            raise ValueError(
+                f"{self.name} was built on 1 time step and stores only its "
+                f"centre tap; got {steps} steps"
+            )
+
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
+        self._check_steps(inputs.shape[1])
         outputs = ops.conv1d(
             inputs,
             self.kernel,
@@ -89,6 +116,7 @@ class Conv1D(Layer):
         return self.activation(outputs)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
+        self._check_steps(inputs.shape[1])
         outputs = raw_conv1d(
             inputs,
             self.kernel.data,

@@ -17,7 +17,7 @@ from ..tensor import Tensor
 from .base import Layer
 from .core import get_activation
 
-__all__ = ["GRU", "LSTM", "SimpleRNN"]
+__all__ = ["GRU", "LSTM"]
 
 
 class _RecurrentBase(Layer):
@@ -66,21 +66,56 @@ class GRU(_RecurrentBase):
         c_t = tanh(x_t W_c + (r_t * h_{t-1}) U_c + b_c)
         h_t = z_t * h_{t-1} + (1 - z_t) * c_t
 
-    where ``sigma`` is the hard sigmoid by default.
+    where ``sigma`` is the hard sigmoid by default.  On more than one step
+    the layer stores the Keras layout: ``kernel`` ``(input_dim, 3 * units)``
+    and ``bias`` ``(3 * units,)`` with columns ``[z | r | c]``, plus the
+    orthogonal ``recurrent_kernel`` ``(units, 3 * units)``.
+
+    Built on a 1-step input (the paper's shape) it stores only
+    ``kernel`` ``(input_dim, 2 * units)`` and ``bias`` ``(2 * units,)``
+    with columns ``[z | c]``, and no recurrent kernel.  That is exact: the
+    state starts at zero, so ``h_0 U`` is zero, the reset gate only scales
+    that zero, and ``h_1 = (1 - z_1) * c_1``.  The dropped columns and the
+    recurrent kernel never reach the output and never get a gradient.  The
+    kept columns are sliced from a kernel drawn at the full
+    ``(input_dim, 3 * units)`` shape, so the initial values (and the Glorot
+    fans) are those of the full kernel.
     """
 
     def build(self, input_shape: Tuple[int, ...]) -> None:
         input_dim = self._validate_input(input_shape)
+        units = self.units
+        self.one_step = input_shape[1] == 1
+        if self.one_step:
+            self.kernel = self.add_parameter(
+                "kernel",
+                (input_dim, 3 * units),
+                "glorot_uniform",
+                live=(slice(None), np.r_[0:units, 2 * units:3 * units]),
+            )
+            self.bias = self.add_parameter("bias", (2 * units,), "zeros")
+            # Columns of the candidate in kernel and bias: [z | c].
+            self.candidate_columns = slice(units, 2 * units)
+            return
         self.kernel = self.add_parameter(
-            "kernel", (input_dim, 3 * self.units), "glorot_uniform"
+            "kernel", (input_dim, 3 * units), "glorot_uniform"
         )
         self.recurrent_kernel = self.add_parameter(
-            "recurrent_kernel", (self.units, 3 * self.units), "orthogonal"
+            "recurrent_kernel", (units, 3 * units), "orthogonal"
         )
-        self.bias = self.add_parameter("bias", (3 * self.units,), "zeros")
+        self.bias = self.add_parameter("bias", (3 * units,), "zeros")
+        self.candidate_columns = slice(2 * units, 3 * units)  # [z | r | c]
+
+    def _check_steps(self, steps: int) -> None:
+        if self.one_step and steps != 1:
+            raise ValueError(
+                f"{self.name} was built on 1 time step and has no recurrent "
+                f"kernel; got {steps} steps"
+            )
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
         batch, steps, _ = inputs.shape
+        self._check_steps(steps)
         units = self.units
         hidden: Optional[Tensor] = None  # None encodes the all-zero initial state
         outputs: List[Tensor] = []
@@ -89,13 +124,11 @@ class GRU(_RecurrentBase):
             gates_x = ops.matmul(x_t, self.kernel) + self.bias
             if hidden is None:
                 # h_0 == 0, so gates_h is exactly zero and the reset gate,
-                # which only scales it, is moot (as in fast_call).  The
-                # recurrent kernel's gradient is exactly zero on this step.
+                # which only scales it, is moot (as in fast_call).  The later
+                # steps, if any, give the recurrent kernel its gradient.
                 update = self.recurrent_activation(gates_x[:, 0:units])
-                candidate = self.activation(gates_x[:, 2 * units:3 * units])
-                hidden = ops.with_zero_grad(
-                    (1.0 - update) * candidate, self.recurrent_kernel
-                )
+                candidate = self.activation(gates_x[:, self.candidate_columns])
+                hidden = (1.0 - update) * candidate
             else:
                 gates_h = ops.matmul(hidden, self.recurrent_kernel)
                 update = self.recurrent_activation(
@@ -114,9 +147,9 @@ class GRU(_RecurrentBase):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         batch, steps, _ = inputs.shape
+        self._check_steps(steps)
         units = self.units
         kernel = self.kernel.data
-        recurrent_kernel = self.recurrent_kernel.data
         bias = self.bias.data
         hidden: Optional[np.ndarray] = None  # None encodes the all-zero initial state
         outputs: List[np.ndarray] = []
@@ -130,14 +163,14 @@ class GRU(_RecurrentBase):
                 update = x_t @ kernel[:, 0:units]
                 update += bias[0:units]
                 update = self.recurrent_activation_raw(update)
-                candidate = x_t @ kernel[:, 2 * units:3 * units]
-                candidate += bias[2 * units:3 * units]
+                candidate = x_t @ kernel[:, self.candidate_columns]
+                candidate += bias[self.candidate_columns]
                 candidate = self.activation_raw(candidate)
                 hidden = np.subtract(1.0, update, out=update)
                 hidden *= candidate
             else:
                 gates_x = x_t @ kernel + bias
-                gates_h = hidden @ recurrent_kernel
+                gates_h = hidden @ self.recurrent_kernel.data
                 update = self.recurrent_activation_raw(
                     gates_x[:, 0:units] + gates_h[:, 0:units]
                 )
@@ -219,51 +252,6 @@ class LSTM(_RecurrentBase):
             cell = input_gate * candidate if cell is None else forget_gate * cell + input_gate * candidate
             # cell is carried to the next step; the raw kernel works in place.
             hidden = output_gate * self.activation_raw(cell.copy())
-            if self.return_sequences:
-                outputs.append(hidden)
-        return np.stack(outputs, axis=1) if self.return_sequences else hidden
-
-
-class SimpleRNN(_RecurrentBase):
-    """Vanilla (Elman) recurrent layer, provided for completeness and ablations."""
-
-    def build(self, input_shape: Tuple[int, ...]) -> None:
-        input_dim = self._validate_input(input_shape)
-        self.kernel = self.add_parameter(
-            "kernel", (input_dim, self.units), "glorot_uniform"
-        )
-        self.recurrent_kernel = self.add_parameter(
-            "recurrent_kernel", (self.units, self.units), "orthogonal"
-        )
-        self.bias = self.add_parameter("bias", (self.units,), "zeros")
-
-    def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        batch, steps, _ = inputs.shape
-        hidden = ops.as_tensor(np.zeros((batch, self.units)))
-        outputs: List[Tensor] = []
-        for step in range(steps):
-            x_t = inputs[:, step, :]
-            hidden = self.activation(
-                ops.matmul(x_t, self.kernel)
-                + ops.matmul(hidden, self.recurrent_kernel)
-                + self.bias
-            )
-            outputs.append(hidden)
-        return self._stack_outputs(outputs)
-
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        batch, steps, _ = inputs.shape
-        kernel = self.kernel.data
-        recurrent_kernel = self.recurrent_kernel.data
-        bias = self.bias.data
-        hidden: Optional[np.ndarray] = None  # None encodes the all-zero initial state
-        outputs: List[np.ndarray] = []
-        for step in range(steps):
-            preact = inputs[:, step, :] @ kernel
-            if hidden is not None:
-                preact += hidden @ recurrent_kernel
-            preact += bias
-            hidden = self.activation_raw(preact)
             if self.return_sequences:
                 outputs.append(hidden)
         return np.stack(outputs, axis=1) if self.return_sequences else hidden

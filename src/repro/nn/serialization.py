@@ -73,17 +73,26 @@ def check_array_specs(
     nothing.  ``source`` labels where the arrays came from (a file name,
     a checkpoint bundle) in the error message.
     """
+    first_mismatch = next(
+        (
+            f"{kind} {index} ({name!r}) in {source}: model expects "
+            f"shape {shape}, source has {tuple(array.shape)}"
+            for index, ((name, shape), array) in enumerate(zip(specs, arrays))
+            if tuple(array.shape) != shape
+        ),
+        None,
+    )
     if len(specs) != len(arrays):
+        # Also name the first array that differs: a file saved from a
+        # different layout (say, a full Conv1D kernel for a 1-step layer)
+        # usually differs in both.
+        detail = "" if first_mismatch is None else f"; first difference: {first_mismatch}"
         raise ValueError(
             f"{kind} count mismatch loading {source}: model has "
-            f"{len(specs)} arrays, source has {len(arrays)}"
+            f"{len(specs)} arrays, source has {len(arrays)}{detail}"
         )
-    for index, ((name, shape), array) in enumerate(zip(specs, arrays)):
-        if tuple(array.shape) != shape:
-            raise ValueError(
-                f"{kind} {index} ({name!r}) in {source}: model expects "
-                f"shape {shape}, source has {tuple(array.shape)}"
-            )
+    if first_mismatch is not None:
+        raise ValueError(first_mismatch)
 
 
 def load_prefixed_arrays(path: Union[str, Path], prefix: str) -> List[np.ndarray]:

@@ -42,7 +42,6 @@ __all__ = [
     "concatenate",
     "stack",
     "pad1d",
-    "with_zero_grad",
     "no_grad",
     "same_padding1d",
     "conv1d_forward",
@@ -666,22 +665,6 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     return _make_result(data, tuple(tensors), backward)
 
 
-def with_zero_grad(a: ArrayLike, *inputs: Tensor) -> Tensor:
-    """Pass ``a`` through, recording ``inputs`` as parents with zero gradient.
-
-    For a computation whose result provably does not depend on ``inputs``
-    (the GRU's recurrent kernel on an all-zero state), so that they still
-    receive an exact-zero gradient instead of none, like any parameter
-    that took part in the forward pass.
-    """
-    a = as_tensor(a)
-
-    def backward(grad: np.ndarray):
-        return (grad, *(np.zeros(t.shape) for t in inputs))
-
-    return _make_result(a.data, (a, *inputs), backward)
-
-
 def pad1d(a: ArrayLike, left: int, right: int) -> Tensor:
     """Zero-pad the time axis (axis 1) of a ``(batch, steps, channels)`` tensor."""
     a = as_tensor(a)
@@ -722,11 +705,14 @@ def conv1d_forward(
     Shared by the tape op :func:`conv1d` and the inference kernel
     :func:`repro.nn.inference.raw_conv1d`.  A tap is live when it reads real
     input for at least one output step; taps that see only the zero padding
-    are skipped (for the paper's 1-step inputs with kernel 10, nine of the
-    ten).  Returns the output and, per live tap,
-    ``(tap, out_start, out_stop, in_start, in_stop, columns)``: output steps
-    ``out_start:out_stop`` read input steps ``in_start:in_stop:stride``,
-    gathered into the ``(batch * rows, channels)`` matrix ``columns``.
+    are skipped (kernel 10 over 3 ``"same"``-padded steps has two such
+    taps).  Every output has at least one live tap.  The paper's 1-step
+    :class:`~repro.nn.layers.Conv1D` stores only its live tap, so it runs
+    here as a kernel-1 convolution with no padding.  Returns the output
+    and, per live tap, ``(tap, out_start, out_stop, in_start, in_stop,
+    columns)``: output steps ``out_start:out_stop`` read input steps
+    ``in_start:in_stop:stride``, gathered into the ``(batch * rows,
+    channels)`` matrix ``columns``.
     """
     kernel_size, in_channels, out_channels = kernel.shape
     batch, steps, channels = x.shape
@@ -741,6 +727,11 @@ def conv1d_forward(
     else:
         raise ValueError(f"unknown padding mode: {padding!r}")
     out_steps = (steps + pad_left + pad_right - kernel_size) // stride + 1
+    if out_steps < 1:
+        raise ValueError(
+            f"conv1d: {steps} steps are too few for a {padding!r} kernel of "
+            f"{kernel_size}"
+        )
 
     shape = (batch, out_steps, out_channels)
     output: Optional[np.ndarray] = None
@@ -766,8 +757,6 @@ def conv1d_forward(
                 continue
             output = np.zeros(shape, dtype=np.result_type(x, kernel))
         output[:, t_min:t_max + 1, :] += product
-    if output is None:
-        output = np.zeros(shape, dtype=np.result_type(x, kernel))
     if bias is not None:
         output += bias
     return output, live
@@ -793,7 +782,8 @@ def conv1d(
     Forward and backward touch only the live taps (see
     :func:`conv1d_forward`): the zero padding contributes nothing to the
     output or to ``grad_x``, and a tap that sees only padding gets an
-    exact-zero kernel gradient.
+    exact-zero kernel gradient.  A kernel-1 convolution (the paper's
+    1-step :class:`~repro.nn.layers.Conv1D`) is one GEMM each way.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     bias = None if bias is None else as_tensor(bias)
@@ -817,8 +807,6 @@ def conv1d(
                     continue
                 grad_x = np.zeros(x.shape)
             grad_x[:, in_start:in_stop:stride, :] += grad_taps
-        if grad_x is None:
-            grad_x = np.zeros(x.shape)
         grads = [grad_x, grad_kernel]
         if bias is not None:
             grads.append(grad.sum(axis=(0, 1)))

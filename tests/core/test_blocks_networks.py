@@ -18,6 +18,7 @@ from repro.core import (
     build_residual21,
     build_residual_network,
     compile_for_paper,
+    get_paper_config,
     lunet_depth_sweep,
     parameter_layer_count,
 )
@@ -53,7 +54,11 @@ class TestPlainBlock:
         names = {p.name.split("/")[-1] for p in block.parameters()}
         assert "kernel" in names            # conv + gru kernels
         assert "gamma" in names             # batch-norm scales
-        assert "recurrent_kernel" in names  # gru
+        # One step from a zero state: the GRU keeps no recurrent kernel
+        # (the multi-step layout is covered by test_gru_parameter_shapes).
+        assert "recurrent_kernel" not in names
+        assert block.convolution.kernel.shape == (1, 12, 12)
+        assert block.recurrent.kernel.shape == (12, 24)
 
     def test_dropout_only_in_training(self):
         block = PlainBlock(12, 3, 12, dropout_rate=0.6, seed=0)
@@ -206,3 +211,28 @@ class TestNetworkBuilders:
         y = np.eye(3)[RNG.integers(0, 3, size=12)]
         logs = network.train_on_batch(x, y)
         assert np.isfinite(logs["loss"])
+
+
+class TestPaperShapeParameters:
+    """Pelican-41 on NSL-KDD stores only the parameters its 1-step input uses."""
+
+    @staticmethod
+    def _pelican41():
+        config = get_paper_config("nsl-kdd")
+        network = compile_for_paper(build_pelican(5, config), config)
+        network.predict(np.empty((0, 1, 121)))  # builds without compute
+        return network
+
+    def test_pelican41_on_nslkdd_has_448310_parameters(self):
+        assert self._pelican41().count_params() == 448_310
+
+    def test_optimizer_state_holds_exactly_the_parameters(self):
+        """One RMSprop step keeps one running average per stored entry, so a
+        dead parameter coming back would show up here."""
+        network = self._pelican41()
+        x = _inputs(batch=8, features=121)
+        y = np.eye(5)[RNG.integers(0, 5, size=8)]
+        network.train_on_batch(x, y)
+        state = network.optimizer._state.values()
+        entries = sum(array.size for slot in state for array in slot.values())
+        assert entries == network.count_params()

@@ -36,7 +36,6 @@ from repro.nn import (
     MaxPooling1D,
     Reshape,
     Sequential,
-    SimpleRNN,
 )
 from repro.nn.inference import (
     get_raw_activation,
@@ -193,7 +192,7 @@ class TestLayerFastPaths:
         assert weights_epoch() == before + 1
 
     @pytest.mark.parametrize("return_sequences", [False, True])
-    @pytest.mark.parametrize("layer_cls", [GRU, LSTM, SimpleRNN])
+    @pytest.mark.parametrize("layer_cls", [GRU, LSTM])
     def test_recurrent_layers(self, layer_cls, return_sequences):
         layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
         assert_fast_matches_graph(layer, RNG.normal(size=(4, 5, 3)))
@@ -202,7 +201,7 @@ class TestLayerFastPaths:
     # x batch {1, 4}; one step runs only the all-zero initial-state branch.
     @pytest.mark.parametrize("steps,batch", [(1, 1), (1, 4), (5, 1)])
     @pytest.mark.parametrize("return_sequences", [False, True])
-    @pytest.mark.parametrize("layer_cls", [GRU, LSTM, SimpleRNN])
+    @pytest.mark.parametrize("layer_cls", [GRU, LSTM])
     def test_recurrent_layers_steps_and_batch(
         self, layer_cls, return_sequences, steps, batch
     ):
@@ -492,7 +491,7 @@ class TestFastPathOwnership:
 
     @pytest.mark.parametrize("steps", [1, 5])
     @pytest.mark.parametrize("return_sequences", [False, True])
-    @pytest.mark.parametrize("layer_cls", [GRU, LSTM, SimpleRNN])
+    @pytest.mark.parametrize("layer_cls", [GRU, LSTM])
     def test_recurrent_layers(self, layer_cls, return_sequences, steps):
         layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
         assert_input_untouched(layer, RNG.normal(size=(4, steps, 3)))

@@ -7,7 +7,7 @@ analytic backward pass is compared against central differences.
 import numpy as np
 import pytest
 
-from repro.nn import GRU
+from repro.nn import GRU, Conv1D
 from repro.nn import tensor as ops
 from repro.nn.gradcheck import check_gradient
 from repro.nn.tensor import Tensor
@@ -177,6 +177,10 @@ class TestConv1dErrors:
         with pytest.raises(ValueError):
             ops.conv1d(Tensor(np.ones((1, 4, 3))), Tensor(np.ones((2, 5, 4))))
 
+    def test_valid_padding_with_too_few_steps_raises(self):
+        with pytest.raises(ValueError, match="too few"):
+            ops.conv1d(Tensor(np.ones((1, 2, 3))), Tensor(np.ones((4, 3, 2))), padding="valid")
+
     def test_unknown_padding_raises(self):
         with pytest.raises(ValueError):
             ops.conv1d(
@@ -189,6 +193,23 @@ class TestConv1dErrors:
 
 
 class TestRecurrentGradients:
+    def test_gru_single_timestep(self):
+        # The paper's shape: the layer keeps only the [z | c] columns.
+        layer = GRU(3, seed=0)
+        x = _tensor((2, 1, 4), scale=0.5)
+        layer(x)
+        layer.bias.data = RNG.normal(size=layer.bias.shape) * 0.1
+        assert layer.kernel.shape == (4, 6)
+        _assert_gradient(lambda t: layer(t[0]), [x, layer.kernel, layer.bias])
+
+    def test_conv1d_layer_single_timestep(self):
+        # The paper's shape: kernel 10 stored as its one live tap.
+        layer = Conv1D(5, 10, seed=0)
+        x = _tensor((3, 1, 4))
+        layer(x)
+        assert layer.kernel.shape == (1, 4, 5)
+        _assert_gradient(lambda t: layer(t[0]), [x, layer.kernel, layer.bias])
+
     def test_gru_multistep(self):
         # After the first step the state is non-zero: the recurrent matmul and
         # the reset gate are live and the recurrent kernel gets a real gradient.

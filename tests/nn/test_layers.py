@@ -120,6 +120,36 @@ class TestConv1D:
         layer(RNG.normal(size=(1, 4, 3)))
         assert layer.count_params() == 5 * 3 * 6 + 6
 
+    def test_one_step_keeps_only_the_centre_tap(self):
+        """On 1 step with ``same`` padding only tap (k - 1) // 2 reads input."""
+        layer = L.Conv1D(6, 10, seed=3)
+        layer(RNG.normal(size=(2, 1, 3)))
+        assert layer.kernel.shape == (1, 3, 6)
+        assert layer.count_params() == 3 * 6 + 6
+
+    def test_one_step_initial_kernel_is_the_full_kernels_centre_tap(self):
+        one_step, full = L.Conv1D(6, 10, seed=3), L.Conv1D(6, 10, seed=3)
+        one_step(RNG.normal(size=(2, 1, 3)))
+        full(RNG.normal(size=(2, 4, 3)))
+        assert full.kernel.shape == (10, 3, 6)
+        assert np.array_equal(one_step.kernel.data, full.kernel.data[4:5])
+
+    def test_one_step_output_is_the_full_kernels_output(self):
+        one_step, full = L.Conv1D(6, 10, seed=3), L.Conv1D(6, 10, seed=3)
+        full(RNG.normal(size=(2, 4, 3)))
+        x = RNG.normal(size=(5, 1, 3))
+        expected = ops.conv1d(x, full.kernel, full.bias, padding="same").data
+        assert np.array_equal(one_step(x).data, expected)
+        assert np.array_equal(one_step.fast_forward(x), expected)
+
+    def test_one_step_layer_rejects_more_steps(self):
+        layer = L.Conv1D(6, 10)
+        layer(RNG.normal(size=(2, 1, 3)))
+        with pytest.raises(ValueError, match="built on 1 time step"):
+            layer(RNG.normal(size=(2, 4, 3)))
+        with pytest.raises(ValueError, match="built on 1 time step"):
+            layer.fast_forward(RNG.normal(size=(2, 4, 3)))
+
 
 class TestPooling:
     def test_maxpool_shape(self):
@@ -194,19 +224,24 @@ class TestBatchNormalization:
             L.BatchNormalization(momentum=1.5)
 
 
-def _full_gate_gru(layer, inputs):
-    """One GRU step on h_0 == 0 with every gate multiplied out."""
-    units = layer.units
+def _full_gate_gru(kernel, recurrent_kernel, bias, inputs):
+    """One GRU step on h_0 == 0 with every gate multiplied out (Keras layout)."""
+    units = recurrent_kernel.shape[0]
     hidden = Tensor(np.zeros((inputs.shape[0], units)))
     x_t = inputs[:, 0, :]
-    gates_x = ops.matmul(x_t, layer.kernel) + layer.bias
-    gates_h = ops.matmul(hidden, layer.recurrent_kernel)
+    gates_x = ops.matmul(x_t, kernel) + bias
+    gates_h = ops.matmul(hidden, recurrent_kernel)
     update = ops.hard_sigmoid(gates_x[:, 0:units] + gates_h[:, 0:units])
     reset = ops.hard_sigmoid(gates_x[:, units:2 * units] + gates_h[:, units:2 * units])
     candidate = ops.tanh(
         gates_x[:, 2 * units:3 * units] + reset * gates_h[:, 2 * units:3 * units]
     )
     return update * hidden + (1.0 - update) * candidate
+
+
+def _update_and_candidate(array, units):
+    """The [z | c] columns a 1-step GRU keeps of a Keras [z | r | c] array."""
+    return np.concatenate([array[..., :units], array[..., 2 * units:]], axis=-1)
 
 
 class TestRecurrent:
@@ -245,11 +280,6 @@ class TestRecurrent:
         assert shapes["kernel"] == (6, 16)
         assert shapes["recurrent_kernel"] == (4, 16)
 
-    def test_simple_rnn_shapes(self):
-        layer = L.SimpleRNN(8, return_sequences=True)
-        out = layer(RNG.normal(size=(2, 6, 3)))
-        assert out.shape == (2, 6, 8)
-
     def test_recurrent_rejects_2d_input(self):
         with pytest.raises(ValueError):
             L.GRU(4)(RNG.normal(size=(3, 5)))
@@ -258,25 +288,67 @@ class TestRecurrent:
         with pytest.raises(ValueError):
             L.GRU(0)
 
+    def test_gru_one_step_keeps_update_and_candidate_columns(self):
+        layer = L.GRU(4)
+        layer(RNG.normal(size=(2, 1, 6)))
+        shapes = {p.name.split("/")[-1]: p.shape for p in layer.parameters()}
+        assert shapes == {"kernel": (6, 8), "bias": (8,)}
+        assert not hasattr(layer, "recurrent_kernel")
+
+    def test_gru_one_step_initial_kernel_is_the_full_kernels_live_columns(self):
+        one_step, full = L.GRU(5, seed=2), L.GRU(5, seed=2)
+        one_step(RNG.normal(size=(2, 1, 3)))
+        full(RNG.normal(size=(2, 3, 3)))
+        assert np.array_equal(
+            one_step.kernel.data, _update_and_candidate(full.kernel.data, 5)
+        )
+        assert np.array_equal(one_step.bias.data, np.zeros(10))
+
+    def test_gru_one_step_layer_rejects_more_steps(self):
+        layer = L.GRU(4)
+        layer(RNG.normal(size=(2, 1, 6)))
+        with pytest.raises(ValueError, match="built on 1 time step"):
+            layer(RNG.normal(size=(2, 3, 6)))
+        with pytest.raises(ValueError, match="built on 1 time step"):
+            layer.fast_forward(RNG.normal(size=(2, 3, 6)))
+
     def test_gru_zero_state_step_matches_full_gate_formula(self):
-        """On one step the tape skips the recurrent matmul and the reset gate
-        (h_0 == 0); output and gradients stay bit-equal to the full formula."""
-        layer = L.GRU(6, seed=0)
+        """A 1-step GRU stores only the [z | c] columns and no recurrent
+        kernel; it equals the full (z, r, c) formula on the full-shape
+        kernel it was sliced from.  The output is bit-equal; the gradients
+        agree to round-off (grad_x sums over 2 * units columns, not 3)."""
+        units = 6
+        layer, full = L.GRU(units, seed=0), L.GRU(units, seed=0)
+        full(RNG.normal(size=(5, 2, 4)))
+        full.bias.data = RNG.normal(size=3 * units)
+        layer.build((5, 1, 4))
+        layer.built = True
+        layer.bias.data = _update_and_candidate(full.bias.data, units)
+        assert not hasattr(layer, "recurrent_kernel")
+
         x = Tensor(RNG.normal(size=(5, 1, 4)), requires_grad=True)
-        upstream = RNG.normal(size=(5, 6))
+        upstream = RNG.normal(size=(5, units))
         output = layer(x)
         output.backward(upstream)
-        kernel_grad, bias_grad, grad_x = layer.kernel.grad, layer.bias.grad, x.grad
-        assert np.all(layer.recurrent_kernel.grad == 0.0)
-
-        for parameter in (x, *layer.parameters()):
-            parameter.zero_grad()
-        expected = _full_gate_gru(layer, x)
+        grad_x = x.grad
+        x.zero_grad()
+        expected = _full_gate_gru(full.kernel, full.recurrent_kernel, full.bias, x)
         expected.backward(upstream)
+
         assert np.array_equal(output.data, expected.data)
-        assert np.array_equal(kernel_grad, layer.kernel.grad)
-        assert np.array_equal(bias_grad, layer.bias.grad)
-        assert np.array_equal(grad_x, x.grad)
+        np.testing.assert_allclose(
+            layer.kernel.grad, _update_and_candidate(full.kernel.grad, units),
+            atol=1e-12, rtol=0,
+        )
+        np.testing.assert_allclose(
+            layer.bias.grad, _update_and_candidate(full.bias.grad, units),
+            atol=1e-12, rtol=0,
+        )
+        np.testing.assert_allclose(grad_x, x.grad, atol=1e-12, rtol=0)
+        # The dropped entries are the ones the full formula gives no gradient.
+        assert np.all(full.kernel.grad[:, units:2 * units] == 0.0)
+        assert np.all(full.bias.grad[units:2 * units] == 0.0)
+        assert np.all(full.recurrent_kernel.grad == 0.0)
 
     def test_gru_gradients_flow_to_all_parameters(self):
         layer = L.GRU(5)

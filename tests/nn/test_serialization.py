@@ -101,6 +101,29 @@ class TestSerialization:
         with pytest.raises(ValueError, match="count mismatch"):
             load_weights(shallower, saved)
 
+    def test_multi_step_weights_do_not_load_into_a_one_step_build(self, tmp_path):
+        """A 1-step Conv1D keeps one tap and a 1-step GRU no recurrent
+        kernel, so a file saved from the full layout fails to load and the
+        error names the first array that differs."""
+
+        def conv_gru():
+            return nn.Sequential(
+                [nn.Conv1D(4, 10, name="conv"), nn.GRU(5, name="gru")]
+            )
+
+        full = conv_gru()
+        full(np.zeros((1, 3, 2)))
+        saved = save_weights(full, tmp_path / "full")
+
+        one_step = conv_gru()
+        one_step(np.zeros((1, 1, 2)))
+        with pytest.raises(
+            ValueError,
+            match=r"count mismatch.*first difference: weight 0 \('conv/kernel'\)"
+            r".*expects shape \(1, 2, 4\), source has \(10, 2, 4\)",
+        ):
+            load_weights(one_step, saved)
+
     def test_save_weights_alone_loses_moving_statistics(self, tmp_path):
         """Documents why save_state exists: BN moving stats are buffers."""
         model = nn.Sequential(

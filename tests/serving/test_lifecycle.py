@@ -7,13 +7,15 @@ drain-stop-restart deployment at the same boundary — is asserted across
 all three execution models (synchronous, process pool, sharded).
 """
 
+import pickle
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.data import load_nslkdd, load_unswnb15, nslkdd_generator
+from repro.core import PelicanDetector
+from repro.data import NSLKDD_SCHEMA, load_nslkdd, load_unswnb15, nslkdd_generator
 from repro.metrics.ids_metrics import DetectionReport
 from repro.nn.inference import weights_epoch
 from repro.scenarios import flood_scenario, retrain_recovery_scenario
@@ -77,6 +79,18 @@ def _merged_counts(*reports):
 # DetectorCheckpoint
 # ---------------------------------------------------------------------- #
 class TestDetectorCheckpoint:
+    def test_pelican41_checkpoint_pickles_under_4mb(self):
+        """Every child is shipped the checkpoint: it carries only the 448k
+        parameters the 1-step input uses (18.9 MB when every Conv1D tap and
+        the GRU recurrent kernels were stored)."""
+        pelican41 = PelicanDetector(
+            NSLKDD_SCHEMA, num_blocks=10, epochs=1, batch_size=64, seed=0
+        )
+        pelican41.fit(load_nslkdd(n_records=128, seed=3))
+        checkpoint = DetectorCheckpoint.capture(pelican41)
+        assert sum(w.size for w in checkpoint.weights) == 448_310
+        assert len(pickle.dumps(checkpoint)) < 4_000_000
+
     def test_roundtrip_is_bitwise_identical(self, detector, tmp_path):
         test_records = load_nslkdd(n_records=120, seed=31)
         reference_fast = detector.predict_proba(test_records, fast=True)
