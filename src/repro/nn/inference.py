@@ -28,8 +28,10 @@ The fast-path contract:
   all).  The fast LSTM skips its zero-state matmul too; its tape op
   still multiplies it out, which is also exact.  The remaining round-off
   comes from GEMM blocking (on the zero state the fast GRU multiplies the
-  update and candidate column views, the tape its whole kernel) and from
-  batch norm folded into one scale and shift.
+  update and candidate column views; the tape multiplies the whole Keras
+  layout, with zero reset columns on 1 step, so that it trains bit for bit
+  like the full layer) and from batch norm folded into one scale and
+  shift.
 
 Ownership rule: a fast kernel writes only into arrays it allocated.  The
 raw ``relu``, ``hard_sigmoid`` and ``tanh`` kernels overwrite and return

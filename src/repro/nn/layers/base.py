@@ -79,6 +79,14 @@ class Layer:
         self._parameters[name] = parameter
         return parameter
 
+    def _check_steps(self, steps: int, one_step: bool) -> None:
+        """Reject ``steps != 1`` when the layer stores only what 1 step uses."""
+        if one_step and steps != 1:
+            raise ValueError(
+                f"{self.name} was built on 1 time step and stores only the "
+                f"parameters that step uses; got {steps} steps"
+            )
+
     def add_buffer(self, name: str, value: np.ndarray) -> np.ndarray:
         """Register a non-trainable state array (e.g. batch-norm running stats)."""
         self._buffers[name] = np.asarray(value, dtype=np.float64)

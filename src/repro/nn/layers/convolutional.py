@@ -73,7 +73,6 @@ class Conv1D(Layer):
         self.kernel_initializer = kernel_initializer
         self.kernel: Optional[Tensor] = None
         self.bias: Optional[Tensor] = None
-        self.one_step = False  # built on 1 step: stores only the centre tap
 
     def build(self, input_shape: Tuple[int, ...]) -> None:
         if len(input_shape) != 3:
@@ -87,7 +86,6 @@ class Conv1D(Layer):
             # only zero padding.  Keep that tap as a kernel-1 convolution.
             tap = (self.kernel_size - 1) // 2
             live = slice(tap, tap + 1)
-            self.one_step = True
         self.kernel = self.add_parameter(
             "kernel",
             (self.kernel_size, in_channels, self.filters),
@@ -97,15 +95,12 @@ class Conv1D(Layer):
         if self.use_bias:
             self.bias = self.add_parameter("bias", (self.filters,), "zeros")
 
-    def _check_steps(self, steps: int) -> None:
-        if self.one_step and steps != 1:
-            raise ValueError(
-                f"{self.name} was built on 1 time step and stores only its "
-                f"centre tap; got {steps} steps"
-            )
+    def _one_step(self) -> bool:
+        """Built on 1 step: the kernel holds only the centre tap."""
+        return self.kernel.shape[0] < self.kernel_size
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        self._check_steps(inputs.shape[1])
+        self._check_steps(inputs.shape[1], self._one_step())
         outputs = ops.conv1d(
             inputs,
             self.kernel,
@@ -116,7 +111,7 @@ class Conv1D(Layer):
         return self.activation(outputs)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        self._check_steps(inputs.shape[1])
+        self._check_steps(inputs.shape[1], self._one_step())
         outputs = raw_conv1d(
             inputs,
             self.kernel.data,

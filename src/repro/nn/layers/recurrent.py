@@ -79,14 +79,16 @@ class GRU(_RecurrentBase):
     recurrent kernel never reach the output and never get a gradient.  The
     kept columns are sliced from a kernel drawn at the full
     ``(input_dim, 3 * units)`` shape, so the initial values (and the Glorot
-    fans) are those of the full kernel.
+    fans) are those of the full kernel.  The tape multiplies them in the
+    full layout, with zero ``r`` columns put back: BLAS blocks a GEMM by
+    its shape, so the sums run in the full layer's order and the trained
+    weights equal the full layer's live slices bit for bit.
     """
 
     def build(self, input_shape: Tuple[int, ...]) -> None:
         input_dim = self._validate_input(input_shape)
         units = self.units
-        self.one_step = input_shape[1] == 1
-        if self.one_step:
+        if input_shape[1] == 1:
             self.kernel = self.add_parameter(
                 "kernel",
                 (input_dim, 3 * units),
@@ -94,8 +96,6 @@ class GRU(_RecurrentBase):
                 live=(slice(None), np.r_[0:units, 2 * units:3 * units]),
             )
             self.bias = self.add_parameter("bias", (2 * units,), "zeros")
-            # Columns of the candidate in kernel and bias: [z | c].
-            self.candidate_columns = slice(units, 2 * units)
             return
         self.kernel = self.add_parameter(
             "kernel", (input_dim, 3 * units), "glorot_uniform"
@@ -104,30 +104,36 @@ class GRU(_RecurrentBase):
             "recurrent_kernel", (units, 3 * units), "orthogonal"
         )
         self.bias = self.add_parameter("bias", (3 * units,), "zeros")
-        self.candidate_columns = slice(2 * units, 3 * units)  # [z | r | c]
 
-    def _check_steps(self, steps: int) -> None:
-        if self.one_step and steps != 1:
-            raise ValueError(
-                f"{self.name} was built on 1 time step and has no recurrent "
-                f"kernel; got {steps} steps"
-            )
+    def _one_step(self) -> bool:
+        """Built on 1 step: the kernel holds only the ``[z | c]`` columns."""
+        return self.kernel.shape[1] == 2 * self.units
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
         batch, steps, _ = inputs.shape
-        self._check_steps(steps)
+        one_step = self._one_step()
+        self._check_steps(steps, one_step)
         units = self.units
+        kernel, bias = self.kernel, self.bias
+        if one_step:
+            # Multiply [z | 0 | c], the full layout's GEMM shapes, so that
+            # every sum runs in the full layer's order (see the docstring).
+            zeros = np.zeros((kernel.shape[0], units))
+            kernel = ops.concatenate(
+                [kernel[:, 0:units], zeros, kernel[:, units:]], axis=1
+            )
+            bias = ops.concatenate([bias[0:units], zeros[0], bias[units:]], axis=0)
         hidden: Optional[Tensor] = None  # None encodes the all-zero initial state
         outputs: List[Tensor] = []
         for step in range(steps):
             x_t = inputs[:, step, :]
-            gates_x = ops.matmul(x_t, self.kernel) + self.bias
+            gates_x = ops.matmul(x_t, kernel) + bias
             if hidden is None:
                 # h_0 == 0, so gates_h is exactly zero and the reset gate,
                 # which only scales it, is moot (as in fast_call).  The later
                 # steps, if any, give the recurrent kernel its gradient.
                 update = self.recurrent_activation(gates_x[:, 0:units])
-                candidate = self.activation(gates_x[:, self.candidate_columns])
+                candidate = self.activation(gates_x[:, 2 * units:3 * units])
                 hidden = (1.0 - update) * candidate
             else:
                 gates_h = ops.matmul(hidden, self.recurrent_kernel)
@@ -147,7 +153,7 @@ class GRU(_RecurrentBase):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         batch, steps, _ = inputs.shape
-        self._check_steps(steps)
+        self._check_steps(steps, self._one_step())
         units = self.units
         kernel = self.kernel.data
         bias = self.bias.data
@@ -158,13 +164,15 @@ class GRU(_RecurrentBase):
             if hidden is None:
                 # h_0 == 0, so the recurrent matmul contributes exactly zero
                 # and the reset gate, which only scales gates_h, is moot:
-                # multiply only the update-gate and candidate column views.
-                # Both products are fresh, so everything after runs in place.
+                # multiply only the update-gate and candidate column views
+                # (the candidate is the last ``units`` columns in both
+                # layouts).  Both products are fresh, so everything after
+                # runs in place.
                 update = x_t @ kernel[:, 0:units]
                 update += bias[0:units]
                 update = self.recurrent_activation_raw(update)
-                candidate = x_t @ kernel[:, self.candidate_columns]
-                candidate += bias[self.candidate_columns]
+                candidate = x_t @ kernel[:, -units:]
+                candidate += bias[-units:]
                 candidate = self.activation_raw(candidate)
                 hidden = np.subtract(1.0, update, out=update)
                 hidden *= candidate
