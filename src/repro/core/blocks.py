@@ -163,14 +163,14 @@ class PlainBlock(Layer):
         GRU output is returned for the caller to own.  Dropout is a no-op
         at inference.
         """
-        scale, shift = self.input_norm.folded_constants()
-        normalized = inputs * scale
-        normalized += shift
+        folded = self.input_norm.fast_arrays(inputs.dtype)
+        normalized = inputs * folded["scale"]
+        normalized += folded["shift"]
         features = self.convolution.fast_call(normalized)
         features = self.pooling.fast_call(features)
-        scale, shift = self.recurrent_norm.folded_constants()
-        features *= scale
-        features += shift
+        folded = self.recurrent_norm.fast_arrays(features.dtype)
+        features *= folded["scale"]
+        features += folded["shift"]
         features = self.recurrent.fast_call(features)
         return features.reshape(len(features), 1, self.recurrent_units), normalized
 

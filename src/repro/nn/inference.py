@@ -11,11 +11,18 @@ built on them (see :meth:`repro.nn.layers.base.Layer.fast_call`).
 The fast-path contract:
 
 * raw ``numpy.ndarray`` in, raw ``numpy.ndarray`` out — no ``Tensor`` graph
-  nodes are constructed anywhere on the path, and ``float32`` inputs are
-  accepted as-is (the tape path would silently upcast them);
+  nodes are constructed anywhere on the path;
+* the computation runs in the input's dtype.  float32 is the served dtype:
+  :class:`~repro.serving.CachedPreprocessor` emits it, ``Model.predict``
+  keeps it, and every layer then reads float32 copies of its weights
+  (:meth:`~repro.nn.layers.base.Layer.fast_arrays`) and returns float32.
+  On a trained 10-block Pelican that stays within 1e-5 of float64 (5e-6
+  measured on a flood stream, no verdict flipped).  Any other input dtype
+  reads the stored float64 arrays themselves, with no copy, so float64
+  input is the oracle below;
 * inference semantics only: dropout is a no-op and batch normalization uses
   its moving statistics, exactly like the tape path with ``training=False``;
-* outputs match the tape path to float64 round-off, not bitwise (up to
+* float64 outputs match the tape path to float64 round-off, not bitwise (up to
   ~2e-14 on a trained 10-block Pelican).  The tests assert 1e-6 against the
   tape, and the serving tests assert identical confusion counts on every
   execution model.  Both paths run the same parameters and make the same
@@ -53,11 +60,14 @@ Derived-constant caching
 
 Some fast kernels use constants *derived* from the weights — batch
 normalization folds ``(gamma, beta, moving_mean, moving_variance)`` into a
-single scale and shift.  Re-deriving them on every batch is wasted work in a
-serving loop where the weights never change between requests.  The module
-keeps a global, monotonically increasing **weights epoch**; layers cache
-their derived constants tagged with the epoch and recompute only after the
-epoch moves.  Everything that mutates weights bumps it:
+single scale and shift, and the float32 path reads float32 copies of every
+weight.  Re-deriving them on every batch is wasted work in a serving loop
+where the weights never change between requests.  The module keeps a
+global, monotonically increasing **weights epoch**; layers cache their
+derived constants tagged with the epoch and recompute only after the epoch
+moves.  The folded batch norm is cached per epoch in float64; the float32
+copies (of the weights, or of batch norm's float64 fold) are cached per
+``(epoch, dtype)``, one per layer.  Everything that mutates weights bumps it:
 :meth:`repro.nn.optimizers.Optimizer.step`, :meth:`repro.nn.layers.base.Layer.set_weights`
 and the training-mode batch-norm forward (which updates the moving
 statistics).  The counter is process-global and only ever increments, so

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..inference import invalidate_weight_caches
+from ..inference import invalidate_weight_caches, weights_epoch
 from ..initializers import Initializer, get_initializer
 from ..random import spawn_rng
 from ..tensor import Tensor, as_tensor, no_grad
@@ -49,6 +49,8 @@ class Layer:
         self._parameters: Dict[str, Tensor] = {}
         self._buffers: Dict[str, np.ndarray] = {}
         self._sublayers: List["Layer"] = []
+        # ((weights epoch, dtype), arrays) — see fast_arrays.
+        self._cast_arrays: Optional[Tuple[tuple, Dict[str, np.ndarray]]] = None
 
     # ------------------------------------------------------------------ #
     # Parameter management
@@ -151,6 +153,36 @@ class Layer:
             else:
                 result = self.call(as_tensor(inputs), training=False)
         return result.data
+
+    def inference_arrays(self) -> Dict[str, np.ndarray]:
+        """The float64 arrays :meth:`fast_call` reads, by name.
+
+        The stored parameter arrays themselves; layers that serve derived
+        constants instead (batch norm's folded scale and shift) override it.
+        """
+        return {name: p.data for name, p in self._parameters.items()}
+
+    def fast_arrays(self, dtype) -> Dict[str, np.ndarray]:
+        """:meth:`inference_arrays` at the dtype a ``fast_call`` computes in.
+
+        float32 input reads float32 copies, cast once per weight state: the
+        copies are cached on the layer, tagged ``(weights epoch, dtype)``,
+        so any weight change re-casts them on the next batch.  Every other
+        dtype reads the float64 arrays as they are, with no copy, so the
+        float64 fast path runs on exactly the stored values.
+        """
+        if dtype != np.float32:
+            return self.inference_arrays()
+        tag = (weights_epoch(), np.dtype(dtype))
+        cast = self._cast_arrays
+        if cast is None or cast[0] != tag:
+            arrays = {
+                name: value.astype(dtype)
+                for name, value in self.inference_arrays().items()
+            }
+            cast = (tag, arrays)
+            self._cast_arrays = cast
+        return cast[1]
 
     def fast_forward(self, inputs):
         """Build the layer if needed, then run :meth:`fast_call`."""

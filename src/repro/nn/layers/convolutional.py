@@ -112,10 +112,11 @@ class Conv1D(Layer):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         self._check_steps(inputs.shape[1], self._one_step())
+        weights = self.fast_arrays(inputs.dtype)
         outputs = raw_conv1d(
             inputs,
-            self.kernel.data,
-            bias=self.bias.data if self.use_bias else None,
+            weights["kernel"],
+            bias=weights.get("bias"),
             stride=self.strides,
             padding=self.padding,
         )

@@ -93,9 +93,10 @@ class Dense(Layer):
         return self.activation(outputs)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        outputs = inputs @ self.kernel.data
+        weights = self.fast_arrays(inputs.dtype)
+        outputs = inputs @ weights["kernel"]
         if self.use_bias:
-            outputs += self.bias.data
+            outputs += weights["bias"]
         return self.activation_raw(outputs)
 
 

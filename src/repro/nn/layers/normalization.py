@@ -7,7 +7,7 @@ shortcut is taken from the output of the block's first BN layer.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -128,8 +128,13 @@ class BatchNormalization(Layer):
             self._folded = folded
         return folded[1], folded[2]
 
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
+    def inference_arrays(self) -> Dict[str, np.ndarray]:
+        """The folded ``scale`` and ``shift`` (see :meth:`folded_constants`)."""
         scale, shift = self.folded_constants()
-        outputs = inputs * scale
-        outputs += shift
+        return {"scale": scale, "shift": shift}
+
+    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
+        folded = self.fast_arrays(inputs.dtype)
+        outputs = inputs * folded["scale"]
+        outputs += folded["shift"]
         return outputs

@@ -155,8 +155,9 @@ class GRU(_RecurrentBase):
         batch, steps, _ = inputs.shape
         self._check_steps(steps, self._one_step())
         units = self.units
-        kernel = self.kernel.data
-        bias = self.bias.data
+        weights = self.fast_arrays(inputs.dtype)
+        kernel = weights["kernel"]
+        bias = weights["bias"]
         hidden: Optional[np.ndarray] = None  # None encodes the all-zero initial state
         outputs: List[np.ndarray] = []
         for step in range(steps):
@@ -178,7 +179,7 @@ class GRU(_RecurrentBase):
                 hidden *= candidate
             else:
                 gates_x = x_t @ kernel + bias
-                gates_h = hidden @ self.recurrent_kernel.data
+                gates_h = hidden @ weights["recurrent_kernel"]
                 update = self.recurrent_activation_raw(
                     gates_x[:, 0:units] + gates_h[:, 0:units]
                 )
@@ -242,9 +243,10 @@ class LSTM(_RecurrentBase):
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         batch, steps, _ = inputs.shape
         units = self.units
-        kernel = self.kernel.data
-        recurrent_kernel = self.recurrent_kernel.data
-        bias = self.bias.data
+        weights = self.fast_arrays(inputs.dtype)
+        kernel = weights["kernel"]
+        recurrent_kernel = weights["recurrent_kernel"]
+        bias = weights["bias"]
         hidden: Optional[np.ndarray] = None  # None encodes the all-zero initial state
         cell: Optional[np.ndarray] = None
         outputs: List[np.ndarray] = []

@@ -184,18 +184,26 @@ class Model(Layer):
         path (:meth:`~repro.nn.layers.base.Layer.fast_call`): no autodiff
         tape nodes are built and the layers use raw-numpy kernels.  The
         contract is exact inference equivalence — dropout is a no-op and
-        batch norm uses moving statistics on both paths, and the returned
-        probabilities match the graph path to float64 round-off (well within
-        1e-6).  Layers without a fast kernel transparently fall back to the
-        graph path.
+        batch norm uses moving statistics on both paths.
+
+        The fast path computes in its input's dtype when that is float32
+        (the served dtype: :class:`~repro.serving.CachedPreprocessor` emits
+        it) and returns float32 probabilities, within ~1e-5 of float64.
+        Every other input — float64, integers, or any input to the tape —
+        is cast to float64, and then the fast path is the float64 oracle:
+        it matches the tape to float64 round-off (well within 1e-6).
+        Layers without a fast kernel transparently fall back to the graph
+        path.
 
         Empty inputs return a correctly shaped ``(0, ...)`` array instead of
         crashing downstream ``argmax`` calls — empty batches are routine in
         a streaming service.
         """
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x)
+        if not (fast and x.dtype == np.float32):
+            x = x.astype(np.float64, copy=False)
         if len(x) == 0:
-            return self._predict_empty(x)
+            return self._predict_empty(x).astype(x.dtype, copy=False)
         outputs: List[np.ndarray] = []
         with no_grad():
             for start in range(0, len(x), batch_size):

@@ -10,7 +10,9 @@ from three independently testable pieces:
 * :class:`CachedPreprocessor` + :class:`DetectionService`
   (:mod:`repro.serving.service`) — cached, vectorised preprocessing (with
   per-column unknown-vocabulary drift counters) and the graph-free
-  ``fast=True`` forward pass, with per-batch latency accounting;
+  ``fast=True`` forward pass in float32, the one served dtype (both run in
+  :func:`~repro.serving.service.score_records`, which every execution
+  model calls), with per-batch latency accounting;
 * :class:`RollingDetectionMonitor` / :class:`ThroughputMonitor`
   (:mod:`repro.serving.monitor`) — thread-safe sliding-window ACC/DR/FAR
   plus a records-per-second headline over the wall-clock span from the

@@ -24,7 +24,9 @@ Division of labour:
   micro-batches arrive pickled on the child's own task queue, are
   preprocessed and scored in the child, and the predicted class indices
   travel back on its result queue with the measured scoring time and the
-  batch's unknown-categorical tallies;
+  batch's unknown-categorical tallies.  The child scores through the same
+  :func:`~repro.serving.service.score_records` as the synchronous service,
+  so both serve float32 with the same numerics;
 * the **parent** keeps every piece of mutable serving state — the
   micro-batcher, the rolling/throughput monitors, phase attribution, the
   vocabulary-drift counters (child tallies are folded back in) — and
@@ -67,14 +69,18 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
 from ..data.schema import get_schema
 from .driver import PhaseAttributor, StreamDriver
 from .lifecycle.checkpoint import DetectorCheckpoint
-from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
+from .service import (
+    BatchResult,
+    CachedPreprocessor,
+    DetectionService,
+    ServiceReport,
+    score_records,
+)
 
 __all__ = ["PoolStats", "ProcessWorkerPool"]
 
@@ -232,11 +238,7 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
                 schema=schema, numeric=numeric, categorical=categorical, labels=labels
             )
             started = time.perf_counter()
-            inputs = pipeline.transform_inputs(records)
-            probabilities = detector.network.predict(
-                inputs, batch_size=max(len(records), 1), fast=True
-            )
-            predicted = np.argmax(probabilities, axis=-1)
+            predicted = score_records(detector, pipeline, records)
             latency = time.perf_counter() - started
             unknown_now = pipeline.unknown_categoricals
             unknown_delta = {

@@ -10,14 +10,16 @@ Architecture (one request path, three stages):
    one-hot layout (per-column value→position tables) and folds the standard
    scaler into a single multiply-add, replacing the per-record Python loops
    of the training-time :class:`~repro.preprocessing.pipeline.IDSPreprocessor`
-   with vectorised lookups.  Numerics match the training pipeline to
-   float64 round-off.  Categorical values missing from the training
-   vocabulary are zero-encoded *and counted* per column — vocabulary drift
-   is surfaced in every :class:`ServiceReport` instead of being swallowed.
+   with vectorised lookups.  It emits float32, the served dtype: the
+   float64 training-pipeline values rounded once (at most 1 ulp away).
+   Categorical values missing from the training vocabulary are
+   zero-encoded *and counted* per column — vocabulary drift is surfaced
+   in every :class:`ServiceReport` instead of being swallowed.
 3. **Graph-free inference** — the batch runs through
-   ``Model.predict(..., fast=True)`` (see :mod:`repro.nn.inference`), and
-   every batch updates a rolling ACC/DR/FAR monitor plus per-batch
-   latency/throughput accounting.
+   ``Model.predict(..., fast=True)`` (see :mod:`repro.nn.inference`) in
+   float32, and every batch updates a rolling ACC/DR/FAR monitor plus
+   per-batch latency/throughput accounting.  Stages 2 and 3 are one
+   function, :func:`score_records`, that every execution model calls.
 
 Execution models on top of this path:
 
@@ -58,6 +60,7 @@ from .monitor import RollingDetectionMonitor, ThroughputMonitor
 
 __all__ = [
     "CachedPreprocessor",
+    "score_records",
     "BatchResult",
     "ServiceReport",
     "DetectionService",
@@ -127,7 +130,11 @@ class CachedPreprocessor:
                     self._unknown_counts[column] += int(count)
 
     def transform_inputs(self, records: TrafficRecords) -> np.ndarray:
-        """Records → network input ``(n, 1, features)`` (fitted statistics)."""
+        """Records → float32 network input ``(n, 1, features)``.
+
+        The scaler is folded in float64 and the result is rounded once to
+        float32, the served dtype (at most 1 ulp from the float64 value).
+        """
         n_records = len(records)
         features = np.zeros((n_records, self.num_features))
         features[:, : self._n_numeric] = records.numeric
@@ -148,8 +155,10 @@ class CachedPreprocessor:
             with self._unknown_lock:
                 for name, n_unknown in unknown_per_column:
                     self._unknown_counts[name] += n_unknown
-        features = features * self._scale_weight + self._scale_shift
-        return features[:, np.newaxis, :]
+        features *= self._scale_weight
+        features += self._scale_shift
+        # The one cast to the served dtype: fold in float64, round once.
+        return features.astype(np.float32)[:, np.newaxis, :]
 
     def encode_labels(self, records: TrafficRecords) -> np.ndarray:
         """Class names → integer ids in the detector's class order."""
@@ -166,6 +175,22 @@ class CachedPreprocessor:
         """Integer ids → class names (object array)."""
         names = np.asarray(self.class_names, dtype=object)
         return names[np.asarray(class_indices, dtype=np.int64)]
+
+
+def score_records(
+    detector: PelicanDetector, pipeline: CachedPreprocessor, records: TrafficRecords
+) -> np.ndarray:
+    """The served path: records → float32 inputs → fast forward → class ids.
+
+    Every execution model scores through this one function — the sync
+    service's :meth:`DetectionService.score` and the process pool's
+    children alike — so they serve the same dtype and the same numerics.
+    """
+    inputs = pipeline.transform_inputs(records)
+    probabilities = detector.network.predict(
+        inputs, batch_size=max(len(records), 1), fast=True
+    )
+    return np.argmax(probabilities, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -318,11 +343,7 @@ class DetectionService:
         """
         detector, pipeline = self._engine
         started = self.clock()
-        inputs = pipeline.transform_inputs(records)
-        probabilities = detector.network.predict(
-            inputs, batch_size=max(len(records), 1), fast=True
-        )
-        predicted = np.argmax(probabilities, axis=-1)
+        predicted = score_records(detector, pipeline, records)
         finished = self.clock()
         true_indices = pipeline.encode_labels(records)
         return BatchResult(

@@ -495,3 +495,137 @@ class TestFastPathOwnership:
     def test_recurrent_layers(self, layer_cls, return_sequences, steps):
         layer = layer_cls(units=6, return_sequences=return_sequences, seed=0)
         assert_input_untouched(layer, RNG.normal(size=(4, steps, 3)))
+
+
+def _layer_tree(layer):
+    yield layer
+    for sublayer in layer.sublayers:
+        yield from _layer_tree(sublayer)
+
+
+def _spy_fast_arrays(model, monkeypatch):
+    """Record ``(layer, dtype, arrays)`` for every ``fast_arrays`` call."""
+    calls = []
+    for layer in _layer_tree(model):
+        def spy(dtype, _layer=layer, _original=layer.fast_arrays):
+            arrays = _original(dtype)
+            calls.append((_layer, dtype, arrays))
+            return arrays
+
+        monkeypatch.setattr(layer, "fast_arrays", spy)
+    return calls
+
+
+def _trained(network, rng):
+    """Fit one epoch so the BN moving statistics are real."""
+    x = rng.normal(size=(48, 1, SMALL_CONFIG.filters))
+    y = np.eye(5)[rng.integers(0, 5, 48)]
+    network.fit(x, y, epochs=1, batch_size=16)
+    return network
+
+
+def _fresh_restore(build, network, x):
+    """The same architecture, built anew and loaded with ``network``'s state."""
+    clone = build()
+    clone.predict(x[:1])  # build every layer
+    clone.set_weights(network.get_weights())
+    clone.set_buffers(network.get_buffers())
+    return clone
+
+
+class TestServedDtype:
+    """float32 in, float32 computed and out; float64 stays the oracle."""
+
+    def _network(self, name="residual-21"):
+        if name == "residual-21":
+            network = build_residual21(num_classes=5, config=SMALL_CONFIG, seed=0)
+        else:
+            network = Sequential([Conv1D(8, kernel_size=3, seed=0),
+                                  LSTM(units=6, seed=1),
+                                  Dense(5, activation="softmax", seed=2)])
+        return _trained(compile_for_paper(network, SMALL_CONFIG),
+                        np.random.default_rng(5))
+
+    @pytest.mark.parametrize("name", ["residual-21", "conv-lstm"])
+    def test_float64_runs_on_the_stored_arrays(self, name, monkeypatch):
+        network = self._network(name)
+        calls = _spy_fast_arrays(network, monkeypatch)
+        x = np.random.default_rng(0).normal(size=(16, 1, SMALL_CONFIG.filters))
+        assert network.predict(x, fast=True).dtype == np.float64
+
+        with_arrays = {id(layer) for layer in _layer_tree(network)
+                       if layer.inference_arrays()}
+        assert {id(layer) for layer, _, _ in calls} == with_arrays
+        for layer, dtype, arrays in calls:
+            assert dtype == np.float64
+            stored = (layer.folded_constants() if isinstance(layer, BatchNormalization)
+                      else [p.data for p in layer._parameters.values()])
+            assert len(arrays) == len(stored)
+            for array in arrays.values():
+                assert any(array is original for original in stored), layer.name
+        assert all(layer._cast_arrays is None for layer in _layer_tree(network))
+
+    def test_float32_computes_and_returns_float32(self):
+        network = self._network()
+        x = np.random.default_rng(0).normal(size=(16, 1, SMALL_CONFIG.filters))
+        served = network.predict(x.astype(np.float32), fast=True)
+        assert served.dtype == np.float32
+        np.testing.assert_allclose(served, network.predict(x, fast=True),
+                                   atol=1e-5, rtol=0)
+        # The tape and integer inputs still run in float64.
+        assert network.predict(x.astype(np.float32)).dtype == np.float64
+        assert network.predict(x.astype(np.int64), fast=True).dtype == np.float64
+        empty = network.predict(x[:0].astype(np.float32), fast=True)
+        assert empty.shape == (0, 5) and empty.dtype == np.float32
+
+    def test_float32_is_cast_once_per_weight_state(self):
+        layer = Dense(4, seed=0)
+        x = RNG.normal(size=(5, 3)).astype(np.float32)
+        layer.fast_forward(x)
+        first = layer.fast_arrays(np.float32)
+        assert first["kernel"].dtype == np.float32
+        np.testing.assert_array_equal(first["kernel"],
+                                      layer.kernel.data.astype(np.float32))
+        assert layer.fast_arrays(np.float32) is first
+        invalidate_weight_caches()
+        assert layer.fast_arrays(np.float32) is not first
+
+    def test_no_stale_float32_weights_after_set_weights(self):
+        network = self._network()
+        x = np.random.default_rng(1).normal(
+            size=(32, 1, SMALL_CONFIG.filters)).astype(np.float32)
+        before = network.predict(x, fast=True)  # caches float32 copies
+        rng = np.random.default_rng(2)
+        network.set_weights([w + rng.normal(scale=0.1, size=w.shape)
+                             for w in network.get_weights()])
+        after = network.predict(x, fast=True)
+        assert np.abs(after - before).max() > 1e-3
+        fresh = _fresh_restore(
+            lambda: compile_for_paper(
+                build_residual21(num_classes=5, config=SMALL_CONFIG, seed=9),
+                SMALL_CONFIG,
+            ),
+            network, x,
+        )
+        np.testing.assert_array_equal(after, fresh.predict(x, fast=True))
+
+    def test_no_stale_float32_weights_after_an_optimizer_step(self):
+        # Dense only: no batch norm, whose training forward would also
+        # bump the weights epoch and hide a step that does not.
+        def build(seed=0):
+            network = Sequential([Dense(8, activation="relu", seed=seed),
+                                  Dense(3, activation="softmax", seed=seed + 1)])
+            network.compile(SGD(learning_rate=0.5), "categorical_crossentropy")
+            return network
+
+        network = build()
+        x = RNG.normal(size=(16, 6))
+        y = np.eye(3)[RNG.integers(0, 3, 16)]
+        before = network.predict(x.astype(np.float32), fast=True)
+        network.train_on_batch(x, y)
+        after = network.predict(x.astype(np.float32), fast=True)
+        assert np.abs(after - before).max() > 1e-3
+        fresh = _fresh_restore(lambda: build(seed=7), network, x)
+        np.testing.assert_array_equal(
+            after, fresh.predict(x.astype(np.float32), fast=True)
+        )

@@ -34,7 +34,9 @@ import pytest
 from repro.data import nslkdd_generator
 from repro.scenarios import flood_scenario
 from repro.serving import (
+    CachedPreprocessor,
     DetectionService,
+    DetectorCheckpoint,
     DriftPolicy,
     DriftSupervisor,
     PoolStats,
@@ -69,6 +71,31 @@ def _serving_children():
         child for child in multiprocessing.active_children()
         if child.name.startswith("serving-proc-")
     ]
+
+
+def _near_tie_copy(detector, records):
+    """A copy of ``detector`` whose classifier bias puts ``records[0]`` on
+    a near tie that float32 and float64 scoring break differently."""
+    tied = DetectorCheckpoint.capture(detector).restore()
+    network = tied.network
+    classifier = network.layers[-1]
+    kernel, bias = classifier.get_weights()
+    float32 = CachedPreprocessor(tied.preprocessor).transform_inputs(records)
+    float64 = float32.astype(np.float64)
+    probabilities = network.predict(float64, fast=True)[0]
+    second, first = np.argsort(probabilities)[-2:]
+    # Raise the runner-up's logit to the winner's (in float64), then step
+    # across the tie until the two dtypes pick different classes.
+    level = bias.copy()
+    level[second] += np.log(probabilities[first] / probabilities[second])
+    for step in range(-100, 101):
+        trial = level.copy()
+        trial[second] += step * 1e-8
+        classifier.set_weights([kernel, trial])
+        if (network.predict(float32, fast=True)[0].argmax()
+                != network.predict(float64, fast=True)[0].argmax()):
+            return tied
+    raise AssertionError("no step splits the float32 and float64 verdicts")
 
 
 def _tiny_stream(seed=3):
@@ -124,6 +151,27 @@ class TestProcessPoolBitEquality:
             np.concatenate([r.true_indices for r in pool_results]),
             np.concatenate([r.true_indices for r in sync_results]),
         )
+
+    def test_one_child_serves_the_sync_services_float32_verdicts(
+        self, detector, traffic
+    ):
+        """A 1-child pool commits the sync service's class indices bit for
+        bit, including on a record whose float32 verdict differs from its
+        float64 one: the child serves float32 too."""
+        first_batch = traffic.subset(np.arange(32))  # max_batch_size
+        tied = _near_tie_copy(detector, first_batch)
+        sync = _service(tied)
+        sync_results = sync.submit(traffic) + sync.flush()
+        with ProcessWorkerPool(_service(tied), num_workers=1) as pool:
+            pool_results = pool.submit(traffic) + pool.flush()
+
+        served = np.concatenate([r.class_indices for r in sync_results])
+        assert np.array_equal(
+            np.concatenate([r.class_indices for r in pool_results]), served
+        )
+        inputs = CachedPreprocessor(tied.preprocessor).transform_inputs(first_batch)
+        float64 = tied.network.predict(inputs.astype(np.float64), fast=True)
+        assert served[0] != float64[0].argmax()
 
     def test_unknown_categorical_counts_flow_back_to_the_parent(self, detector, traffic):
         """Children tally vocabulary drift; the parent's report must show

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import PelicanDetector
-from repro.data import NSLKDD_SCHEMA, TrafficStream, nslkdd_generator
+from repro.data import NSLKDD_SCHEMA, TrafficStream, load_nslkdd, nslkdd_generator
 from repro.serving import (
     CachedPreprocessor,
     DetectionService,
@@ -17,8 +17,12 @@ class TestCachedPreprocessor:
     def test_matches_training_pipeline(self, detector, traffic):
         prepared = detector.preprocessor.transform(traffic)
         cached = CachedPreprocessor(detector.preprocessor)
-        np.testing.assert_allclose(
-            cached.transform_inputs(traffic), prepared.inputs, atol=1e-9, rtol=0
+        inputs = cached.transform_inputs(traffic)
+        # The served dtype is float32: the float64 pipeline values rounded
+        # once (the folded scaler may land 1 ulp to the other side).
+        assert inputs.dtype == np.float32
+        np.testing.assert_array_max_ulp(
+            inputs, prepared.inputs.astype(np.float32), maxulp=1
         )
         np.testing.assert_array_equal(
             cached.encode_labels(traffic), prepared.class_indices
@@ -36,6 +40,60 @@ class TestCachedPreprocessor:
 
         with pytest.raises(RuntimeError, match="fitted"):
             CachedPreprocessor(IDSPreprocessor(NSLKDD_SCHEMA))
+
+
+class TestServedDtype:
+    """The served path is float32 end to end, within 1e-5 of float64."""
+
+    def test_transform_and_fast_predict_are_float32(
+        self, detector, traffic, monkeypatch
+    ):
+        service = DetectionService(detector)
+        network = detector.network
+        seen = []
+        predict = network.predict
+
+        def spy(x, *args, **kwargs):
+            probabilities = predict(x, *args, **kwargs)
+            seen.append((x.dtype, kwargs.get("fast"), probabilities.dtype))
+            return probabilities
+
+        monkeypatch.setattr(network, "predict", spy)
+        result = service.score(traffic)
+        assert seen == [(np.float32, True, np.float32)]
+        inputs = service.pipeline.transform_inputs(traffic)
+        assert inputs.dtype == np.float32
+        np.testing.assert_array_equal(
+            result.class_indices, np.argmax(predict(inputs, fast=True), axis=-1)
+        )
+
+    def test_float32_tracks_float64_on_a_trained_pelican_flood(self):
+        """A trained 10-block Pelican scores a flood stream at float32 within
+        1e-5 of its float64 probabilities, with no verdict flipped."""
+        detector = PelicanDetector(
+            NSLKDD_SCHEMA, num_blocks=10, epochs=1, batch_size=64,
+            dropout_rate=0.3, seed=1,
+        )
+        detector.fit(load_nslkdd(n_records=384, seed=1))
+        pipeline = CachedPreprocessor(detector.preprocessor)
+        stream = TrafficStream.flood_scenario(
+            nslkdd_generator(), batch_size=256, seed=1
+        )
+        worst = flips = records = 0
+        for batch in stream:
+            served = detector.network.predict(
+                pipeline.transform_inputs(batch.records), fast=True
+            )
+            oracle = detector.network.predict(
+                detector.preprocessor.transform(batch.records).inputs, fast=True
+            )
+            assert served.dtype == np.float32 and oracle.dtype == np.float64
+            worst = max(worst, float(np.abs(served - oracle).max()))
+            flips += int((served.argmax(-1) != oracle.argmax(-1)).sum())
+            records += len(batch.records)
+        assert records > 5000
+        assert worst <= 1e-5
+        assert flips == 0
 
 
 class TestMonitors:
