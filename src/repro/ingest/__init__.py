@@ -12,9 +12,10 @@ is that missing stage, vectorised end to end:
   aggregation keyed by 5-tuple: packet/byte/SYN/error counters, FIN-based
   flow segmentation, idle eviction and the trailing-window connection
   context (``count``/``srv_count``/``serror_rate``/``same_srv_rate``/
-  port entropy).  All per-packet work is numpy (``np.unique`` grouping,
-  ``reduceat`` reductions, offset-key ``searchsorted`` window stats) —
-  Python touches flows, never packets;
+  port entropy).  Per-packet work is numpy (``np.lexsort`` grouping on
+  integer key codes, ``reduceat`` reductions, offset-key ``searchsorted``
+  window stats) plus one dict lookup per packet to code its protocol —
+  otherwise Python touches flows, never packets;
 * :mod:`repro.ingest.extractor` — :class:`FlowFeatureExtractor`, closed
   flows → schema-conforming :class:`~repro.data.dataset.TrafficRecords`
   (payload-replay or derived-feature numeric modes; out-of-schema

@@ -21,13 +21,21 @@ order and maintains:
   ``diff_srv_rate``.  :meth:`FlowTable.port_entropy` summarises the
   window's destination-port spread — the scan/flood indicator.
 
-**Hot path contract**: ``absorb`` does all per-packet work with numpy —
-5-tuple grouping via ``np.unique``, FIN-based sub-flow segmentation via
-cumulative sums, per-segment reductions via ``ufunc.reduceat`` and the
-trailing-window statistics via an offset-key ``searchsorted`` — so Python
-touches *flows* (segment merge bookkeeping), never packets.  The fuzz
-suite (`tests/ingest/test_flow_table_fuzz.py`) holds the whole thing equal
-to a naive per-event Python oracle.
+**Hot path contract**: ``absorb`` groups and reduces packets with numpy —
+5-tuple grouping via one stable ``np.lexsort`` over integer key columns
+(key runs from comparisons of adjacent sorted rows), FIN-based sub-flow
+segmentation via cumulative sums, per-segment reductions via
+``ufunc.reduceat`` and the trailing-window statistics via an offset-key
+``searchsorted``.  Object columns are coded to integers by first
+appearance, one dict lookup per value: ``str(protocol)`` per packet in
+``absorb`` (the same string the carried open-flow keys use) and
+``service`` per closed flow in the window statistics.  No object column
+is sorted, so any hashable value (``None`` included) passes as one
+more out-of-vocabulary value.  Beyond those lookups Python touches *flows*
+(segment merge bookkeeping), never packets, and no output depends on the
+order of the integer codes.  The fuzz suite
+(`tests/ingest/test_flow_table_fuzz.py`) holds the whole thing equal to a
+naive per-event Python oracle.
 
 Ordering semantics (the determinism contract, mirrored by the oracle):
 
@@ -234,26 +242,36 @@ class FlowTable:
         self.packets_seen += n
 
         # --- 5-tuple grouping + FIN-based sub-flow segmentation --------- #
-        proto_vocab, proto_codes = np.unique(events.protocol, return_inverse=True)
-        key_matrix = np.stack(
-            [
-                events.src_host,
-                events.dst_host,
-                events.src_port,
-                events.dst_port,
-                proto_codes.astype(np.int64),
-            ],
-            axis=1,
+        # The protocol is coded by first appearance of ``str(value)``, the
+        # form the carried open-flow keys use.  One stable lexsort over the
+        # five key columns groups each key's events in capture order; which
+        # column leads the sort does not matter.
+        proto_code_of: Dict[str, int] = {}
+        proto_codes = np.fromiter(
+            (
+                proto_code_of.setdefault(str(value), len(proto_code_of))
+                for value in events.protocol
+            ),
+            np.int64,
+            n,
         )
-        unique_keys, key_of = np.unique(key_matrix, axis=0, return_inverse=True)
-        key_of = key_of.reshape(-1)  # numpy 2.0 returns (n, 1) for axis uniques
-        order = np.argsort(key_of, kind="stable")  # capture order within key
-        skey = key_of[order]
+        proto_vocab = list(proto_code_of)
+        key_columns = (
+            events.src_host,
+            events.dst_host,
+            events.src_port,
+            events.dst_port,
+            proto_codes,
+        )
+        order = np.lexsort(key_columns)
         fin = (events.flags[order] & FLAG_FIN) != 0
 
         new_key = np.empty(n, bool)
         new_key[0] = True
-        new_key[1:] = skey[1:] != skey[:-1]
+        new_key[1:] = False
+        for column in key_columns:
+            sorted_column = column[order]
+            new_key[1:] |= sorted_column[1:] != sorted_column[:-1]
         run_starts = np.flatnonzero(new_key)
         run_lengths = np.diff(np.r_[run_starts, n])
         # FINs strictly before each event within its key run: a FIN closes
@@ -273,7 +291,6 @@ class FlowTable:
         size = events.size[order]
         forward = events.direction[order] >= 0
         flags = events.flags[order]
-        seg_key = skey[seg_starts]
         seg_subflow = subflow[seg_starts]
         seg_packets = (seg_ends - seg_starts).astype(np.int64)
         seg_fwd = np.add.reduceat(forward.astype(np.int64), seg_starts)
@@ -302,13 +319,14 @@ class FlowTable:
         seg_label = events.label[seg_first].copy()
         seg_state = events.state[seg_last].copy()
 
-        key_rows = unique_keys[seg_key]
+        # Each segment's key row, read from its first event.
+        key_rows = np.stack([column[seg_first] for column in key_columns], axis=1)
 
         def key_tuple(seg: int) -> Tuple:
             row = key_rows[seg]
             return (
                 int(row[0]), int(row[1]), int(row[2]), int(row[3]),
-                str(proto_vocab[row[4]]),
+                proto_vocab[row[4]],
             )
 
         # --- merge with flows carried open from previous batches -------- #
@@ -500,8 +518,15 @@ class FlowTable:
             [self._hist_err, (columns["err_count"] > 0).astype(np.float64)]
         )
         _, dst_codes = np.unique(dst, return_inverse=True)
-        srv_vocab, srv_codes = np.unique(srv, return_inverse=True)
-        pair_codes = dst_codes.astype(np.int64) * max(len(srv_vocab), 1) + srv_codes
+        # Services coded by first appearance (one dict lookup per flow, no
+        # object sort, so any hashable value passes).
+        srv_code_of: Dict[object, int] = {}
+        srv_codes = np.fromiter(
+            (srv_code_of.setdefault(value, len(srv_code_of)) for value in srv),
+            np.int64,
+            len(srv),
+        )
+        pair_codes = dst_codes.astype(np.int64) * len(srv_code_of) + srv_codes
         count, err_sum = _trailing_group_stats(dst_codes, err, self.window)
         srv_count, _ = _trailing_group_stats(
             pair_codes, np.zeros(len(pair_codes)), self.window

@@ -15,6 +15,7 @@ from repro.ingest import (
     FLAG_FIN,
     FLAG_SYN,
     FlowFeatureExtractor,
+    FlowTable,
     PacketEvents,
 )
 from repro.serving.service import DetectionService
@@ -120,6 +121,49 @@ def test_out_of_schema_categoricals_feed_unknown_counters(detector):
     unknown = service.report().unknown_categoricals
     assert unknown["protocol_type"] == 4
     assert unknown["service"] == 4
+
+
+@pytest.mark.parametrize("column", ["protocol", "service"])
+def test_none_categorical_keeps_every_flow(column):
+    """A ``None`` protocol or service is one more out-of-vocabulary value.
+
+    The closing batch continues two carried flows and opens a third whose
+    ``column`` is ``None``; all three close and drain with their values,
+    and the table's flow accounting still balances.
+    """
+    table = FlowTable(window=8)
+    table.absorb(_events(2, payload_width=0, flags=np.full(2, FLAG_SYN, np.uint8)))
+    assert table.open_flows == 2
+    carried = "tcp" if column == "protocol" else "http"
+    closing = _events(
+        3,
+        payload_width=0,
+        time=np.arange(3, dtype=np.float64) + 10.0,
+        **{column: np.array([carried, carried, None], object)},
+    )
+    assert table.absorb(closing) == 3
+    assert table.packets_seen == 5
+    assert table.flows_opened == 3
+    assert table.flows_opened == table.flows_closed + table.open_flows
+    stats = table.drain()
+    assert list(getattr(stats, column)) == [carried, carried, None]
+    assert stats.n_packets.tolist() == [2, 2, 1]
+
+
+def test_none_categoricals_feed_unknown_counters(detector):
+    """``None`` protocol/service values reach the drift counters too."""
+    service = DetectionService(detector, max_batch_size=8, flush_interval=0.0)
+    events = _events(
+        4,
+        protocol=np.array([None] * 4, object),
+        service=np.array([None, "http", None, "http"], object),
+    )
+    results = service.submit_events(events)
+    results += service.flush()
+    assert sum(len(r.predictions) for r in results) == 4
+    unknown = service.report().unknown_categoricals
+    assert unknown["protocol_type"] == 4
+    assert unknown["service"] == 2
 
 
 def test_derive_mode_populates_packet_observable_columns():

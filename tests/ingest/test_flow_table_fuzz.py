@@ -1,22 +1,28 @@
 """Property/fuzz suite: the vectorized FlowTable equals a per-event oracle.
 
-``FlowTable.absorb`` does all per-packet work with numpy (``np.unique``
-grouping, ``reduceat`` reductions, offset-key ``searchsorted`` window
-stats).  The oracle below re-implements the documented semantics the
-boring way — one Python loop iteration per packet, one history append per
-closure — and ~200 seeded random schedules assert the two produce
-**identical** closed-flow batches: same flows, same order, same counters,
-same trailing-window statistics, same payload sums.
+``FlowTable.absorb`` does all per-packet work with numpy (``lexsort``
+grouping on integer key codes, ``reduceat`` reductions, offset-key
+``searchsorted`` window stats).  The oracle below re-implements the
+documented semantics the boring way — one Python loop iteration per
+packet, one history append per closure — and ~300 seeded random schedules
+assert the two produce **identical** closed-flow batches: same flows, same
+order, same counters, same trailing-window statistics, same payload sums.
 
 The schedules are adversarial on purpose: tiny host/port/protocol ranges
 force 5-tuple collisions and flow reuse, timestamps are locally shuffled
 (capture order is array order, time is not monotone), FIN density drives
 window rollover, and small idle timeouts force evictions whose keys then
-re-open.  Sizes and payload fragments are *integer-valued* floats so sums
-are exact under any association — the table may sum a flow's bytes in a
-different order than the oracle (continuation merge vs. left-to-right) and
-the equality here is deliberately bitwise.
+re-open.  A second family draws its keys from a small pool of wide values
+(host ids up to 2**40, ports 0 and 65535, seven protocols with ``None``
+among them, first seen out of sorted order), so grouping can lean neither
+on small key magnitudes nor on the order of the integer codes.  Sizes and
+payload fragments are *integer-valued* floats so sums are exact under any
+association — the table may sum a flow's bytes in a different order than
+the oracle (continuation merge vs. left-to-right) and the equality here is
+deliberately bitwise.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -26,8 +32,12 @@ from repro.ingest import FLAG_ERR, FLAG_FIN, FLAG_SYN, FlowTable, PacketEvents
 pytestmark = pytest.mark.ingest
 
 N_SCHEDULES = 200
+N_WIDE_SCHEDULES = 100
 
 _PROTOCOLS = ("tcp", "udp")
+# ``None`` and ``"None"`` share one key: the table codes protocols by str.
+_WIDE_PROTOCOLS = ("udp", "tcp", "icmp", "sctp", "gre", None, "None")
+_WIDE_PROTOCOL_P = (0.3, 0.3, 0.1, 0.1, 0.1, 0.05, 0.05)
 _SERVICES = ("http", "dns", "smtp")
 _STATES = ("SF", "S0", "REJ")
 _LABELS = ("normal", "dos")
@@ -191,6 +201,36 @@ def _random_events(rng, n, payload_width):
     )
 
 
+def _wide_key_space(rng):
+    """Three host ids reaching 2**40 and three ports spanning 0-65535: a
+    key pool small enough that flows still collide and continue."""
+    return {
+        "hosts": np.array([0, int(rng.integers(2**32, 2**40)), 2**40]),
+        "ports": np.array([0, int(rng.integers(1, 65535)), 65535]),
+    }
+
+
+def _wide_events(rng, n, payload_width, space):
+    """A :func:`_random_events` batch rekeyed onto the wide key space."""
+    events = _random_events(rng, n, payload_width)
+    protocol = rng.choice(len(_WIDE_PROTOCOLS), size=n, p=_WIDE_PROTOCOL_P)
+    # Lead with every protocol in a shuffled order that is never the
+    # sorted one, so first-appearance codes and sorted codes disagree.
+    lead = rng.permutation(len(_WIDE_PROTOCOLS))
+    if [str(_WIDE_PROTOCOLS[i]) for i in lead] == sorted(map(str, _WIDE_PROTOCOLS)):
+        lead = lead[::-1]
+    protocol[: min(n, len(lead))] = lead[:n]
+    return dataclasses.replace(
+        events,
+        src_host=rng.choice(space["hosts"], size=n),
+        dst_host=rng.choice(space["hosts"], size=n),
+        src_port=rng.choice(space["ports"][:2], size=n),
+        dst_port=rng.choice(space["ports"], size=n),
+        protocol=np.array([_WIDE_PROTOCOLS[i] for i in protocol], object),
+        service=np.array(rng.choice(_SERVICES + (None,), size=n), object),
+    )
+
+
 _INT_FIELDS = (
     "open_seq", "src_host", "dst_host", "src_port", "dst_port",
     "n_packets", "n_fwd", "n_bwd", "syn_count", "err_count",
@@ -236,10 +276,9 @@ def _invariants(stats, table, seed):
     assert table.flows_opened == table.flows_closed + table.open_flows, seed
 
 
-@pytest.mark.parametrize("seed", range(N_SCHEDULES))
-def test_flow_table_matches_per_event_oracle(seed):
-    """Vectorized absorb/close_all/drain == naive per-event aggregation."""
-    rng = np.random.default_rng((0xF10E7, seed))
+def _run_schedule(rng, seed, draw_events):
+    """Drive the table and the oracle through one seeded schedule of
+    ``draw_events(rng, n, payload_width)`` batches and compare them."""
     window = int(rng.integers(1, 9))
     idle_timeout = (
         None if rng.random() < 0.4 else float(rng.uniform(0.5, 6.0))
@@ -253,7 +292,7 @@ def test_flow_table_matches_per_event_oracle(seed):
     oracle = OracleTable(window, idle_timeout, payload_width)
 
     for _ in range(int(rng.integers(1, 5))):
-        events = _random_events(rng, int(rng.integers(0, 41)), payload_width)
+        events = draw_events(rng, int(rng.integers(0, 41)), payload_width)
         table.absorb(events)
         oracle.absorb(events)
         assert table.port_entropy() == oracle.port_entropy(), seed
@@ -270,6 +309,25 @@ def test_flow_table_matches_per_event_oracle(seed):
     assert table.flows_opened == oracle.flows_opened
     assert table.flows_closed == oracle.flows_closed
     assert table.flows_evicted == oracle.flows_evicted
+
+
+@pytest.mark.parametrize("seed", range(N_SCHEDULES))
+def test_flow_table_matches_per_event_oracle(seed):
+    """Vectorized absorb/close_all/drain == naive per-event aggregation."""
+    _run_schedule(np.random.default_rng((0xF10E7, seed)), seed, _random_events)
+
+
+@pytest.mark.parametrize("seed", range(N_WIDE_SCHEDULES))
+def test_flow_table_matches_oracle_on_wide_keys(seed):
+    """The same equality with host ids up to 2**40, ports across 0-65535
+    and seven protocols (``None`` among them) that first appear out of
+    their sorted order: grouping must not depend on key magnitude or on
+    the order of the integer codes."""
+    rng = np.random.default_rng((0x5EED, seed))
+    space = _wide_key_space(rng)
+    _run_schedule(
+        rng, seed, lambda rng, n, width: _wide_events(rng, n, width, space)
+    )
 
 
 def test_evicted_flow_reopens_cleanly():
