@@ -11,10 +11,10 @@ of :class:`repro.serving.FleetController`:
    batch boundary the controller polls each pool's
    :class:`repro.serving.PoolStats`, reads its backlog per worker and
    resizes between the :class:`repro.serving.AutoscalePolicy` bounds;
-   every decision lands in the report's fleet timeline.  The run's confusion counts are then
-   checked against an uncontrolled fixed-size run (autoscaling is
-   invisible in reports), and the *recorded schedule* is replayed to show
-   the run reproduces decision for decision.
+   every decision lands in the run's event log.  The run's confusion
+   counts are then checked against an uncontrolled fixed-size run
+   (autoscaling is invisible in reports), and the *recorded schedule* is
+   replayed to show the run reproduces decision for decision.
 2. **Staged canary rollout** — a challenger rehydrated from a
    :class:`repro.serving.DetectorCheckpoint` shadows the canary shard's
    traffic on the rollout-drift preset, passes the
@@ -31,16 +31,13 @@ Run with::
 
 from repro.core import PelicanDetector
 from repro.data import NSLKDD_SCHEMA, load_nslkdd, nslkdd_generator
-from repro.scenarios import (
-    build_replica_fleet,
-    overload_scenario,
-    rollout_drift_scenario,
-)
+from repro.scenarios import overload_scenario, rollout_drift_scenario
 from repro.serving import (
     AutoscalePolicy,
     DetectorCheckpoint,
     FleetController,
     RolloutPolicy,
+    ShardedDetectionService,
 )
 
 
@@ -49,13 +46,13 @@ def counts(report):
     return (rolling.tp, rolling.tn, rolling.fp, rolling.fn)
 
 
-def print_timeline(outcome) -> None:
+def print_events(outcome) -> None:
     for event in outcome.events:
         print(f"    {event}")
 
 
 def build_fleet(detector):
-    return build_replica_fleet(
+    return ShardedDetectionService.replicated(
         detector, 2, max_batch_size=64, flush_interval=0.0, window=1 << 20
     )
 
@@ -97,7 +94,7 @@ def main() -> None:
     )
     outcome = controller.run_stream(stream)
     print(f"  {len(outcome.events)} fleet events:")
-    print_timeline(outcome)
+    print_events(outcome)
 
     baseline = build_fleet(detector).run_stream(stream)
     print(f"  autoscaled counts:   {counts(outcome.report)}")
@@ -124,7 +121,7 @@ def main() -> None:
     challenger = DetectorCheckpoint.capture(detector).restore()
     controller.request_rollout(challenger)
     outcome = controller.run_stream(rollout_stream)
-    print_timeline(outcome)
+    print_events(outcome)
     assert outcome.promoted and outcome.completed
     assert all(shard.detector is challenger for shard in fleet.shards)
     print("  challenger serving on every shard")
@@ -145,7 +142,7 @@ def main() -> None:
     )
     controller.request_rollout(poisoned_challenger(detector))
     outcome = controller.run_stream(rollout_stream)
-    print_timeline(outcome)
+    print_events(outcome)
     assert outcome.rolled_back and not outcome.completed
     assert [shard.detector for shard in fleet.shards] == primaries
     print("  every swapped shard reverted to its primary")

@@ -295,26 +295,6 @@ class TrafficGenerator:
             np.linalg.norm(direction) / np.sqrt(n_numeric), 1e-12
         )
 
-    def lower_to_events(
-        self,
-        records: TrafficRecords,
-        seed: int = 0,
-        base_time: float = 0.0,
-    ):
-        """Lower featurized records to a seeded packet-event trace.
-
-        The packet-event emission mode: the returned
-        :class:`~repro.ingest.PacketEvents` trace aggregates back to
-        ``records`` bit for bit through a replay-mode
-        :class:`~repro.ingest.FlowFeatureExtractor` (see
-        :mod:`repro.ingest.lowering` for the contract).
-        """
-        from ..ingest.lowering import lower_records
-
-        return lower_records(
-            records, np.random.default_rng(seed), base_time=base_time
-        )
-
     def sample(
         self,
         n_records: int,

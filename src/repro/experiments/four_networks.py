@@ -59,10 +59,6 @@ class FourNetworkStudy:
     train_accuracy: Dict[str, List[float]] = field(default_factory=dict)
     test_accuracy: Dict[str, List[float]] = field(default_factory=dict)
 
-    @property
-    def network_names(self) -> List[str]:
-        return [name for name, _, _ in NETWORK_DEFINITIONS]
-
     def epochs(self) -> List[int]:
         """Epoch indices (1-based) of the recorded histories."""
         any_history = next(iter(self.train_loss.values()), [])

@@ -105,9 +105,6 @@ class FlowStats:
     def __len__(self) -> int:
         return len(self.open_seq)
 
-    def field_names(self) -> Tuple[str, ...]:
-        return _STAT_FIELDS
-
 
 class _OpenFlow:
     """Accumulator for a flow still open across ``absorb`` boundaries."""
@@ -209,10 +206,6 @@ class FlowTable:
     @property
     def open_flows(self) -> int:
         return len(self._open)
-
-    @property
-    def pending_flows(self) -> int:
-        return sum(len(chunk["open_seq"]) for chunk in self._pending)
 
     def port_entropy(self) -> float:
         """Shannon entropy (bits) of destination ports over the trailing

@@ -887,17 +887,3 @@ def dropout(x: ArrayLike, rate: float, rng: Optional[np.random.Generator] = None
         return (grad * mask,)
 
     return _make_result(data, (x,), backward)
-
-
-def embedding_lookup(weights: ArrayLike, indices: np.ndarray) -> Tensor:
-    """Row lookup into an embedding matrix (used by the HAST-IDS baseline)."""
-    weights = as_tensor(weights)
-    indices = np.asarray(indices, dtype=np.int64)
-    data = weights.data[indices]
-
-    def backward(grad: np.ndarray):
-        full = np.zeros_like(weights.data)
-        np.add.at(full, indices, grad)
-        return (full,)
-
-    return _make_result(data, (weights,), backward)

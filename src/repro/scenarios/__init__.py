@@ -43,7 +43,6 @@ from .builder import (
 from .fleet import (
     InterleavedStream,
     build_fleet_service,
-    build_replica_fleet,
     overload_scenario,
     rollout_drift_scenario,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "ScenarioBuilder",
     "InterleavedStream",
     "build_fleet_service",
-    "build_replica_fleet",
     "overload_scenario",
     "rollout_drift_scenario",
     "flood_scenario",

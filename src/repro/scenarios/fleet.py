@@ -31,7 +31,6 @@ from .builder import Constant, Drift, Scenario, Segment
 __all__ = [
     "InterleavedStream",
     "build_fleet_service",
-    "build_replica_fleet",
     "validate_detector_keys",
     "overload_scenario",
     "rollout_drift_scenario",
@@ -147,32 +146,6 @@ def build_fleet_service(
         assignment={name: index for index, name in enumerate(names)},
     )
     return ShardedDetectionService(shards, router, names=names)
-
-
-def build_replica_fleet(
-    detector: PelicanDetector,
-    n_shards: int = 2,
-    **service_kwargs,
-) -> ShardedDetectionService:
-    """``n_shards`` replica shards of one detector, record-striped.
-
-    The homogeneous fleet the
-    :class:`~repro.serving.fleet.FleetController` rollout path requires:
-    every shard serves the same weights, so a challenger that wins on the
-    canary shard is valid on every other shard, and merged quality counts
-    stay bit-identical to a single-service run.  Extra keyword arguments
-    go to each shard's :class:`~repro.serving.service.DetectionService`.
-    """
-    if n_shards <= 0:
-        raise ValueError("a replica fleet needs at least one shard")
-    shards = [
-        DetectionService(detector, **service_kwargs) for _ in range(n_shards)
-    ]
-    return ShardedDetectionService(
-        shards,
-        ShardRouter(n_shards, "replica"),
-        names=[f"replica-{index}" for index in range(n_shards)],
-    )
 
 
 def overload_scenario(

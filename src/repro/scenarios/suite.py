@@ -22,7 +22,7 @@ test_bench_scenarios.py`` asserts exactly that and writes the rows to
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from ..core.detector import PelicanDetector
 from ..data.nslkdd import nslkdd_generator
@@ -34,7 +34,6 @@ from ..serving.service import DetectionService, ServiceReport
 from ..serving.sharding import ShardedDetectionService
 from .fleet import (
     build_fleet_service,
-    build_replica_fleet,
     overload_scenario,
     rollout_drift_scenario,
     validate_detector_keys,
@@ -49,6 +48,7 @@ from .presets import (
 __all__ = [
     "ScenarioSuite",
     "report_row",
+    "event_rows",
     "lifecycle_row",
     "fleet_control_row",
     "DEFAULT_LIFECYCLE_POLICY",
@@ -103,23 +103,30 @@ def report_row(report: ServiceReport) -> Dict[str, object]:
     return row
 
 
+def event_rows(events) -> List[Dict[str, object]]:
+    """Flatten a driver's :class:`~repro.serving.driver.ControlEvent` log
+    to JSON rows (the wall-clock ``time`` stamps are left out)."""
+    return [
+        {
+            "kind": event.kind,
+            "batch_index": event.batch_index,
+            "shard": event.shard,
+            "records_seen": event.records_seen,
+            "detail": {k: str(v) for k, v in event.detail.items()},
+        }
+        for event in events
+    ]
+
+
 def lifecycle_row(outcome) -> Dict[str, object]:
     """Flatten a :class:`~repro.serving.lifecycle.LifecycleOutcome` to JSON.
 
-    Carries the event timeline, the per-batch rolling DR/FAR curves and the
+    Carries the event log, the per-batch rolling DR/FAR curves and the
     recovery-time headline alongside the usual service-report row — the
     shape ``BENCH_scenarios.json`` records as the lifecycle baseline.
     """
     return {
-        "events": [
-            {
-                "kind": event.kind,
-                "batch_index": event.batch_index,
-                "records_seen": event.records_seen,
-                "detail": {k: str(v) for k, v in event.detail.items()},
-            }
-            for event in outcome.events
-        ],
+        "events": event_rows(outcome.events),
         "triggered": outcome.triggered,
         "promoted": outcome.promoted,
         "recovery_batches": outcome.recovery_batches,
@@ -134,7 +141,7 @@ def fleet_control_row(outcome) -> Dict[str, object]:
     """Flatten a :class:`~repro.serving.fleet.FleetOutcome` to JSON.
 
     Alongside the usual service-report row it records the controller's
-    event timeline, per-kind event counts, the rollout stage timings
+    event log, per-kind event counts, the rollout stage timings
     (service-clock deltas between consecutive swap events) and — because
     the merged report already separates phases — the per-phase DR the
     bench asserts against.
@@ -148,16 +155,7 @@ def fleet_control_row(outcome) -> Dict[str, object]:
     for event in outcome.events:
         kind_counts[event.kind] = kind_counts.get(event.kind, 0) + 1
     return {
-        "events": [
-            {
-                "kind": event.kind,
-                "batch_index": event.batch_index,
-                "shard": event.shard,
-                "records_seen": event.records_seen,
-                "detail": {k: str(v) for k, v in event.detail.items()},
-            }
-            for event in outcome.events
-        ],
+        "events": event_rows(outcome.events),
         "event_counts": kind_counts,
         "scaling_events": kind_counts.get("resize", 0),
         "stage_timings_s": stage_timings,
@@ -222,7 +220,7 @@ class ScenarioSuite:
     include_lifecycle:
         Run the ``retrain-recovery`` preset a second time under a
         :class:`~repro.serving.lifecycle.DriftSupervisor` (inline retrain)
-        and record the event timeline, DR/FAR curves and recovery time in
+        and record the event log, DR/FAR curves and recovery time in
         the result tree's ``lifecycle`` entry.  Off by default: the
         supervised run *retrains a detector*, which the quick sweeps the
         suite is also used for should not pay; ``benchmarks/
@@ -300,14 +298,7 @@ class ScenarioSuite:
                 self._service(detector), num_workers=self.num_workers
             ).run_stream(stream)
         if model == "sharded":
-            sharded = ShardedDetectionService.replicated(
-                detector,
-                self.replica_shards,
-                max_batch_size=max(self.batch_size, 1),
-                flush_interval=0.0,
-                window=self.window,
-            )
-            return sharded.run_stream(stream)
+            return self._replica_fleet(detector).run_stream(stream)
         raise ValueError(f"unknown execution model {model!r}")
 
     def _fleet_service(self) -> ShardedDetectionService:
@@ -319,7 +310,7 @@ class ScenarioSuite:
         )
 
     def _replica_fleet(self, detector: PelicanDetector) -> ShardedDetectionService:
-        return build_replica_fleet(
+        return ShardedDetectionService.replicated(
             detector,
             self.replica_shards,
             max_batch_size=max(self.batch_size, 1),

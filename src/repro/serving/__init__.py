@@ -50,11 +50,15 @@ Every ``run_stream`` — the three models above and the shadow, supervisor
 and fleet controller below — is one loop, :class:`StreamDriver`
 (:mod:`repro.serving.driver`): route → expect → submit → attribute per
 stream batch over the engine's *lanes* (the service, the pool, or one lane
-per shard), with batch-boundary hooks for the shadow tee and the control
-loops, then flush → merge.  ``max_batches`` pulls exactly that many
-batches, and :class:`PhaseAttributor` sums confusion counts per phase, so
-every served record is committed and attributed once and the per-phase
-rows are exact totals whatever the rolling window.
+per shard), with one batch-boundary hook for the control loops, then
+flush → merge.  ``max_batches`` pulls exactly that many batches, and
+:class:`PhaseAttributor` sums confusion counts per phase, so every served
+record is committed and attributed once and the per-phase rows are exact
+totals whatever the rolling window.  The driver also holds the control
+plane's shared pieces: the tee to an attached challenger
+:class:`~repro.serving.lifecycle.Trial` and the event log, where every
+supervisor and fleet decision lands as a :class:`ControlEvent` stamped
+with committed records and the service clock.
 
 The fleet control plane (:mod:`repro.serving.fleet`) operates those
 models: :class:`FleetController` owns a sharded fleet with one process
@@ -65,7 +69,8 @@ bounds) and staged canary rollout of a challenger
 detector (shadow trial on a canary shard, :class:`ShadowComparison` gate,
 staggered shard-by-shard hot-swap, automatic rollback when post-swap DR
 falls through the :class:`RolloutPolicy` floor).  Every decision lands in
-a replayable fleet timeline on the report (see ``docs/SERVING.md``).
+the driver's event log, from which a replayable schedule is read (see
+``docs/SERVING.md``).
 
 The model lifecycle lives in :mod:`repro.serving.lifecycle`:
 :class:`DetectorCheckpoint` (single-archive save/load reconstructing a
@@ -86,7 +91,7 @@ every preset across the three execution models.
 """
 
 from .batching import MicroBatcher
-from .driver import PhaseAttributor, StreamDriver
+from .driver import ControlEvent, PhaseAttributor, StreamDriver
 from .monitor import RollingDetectionMonitor, ThroughputMonitor
 from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
 
@@ -98,7 +103,6 @@ from .lifecycle import (
     DetectorCheckpoint,
     DriftPolicy,
     DriftSupervisor,
-    LifecycleEvent,
     LifecycleOutcome,
     ReplayBuffer,
     ShadowComparison,
@@ -111,7 +115,6 @@ from .fleet import (
     AutoscalePolicy,
     FleetAction,
     FleetController,
-    FleetEvent,
     FleetOutcome,
     RolloutPolicy,
 )
@@ -124,6 +127,7 @@ __all__ = [
     "DetectionService",
     "PhaseAttributor",
     "StreamDriver",
+    "ControlEvent",
     "BatchResult",
     "ServiceReport",
     "PoolStats",
@@ -131,7 +135,6 @@ __all__ = [
     "FleetController",
     "AutoscalePolicy",
     "RolloutPolicy",
-    "FleetEvent",
     "FleetAction",
     "FleetOutcome",
     "ShardRouter",
@@ -142,7 +145,6 @@ __all__ = [
     "ShadowReport",
     "DriftPolicy",
     "DriftSupervisor",
-    "LifecycleEvent",
     "LifecycleOutcome",
     "ReplayBuffer",
 ]

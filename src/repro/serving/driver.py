@@ -3,7 +3,7 @@
 Every ``run_stream`` in the serving layer — the synchronous service, the
 process pool, the sharded fleet, the shadow deployment, the drift
 supervisor and the fleet controller — is a :class:`StreamDriver` over an
-*engine* plus a few hooks.  Per stream batch the driver runs one step::
+*engine*.  Per stream batch the driver runs one step::
 
     route → expect → submit → attribute
 
@@ -23,10 +23,16 @@ and, once the stream is exhausted, flush → attribute → merge.
   (:class:`~repro.serving.sharding.ShardRouter`) splits each stream batch
   across the lanes, and ``_stream_report(phase_reports)`` builds the final
   :class:`~repro.serving.service.ServiceReport`.
-* **Hooks** run on batch boundaries: ``before_submit(stream_batch, parts)``
-  sees each batch's routed parts before any lane does (the shadow tee),
-  ``after_batch(index, stream_batch)`` runs once every part is submitted
-  (drift checks and hot-swaps, rollout stages, autoscale ticks).
+* **One hook** runs on batch boundaries: ``after_batch(index,
+  stream_batch)``, once every part is submitted (drift checks and
+  hot-swaps, rollout stages, autoscale ticks).
+* **The trial tee**: while a :class:`~repro.serving.lifecycle.shadow.Trial`
+  is attached as ``driver.trial`` (from its opening until its verdict),
+  each batch's routed parts go to it before any lane sees them, so its
+  challenger scores the same records.
+* **The event log**: a controller records each decision with :meth:`log`,
+  which appends a :class:`ControlEvent` to ``driver.events``, stamped with
+  the records the lanes have committed and the engine's service clock.
 
 ``max_batches`` limits the stream by :func:`itertools.islice`, so exactly
 that many batches are pulled from it.  Every record the driver submits is
@@ -37,16 +43,14 @@ the per-phase rows are exact totals.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Sequence
 
-from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport, evaluate_detection
 
-__all__ = ["PhaseAttributor", "StreamDriver"]
-
-Parts = List[Tuple[int, TrafficRecords]]
+__all__ = ["ControlEvent", "PhaseAttributor", "StreamDriver"]
 
 
 def _add(totals: Dict[str, DetectionReport], phase: str, report) -> None:
@@ -102,31 +106,51 @@ class PhaseAttributor:
         return dict(self._totals)
 
 
+@dataclass(frozen=True)
+class ControlEvent:
+    """One control-plane decision, as :meth:`StreamDriver.log` records it."""
+
+    kind: str               # e.g. drift-detected | promoted | resize | swap | rollback
+    batch_index: int        # stream batch after which the event fired
+    records_seen: int       # records the driver's lanes had committed then
+    time: float             # the engine's service-clock reading
+    shard: Optional[int] = None  # the shard it addresses (None = every lane)
+    detail: Dict[str, object] = field(default_factory=dict)
+
+    def __str__(self) -> str:
+        where = f" shard={self.shard}" if self.shard is not None else ""
+        detail = ", ".join(f"{k}={v}" for k, v in self.detail.items())
+        return (
+            f"[batch {self.batch_index:>4d} | {self.records_seen:>6d} rec]{where} "
+            f"{self.kind}" + (f" ({detail})" if detail else "")
+        )
+
+
 class StreamDriver:
     """Serve streams on an engine's lanes; see the module docstring.
 
     Use as a context manager: entering opens the engine's lanes
     (``lane_options`` go to its ``_stream_lanes``); leaving closes them.
     Inside, :meth:`run` serves a whole stream, or :meth:`submit` /
-    :meth:`flush` / :meth:`report` drive it batch by batch (the shadow tee
-    feeds a challenger this way).
+    :meth:`flush` / :meth:`report` drive it batch by batch (a trial's
+    challenger is fed this way).
     """
 
     def __init__(
         self,
         engine,
-        before_submit: Optional[Callable[[StreamBatch, Parts], None]] = None,
         after_batch: Optional[Callable[[int, StreamBatch], None]] = None,
         **lane_options,
     ) -> None:
         self.engine = engine
         self.router = getattr(engine, "router", None)
-        self.before_submit = before_submit
         self.after_batch = after_batch
         self.lane_options = lane_options
         self.lanes: Sequence = ()
         self.attributors: List[PhaseAttributor] = []
         self.served = 0  # stream batches submitted so far
+        self.trial = None  # the attached Trial; it sees every batch's parts first
+        self.events: List[ControlEvent] = []
 
     def __enter__(self) -> "StreamDriver":
         self._opened = self.engine._stream_lanes(**self.lane_options)
@@ -147,8 +171,8 @@ class StreamDriver:
         records = stream_batch.records
         # One unrouted lane receives the batch's records object as is.
         parts = [(0, records)] if self.router is None else self.router.parts(records)
-        if self.before_submit is not None:
-            self.before_submit(stream_batch, parts)
+        if self.trial is not None:
+            self.trial.submit(stream_batch, parts)
         for lane, part in parts:
             self.attributors[lane].expect(stream_batch.phase, len(part))
             self._attribute(lane, self.lanes[lane].submit(part))
@@ -160,6 +184,15 @@ class StreamDriver:
         """Drain every lane — the swap boundary — attributing what commits."""
         for lane, engine in enumerate(self.lanes):
             self._attribute(lane, engine.flush())
+
+    def log(
+        self, kind: str, batch_index: int, shard: Optional[int] = None, **detail
+    ) -> None:
+        """Record a control-plane decision as a :class:`ControlEvent`."""
+        self.events.append(ControlEvent(
+            kind, batch_index, self.report().records, self.engine.clock(),
+            shard, detail,
+        ))
 
     def report(self):
         """The engine's report with the lanes' per-phase totals summed."""

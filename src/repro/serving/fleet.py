@@ -31,22 +31,23 @@ swap, watch, rollback — runs right after a flush of every lane and reads
 only committed confusion counts, so it replays identically on the same
 stream.  Autoscaling decisions read wall-clock-dependent queue
 stats, so they do *not* — instead every decision is recorded as a
-:class:`FleetEvent` in the report's ``timeline``, and replaying the
-realized schedule (``FleetController(..., schedule=outcome.schedule())``)
-reproduces bit-equal confusion counts and an identical decision timeline.
+:class:`~repro.serving.driver.ControlEvent` in the driver's event log
+(``FleetOutcome.events``), and replaying the realized schedule
+(``FleetController(..., schedule=outcome.schedule())``) reproduces
+bit-equal confusion counts and an identical decision log.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..core.detector import PelicanDetector
 from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
-from .driver import StreamDriver
+from .driver import ControlEvent, StreamDriver
 from .procpool import PoolStats
 from .service import ServiceReport
 from .sharding import ShardedDetectionService
@@ -56,7 +57,6 @@ from .lifecycle.shadow import Trial, counts_since, overall
 __all__ = [
     "AutoscalePolicy",
     "RolloutPolicy",
-    "FleetEvent",
     "FleetAction",
     "FleetOutcome",
     "FleetController",
@@ -154,30 +154,8 @@ class RolloutPolicy:
 
 
 @dataclass(frozen=True)
-class FleetEvent:
-    """One timeline entry of a controlled fleet run."""
-
-    kind: str               # resize | shadow-start | promote | reject | swap
-    #                       # | rollback | rollout-complete | rollout-incomplete
-    #                       # | trial-abandoned
-    batch_index: int        # stream batch after which the event fired
-    shard: Optional[int]    # shard the event addresses (None = fleet-wide)
-    records_seen: int       # fleet-wide records served when it fired
-    time: float             # service-clock reading
-    detail: Dict[str, object] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        where = f" shard={self.shard}" if self.shard is not None else ""
-        detail = ", ".join(f"{k}={v}" for k, v in self.detail.items())
-        return (
-            f"[batch {self.batch_index:>4d}]{where} {self.kind}"
-            + (f" ({detail})" if detail else "")
-        )
-
-
-@dataclass(frozen=True)
 class FleetAction:
-    """The replayable core of a :class:`FleetEvent`.
+    """The replayable core of a fleet :class:`~repro.serving.driver.ControlEvent`.
 
     Strips the wall-clock fields (``time``, ``records_seen``, live queue
     stats) so two runs that made the same *decisions* compare equal, and so
@@ -196,7 +174,7 @@ class FleetOutcome:
     """What a controlled fleet run produced."""
 
     report: ServiceReport
-    events: List[FleetEvent]
+    events: List[ControlEvent]  # the driver's event log
 
     def _kinds(self) -> List[str]:
         return [event.kind for event in self.events]
@@ -255,7 +233,7 @@ class FleetController:
         its ``resize`` actions are applied at their recorded batch indices
         and the live autoscaler is bypassed.  Rollout actions replay
         implicitly — their decisions are deterministic functions of the
-        stream — so a replayed run reproduces the full decision timeline
+        stream — so a replayed run reproduces the full decision log
         and bit-equal confusion counts.
     """
 
@@ -337,11 +315,10 @@ class FleetController:
         shards, one process pool per shard — per-shard attribution, merged
         per-phase reports, as in :meth:`ShardedDetectionService.run_stream`
         — with the two control loops as its ``after_batch`` hook.  The
-        returned report carries the event timeline under ``timeline``.
+        outcome's ``events`` is the driver's event log.
         """
         fleet = self.fleet
         canary = self.rollout.canary_shard
-        events: List[FleetEvent] = []
         # Rollout state, touched on the driving thread only.  Every trial,
         # swap and watch decision reads the driver's exact per-lane totals
         # right after a driver.flush(), so it judges committed counts only.
@@ -354,18 +331,6 @@ class FleetController:
         watch: Dict[int, Dict[str, DetectionReport]] = {}
         stage_countdown = 0
 
-        def log(kind: str, batch_index: int, shard: Optional[int] = None, **detail):
-            events.append(
-                FleetEvent(
-                    kind=kind,
-                    batch_index=batch_index,
-                    shard=shard,
-                    records_seen=sum(s.monitor.seen for s in fleet.shards),
-                    time=fleet.shards[0].clock(),
-                    detail=detail,
-                )
-            )
-
         def begin_trial(batch_index: int) -> None:
             nonlocal trial, challenger
             with self._pending_lock:
@@ -373,20 +338,20 @@ class FleetController:
                     return
                 challenger = self._pending_rollouts.popleft()
             trial = Trial(driver, challenger, lanes=[canary])
-            log("shadow-start", batch_index, shard=canary)
+            driver.log("shadow-start", batch_index, shard=canary)
 
-        def swap_shard(index: int, batch_index: int) -> None:
+        def swap_in(index: int, batch_index: int) -> None:
             nonlocal stage_countdown
             # Called on a flushed boundary: nothing of this shard's is
             # pending or in flight, so the old model scored everything
             # before the swap and the watch baseline ends exactly there.
-            # The pool-aware swap re-ships the checkpoint to its children.
-            retired[index] = fleet.swap_shard(index, challenger, pool=pools[index])
+            # The pool's swap re-ships the checkpoint to its children.
+            retired[index] = pools[index].swap_detector(challenger)
             watch[index] = driver.attributors[index].reports()
             staging.remove(index)
             swapped.append(index)
             stage_countdown = self.rollout.stagger_batches
-            log("swap", batch_index, shard=index)
+            driver.log("swap", batch_index, shard=index)
 
         def end_trial(batch_index: int) -> None:
             nonlocal trial, challenger
@@ -398,14 +363,16 @@ class FleetController:
                 reason = (
                     "no canary traffic" if verdict.records == 0 else str(verdict)
                 )
-                log("reject", batch_index, shard=canary, comparison=reason)
+                driver.log("reject", batch_index, shard=canary, comparison=reason)
                 challenger = None
                 return
-            log("promote", batch_index, shard=canary, comparison=str(verdict))
+            driver.log(
+                "promote", batch_index, shard=canary, comparison=str(verdict)
+            )
             staging.extend(
                 [canary] + [i for i in range(len(fleet.shards)) if i != canary]
             )
-            swap_shard(canary, batch_index)
+            swap_in(canary, batch_index)
 
         def degradation(report: Optional[DetectionReport]) -> Optional[float]:
             """The failing DR, or None while the watch looks healthy."""
@@ -424,9 +391,9 @@ class FleetController:
             # Reverse swap order: the canary reverts last, so at every
             # moment during the unwind the fleet is a prefix of the rollout.
             for index in reversed(swapped):
-                fleet.swap_shard(index, retired.pop(index), pool=pools[index])
+                pools[index].swap_detector(retired.pop(index))
                 watch.pop(index)
-                log(
+                driver.log(
                     "rollback",
                     batch_index,
                     shard=index,
@@ -458,12 +425,12 @@ class FleetController:
             if staging:
                 stage_countdown -= 1
                 if stage_countdown <= 0:
-                    swap_shard(staging[0], batch_index)
+                    swap_in(staging[0], batch_index)
             elif challenger is not None:
                 if report is not None and report.total >= max(
                     self.rollout.min_watch_records, 1
                 ):
-                    log(
+                    driver.log(
                         "rollout-complete",
                         batch_index,
                         watched=report.total,
@@ -483,7 +450,7 @@ class FleetController:
                     pool = pools[action.shard]
                     before = pool.num_workers
                     pool.resize(action.workers)
-                    log(
+                    driver.log(
                         "resize",
                         batch_index,
                         shard=action.shard,
@@ -500,7 +467,7 @@ class FleetController:
                 if target == stats.workers:
                     continue
                 pool.resize(target)
-                log(
+                driver.log(
                     "resize",
                     batch_index,
                     shard=index,
@@ -511,37 +478,34 @@ class FleetController:
                     busy_fraction=round(stats.busy_fraction, 4),
                 )
 
-        def before_submit(stream_batch: StreamBatch, parts) -> None:
-            if trial is not None:
-                trial.submit(stream_batch, parts)
-
         def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
             control_rollout(batch_index)
             control_scaling(batch_index)
 
         with StreamDriver(
-            fleet, before_submit, after_batch, num_workers=self.num_workers
+            fleet, after_batch, num_workers=self.num_workers
         ) as driver:
             pools = driver.lanes
             report = driver.run(stream, max_batches)
             if trial is not None:
-                log(
+                driver.log(
                     "trial-abandoned",
                     driver.served,
                     shard=canary,
                     remaining=self.rollout.shadow_batches - trial.batches,
                 )
             elif staging and swapped:
-                log("rollout-incomplete", driver.served, unswapped=len(staging))
+                driver.log(
+                    "rollout-incomplete", driver.served, unswapped=len(staging)
+                )
             elif challenger is not None and swapped:
                 # Fully swapped but the final watch never accumulated
                 # enough records: report it rather than claiming success.
                 watched = overall(counts_since(driver, watch))
-                log(
+                driver.log(
                     "rollout-incomplete",
                     driver.served,
                     watched=watched.total if watched is not None else 0,
                 )
 
-        final = replace(report, timeline=tuple(events))
-        return FleetOutcome(report=final, events=events)
+        return FleetOutcome(report=report, events=driver.events)

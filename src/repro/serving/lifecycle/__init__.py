@@ -28,7 +28,6 @@ from .shadow import ShadowComparison, ShadowDeployment, ShadowReport, Trial
 from .supervisor import (
     DriftPolicy,
     DriftSupervisor,
-    LifecycleEvent,
     LifecycleOutcome,
     ReplayBuffer,
     default_retrainer,
@@ -43,7 +42,6 @@ __all__ = [
     "Trial",
     "DriftPolicy",
     "DriftSupervisor",
-    "LifecycleEvent",
     "LifecycleOutcome",
     "ReplayBuffer",
     "default_retrainer",

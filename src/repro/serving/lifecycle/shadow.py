@@ -7,9 +7,10 @@ process pool or a sharded fleet:
 
 * the **challenger** scores, through its own driver and a service batching
   like the primary's, the records routed to the trial's lanes (all lanes,
-  or one canary shard).  :meth:`Trial.submit` is the tee: the primary
-  driver's ``before_submit`` hook, so the challenger sees each stream
-  batch before the primary does;
+  or one canary shard).  Opening a trial attaches it to the primary
+  driver as ``driver.trial``, whose :meth:`~StreamDriver.submit` tees
+  each stream batch's routed parts to :meth:`Trial.submit` before the
+  primary's lanes see them, until :meth:`Trial.verdict` detaches it;
 * the **primary** side is the primary driver's own exact per-lane phase
   totals, read as a delta from a baseline taken on a flushed boundary;
 * the **verdict** flushes both drivers and compares the two sides over the
@@ -169,7 +170,8 @@ class Trial:
     ----------
     primary:
         The primary's open :class:`StreamDriver`.  Creating the trial
-        flushes it: the baseline is taken on a drained boundary.
+        flushes it (the baseline is taken on a drained boundary) and
+        attaches the trial as ``primary.trial``, the driver's tee.
     challenger:
         A fitted detector (scored through a service mirroring the first
         trial lane's batching) or a ready-made :class:`DetectionService`.
@@ -198,17 +200,21 @@ class Trial:
         }
         self.primary_report: Optional[DetectionReport] = None
         self.challenger_report: Optional[DetectionReport] = None
+        primary.trial = self
 
     def submit(self, stream_batch: StreamBatch, parts) -> None:
-        """The tee (a ``before_submit`` hook): the challenger scores the
-        trial lanes' records of a stream batch before the primary does."""
+        """The tee, called by the primary driver while the trial is
+        attached: the challenger scores the trial lanes' records of a
+        stream batch before the primary does."""
         for lane, part in parts:
             if lane in self.lanes:
                 self.challenger.submit(replace(stream_batch, records=part))
         self.batches += 1
 
     def verdict(self) -> ShadowComparison:
-        """Flush both sides and compare them over the trial's records."""
+        """Detach the tee, flush both sides and compare them over the
+        trial's records."""
+        self.primary.trial = None
         self.primary.flush()
         self.challenger.flush()
         self.challenger.__exit__(None, None, None)
@@ -267,11 +273,7 @@ class ShadowDeployment:
         first batch (an empty baseline); the challenger's report carries
         its own per-phase attribution.
         """
-        with StreamDriver(
-            self.primary,
-            before_submit=lambda batch, parts: trial.submit(batch, parts),
-            **primary_kwargs,
-        ) as primary:
+        with StreamDriver(self.primary, **primary_kwargs) as primary:
             trial = Trial(primary, self.challenger_service)
             primary_report = primary.run(stream, max_batches)
             comparison = trial.verdict()

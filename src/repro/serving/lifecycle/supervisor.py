@@ -39,8 +39,9 @@ inline, as in its own ``run_stream``; a swap replaces every shard's engine
 — replica fleets share one detector, so one challenger serves all).
 
 :meth:`DriftSupervisor.run_stream` returns a :class:`LifecycleOutcome`:
-the final :class:`~repro.serving.service.ServiceReport` plus the event
-timeline (drift detected → retrain complete → promoted), the per-batch
+the final :class:`~repro.serving.service.ServiceReport` plus the driver's
+event log (drift detected → retrain complete → promoted, each a
+:class:`~repro.serving.driver.ControlEvent`), the per-batch
 rolling-DR curve and recovery-time accessors — the numbers
 ``BENCH_scenarios.json`` records for the ``retrain-recovery`` preset.
 """
@@ -49,21 +50,20 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from ...core.detector import PelicanDetector
 from ...data.dataset import TrafficRecords
 from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
-from ..driver import StreamDriver
+from ..driver import ControlEvent, StreamDriver
 from ..service import ServiceReport
 from .shadow import Primary, Trial, template_service
 
 __all__ = [
     "DriftPolicy",
     "ReplayBuffer",
-    "LifecycleEvent",
     "LifecycleOutcome",
     "DriftSupervisor",
     "default_retrainer",
@@ -203,34 +203,15 @@ class ReplayBuffer:
 
 
 @dataclass(frozen=True)
-class LifecycleEvent:
-    """One timeline entry of a supervised run."""
-
-    kind: str               # drift-detected | retrain-complete | retrain-failed
-    #                       # | promoted | trial-rejected | promotion-delegated
-    batch_index: int        # stream batch after which the event fired
-    records_seen: int       # records served when it fired
-    time: float             # service-clock reading
-    detail: Dict[str, object] = field(default_factory=dict)
-
-    def __str__(self) -> str:
-        detail = ", ".join(f"{k}={v}" for k, v in self.detail.items())
-        return (
-            f"[batch {self.batch_index:>4d} | {self.records_seen:>6d} rec] "
-            f"{self.kind}" + (f" ({detail})" if detail else "")
-        )
-
-
-@dataclass(frozen=True)
 class LifecycleOutcome:
     """What a supervised stream run produced."""
 
     report: ServiceReport
-    events: List[LifecycleEvent]
+    events: List[ControlEvent]         # the driver's event log
     dr_curve: List[Optional[float]]   # rolling DR after each stream batch
     far_curve: List[Optional[float]]  # rolling FAR after each stream batch
 
-    def _first(self, kind: str) -> Optional[LifecycleEvent]:
+    def _first(self, kind: str) -> Optional[ControlEvent]:
         return next((e for e in self.events if e.kind == kind), None)
 
     @property
@@ -340,9 +321,8 @@ class DriftSupervisor:
 
         The returned outcome's report carries the usual rolling, per-phase
         and throughput numbers — one continuous history across any number
-        of swaps — plus the event timeline and per-batch DR/FAR curves.
+        of swaps — plus the driver's event log and per-batch DR/FAR curves.
         """
-        events: List[LifecycleEvent] = []
         dr_curve: List[Optional[float]] = []
         far_curve: List[Optional[float]] = []
 
@@ -356,24 +336,10 @@ class DriftSupervisor:
         def unknown_total(report: Optional[ServiceReport] = None) -> int:
             return sum((report or driver.report()).unknown_categoricals.values())
 
-        def records_seen() -> int:
-            return driver.report().records
-
-        def log(kind: str, batch_index: int, **detail) -> None:
-            events.append(
-                LifecycleEvent(
-                    kind=kind,
-                    batch_index=batch_index,
-                    records_seen=records_seen(),
-                    time=self._template.clock(),
-                    detail=detail,
-                )
-            )
-
         def start_retrain(batch_index: int, reason: str) -> None:
             nonlocal retrain_thread, retrains
             retrains += 1
-            log("drift-detected", batch_index, reason=reason)
+            driver.log("drift-detected", batch_index, reason=reason)
             replay = self.replay.snapshot()
             serving = self._template.detector
             if self.background:
@@ -404,10 +370,10 @@ class DriftSupervisor:
             if "error" in retrain_box:
                 error = retrain_box.pop("error")
                 # Structured type/message fields, not one repr blob: the
-                # timeline is the only place a failed retrain surfaces
+                # event log is the only place a failed retrain surfaces
                 # (serving deliberately continues on the primary), so the
                 # event must be machine-readable for operators and tests.
-                log(
+                driver.log(
                     "retrain-failed",
                     batch_index,
                     error_type=type(error).__name__,
@@ -417,7 +383,9 @@ class DriftSupervisor:
             if "challenger" not in retrain_box:
                 return
             challenger = retrain_box.pop("challenger")
-            log("retrain-complete", batch_index, replay_records=len(self.replay))
+            driver.log(
+                "retrain-complete", batch_index, replay_records=len(self.replay)
+            )
             if self.shadow_batches > 0:
                 trial = Trial(driver, challenger)
 
@@ -430,13 +398,13 @@ class DriftSupervisor:
                 if self.promote_if is not None and not self.promote_if(
                     trial_report, trial.primary_report
                 ):
-                    log(
+                    driver.log(
                         "trial-rejected",
                         batch_index,
                         trial=str(trial_report) if trial_report else "no traffic",
                     )
                     challenger, trial = None, None
-                    cooldown_mark = records_seen()
+                    cooldown_mark = driver.report().records
                     return
             if self.promotion_hook is not None:
                 # Fleet-wide promotion is delegated: the hook (a fleet
@@ -444,14 +412,14 @@ class DriftSupervisor:
                 # shadow, staged swaps, rollback — so the supervisor only
                 # hands over the challenger and stands down until cooldown.
                 handed_off = challenger
-                log(
+                driver.log(
                     "promotion-delegated",
                     batch_index,
                     challenger_schema=handed_off.schema.name,
                 )
                 challenger, trial = None, None
                 unknown_mark = unknown_total()
-                cooldown_mark = records_seen()
+                cooldown_mark = driver.report().records
                 self.promotion_hook(handed_off)
                 return
             # The swap boundary: drain everything dispatched or pending so
@@ -463,14 +431,10 @@ class DriftSupervisor:
             detail: Dict[str, object] = {}
             if trial_report is not None:
                 detail["trial"] = str(trial_report)
-            log("promoted", batch_index, **detail)
+            driver.log("promoted", batch_index, **detail)
             challenger, trial = None, None
             unknown_mark = unknown_total()
-            cooldown_mark = records_seen()
-
-        def before_submit(stream_batch: StreamBatch, parts) -> None:
-            if trial is not None:
-                trial.submit(stream_batch, parts)
+            cooldown_mark = driver.report().records
 
         def after_batch(batch_index: int, stream_batch: StreamBatch) -> None:
             self.replay.append(stream_batch.records)
@@ -496,20 +460,20 @@ class DriftSupervisor:
                 if reason is not None:
                     start_retrain(batch_index, reason)
 
-        with StreamDriver(self.target, before_submit, after_batch) as driver:
+        with StreamDriver(self.target, after_batch) as driver:
             # Marks taken once pre-stream work is drained: it belongs to no
             # phase and does not count towards drift or cooldown.
             unknown_mark = unknown_total()
-            cooldown_mark = records_seen()
+            cooldown_mark = driver.report().records
             report = driver.run(stream, max_batches)
             # A retrain still running when the stream ends is joined so its
-            # outcome (success or failure) lands in the timeline, but the
+            # outcome (success or failure) lands in the event log, but the
             # challenger is not promoted — there is no next batch boundary.
             collect_retrain(driver.served, wait=True)
 
         return LifecycleOutcome(
             report=report,
-            events=events,
+            events=driver.events,
             dr_curve=dr_curve,
             far_curve=far_curve,
         )

@@ -322,6 +322,7 @@ class ProcessWorkerPool:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
         self.service = service
+        self.clock = service.clock  # read for every dispatch, commit and event stamp
         self.num_workers = int(num_workers)
         if timer_interval is None:
             timer_interval = max(service.batcher.flush_interval / 2.0, 0.001)
@@ -566,7 +567,7 @@ class ProcessWorkerPool:
                 ]
                 if alive:
                     child = alive[sequence % len(alive)]
-            self._inflight[sequence] = (records, child.token, self.service.clock())
+            self._inflight[sequence] = (records, child.token, self.clock())
         child.channel.send_score(sequence, records)
 
     def _collector_loop(self) -> None:
@@ -701,7 +702,7 @@ class ProcessWorkerPool:
         try:
             if unknown_delta:
                 pipeline.absorb_unknown_counts(unknown_delta)
-            finished = self.service.clock()
+            finished = self.clock()
             result = BatchResult(
                 size=len(records),
                 latency=float(finished - dispatched_at),

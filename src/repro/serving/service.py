@@ -220,10 +220,6 @@ class ServiceReport:
     unknown_categoricals: Dict[str, int] = field(default_factory=dict)
     # Per shard name: the shard's own report (sharded services only).
     shard_reports: Dict[str, "ServiceReport"] = field(default_factory=dict)
-    # Fleet-controller event timeline (scaling and rollout events, in
-    # order); a tuple of repro.serving.fleet.FleetEvent, kept loosely typed
-    # here so the core report does not import the controller layer.
-    timeline: Tuple = ()
 
     def __str__(self) -> str:
         rolling = f" rolling[{self.rolling}]" if self.rolling else ""

@@ -183,6 +183,7 @@ class ShardedDetectionService:
         if names is not None and len(names) != len(shards):
             raise ValueError("names must be index-aligned with shards")
         self.shards = list(shards)
+        self.clock = self.shards[0].clock  # the fleet's service clock
         self.router = router
         self.names = list(names) if names is not None else [
             f"shard-{index}" for index in range(len(shards))
@@ -220,32 +221,6 @@ class ShardedDetectionService:
                 opened.callback(pool.close)
             opened.pop_all()
         return pools
-
-    def swap_shard(
-        self,
-        index: int,
-        detector: PelicanDetector,
-        pool: Optional[ProcessWorkerPool] = None,
-    ) -> PelicanDetector:
-        """Hot-swap one shard's engine; returns that shard's retired detector.
-
-        The per-shard addressing the staged rollout needs: unlike the
-        supervisor's fleet-wide swap, only shard ``index`` changes models.
-        When the shard is being driven through a pool, pass it so the swap
-        drains the pool's in-flight batches first and re-ships the
-        checkpoint to that shard's children.
-        """
-        if not 0 <= index < len(self.shards):
-            raise IndexError(
-                f"shard index {index} is outside [0, {len(self.shards)})"
-            )
-        if pool is not None:
-            if pool.service is not self.shards[index]:
-                raise ValueError(
-                    f"pool does not wrap shard {index} ({self.names[index]!r})"
-                )
-            return pool.swap_detector(detector)
-        return self.shards[index].swap_detector(detector)
 
     # ------------------------------------------------------------------ #
     def submit(self, records: TrafficRecords) -> List[BatchResult]:

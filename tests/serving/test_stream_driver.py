@@ -8,8 +8,15 @@ loop, so the same two guarantees must hold whichever engine drives:
   the extractor emits is served (the record conservation law);
 * per-phase rows are exact totals: they sum to the stream's records
   whatever the service's rolling window.
+
+It also holds the driver's two control-plane seams: the tee to an
+attached :class:`~repro.serving.lifecycle.Trial` and the event log, whose
+stamps are read from the engine's service clock.
 """
 
+from itertools import count, islice
+
+import numpy as np
 import pytest
 
 from repro.data import nslkdd_generator
@@ -20,9 +27,12 @@ from repro.serving import (
     DriftSupervisor,
     FleetController,
     ProcessWorkerPool,
+    RolloutPolicy,
     ShadowDeployment,
     ShardedDetectionService,
+    StreamDriver,
 )
+from repro.serving.lifecycle import Trial
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -42,10 +52,10 @@ def _service(detector, **overrides):
     return DetectionService(detector, **kwargs)
 
 
-def _sharded(detector):
-    return ShardedDetectionService.replicated(
-        detector, 2, max_batch_size=BATCH, flush_interval=0.0
-    )
+def _sharded(detector, **overrides):
+    kwargs = dict(max_batch_size=BATCH, flush_interval=0.0)
+    kwargs.update(overrides)
+    return ShardedDetectionService.replicated(detector, 2, **kwargs)
 
 
 def _fleet_with_rollout(detector):
@@ -137,3 +147,75 @@ def test_phase_rows_are_exact_totals_under_the_default_window(detector, engine):
     assert sum(r.total for r in report.phase_reports.values()) == (
         stream.total_records
     )
+
+
+def test_a_trial_tees_only_while_it_is_attached(detector):
+    first, second, third = islice(_stream(), 3)
+    with StreamDriver(_service(detector)) as driver:
+        trial = Trial(driver, detector)
+        assert driver.trial is trial
+        driver.submit(first)
+        driver.submit(second)
+        trial.verdict()
+        teed = trial.challenger.report().records
+        driver.submit(third)
+        driver.flush()
+    assert driver.trial is None
+    assert trial.batches == 2
+    assert teed == trial.challenger.report().records == 2 * BATCH
+    assert trial.primary_report.total == 2 * BATCH
+
+
+class _CountingClock:
+    """A service clock that remembers every reading it hands out."""
+
+    def __init__(self):
+        self._ticks = count()
+        self.readings = set()
+
+    def __call__(self):
+        reading = float(next(self._ticks))
+        self.readings.add(reading)
+        return reading
+
+
+def _assert_stamped(events, clock, flushed_kinds):
+    """Every event's time is a reading of ``clock``, in log order, and an
+    event logged on a flushed boundary counts exactly the records the
+    stream had submitted up to its batch."""
+    submitted = np.cumsum([len(batch.records) for batch in _stream()])
+    assert events
+    times = [event.time for event in events]
+    assert set(times) <= clock.readings
+    assert times == sorted(times)
+    flushed = [event for event in events if event.kind in flushed_kinds]
+    assert flushed
+    for event in flushed:
+        assert event.records_seen == submitted[event.batch_index]
+
+
+def test_supervisor_events_are_stamped_on_the_service_clock(detector):
+    clock = _CountingClock()
+    outcome = DriftSupervisor(
+        _service(detector, clock=clock), DriftPolicy(unknown_ceiling=0),
+        trainer=lambda records, serving: serving, background=False,
+        shadow_batches=2,
+    ).run_stream(_stream())
+    assert outcome.promoted
+    # A promotion is logged right after the swap boundary's flush.
+    _assert_stamped(outcome.events, clock, {"promoted"})
+
+
+def test_fleet_events_are_stamped_on_the_service_clock(detector):
+    clock = _CountingClock()
+    controller = FleetController(
+        _sharded(detector, clock=clock), num_workers=1,
+        rollout=RolloutPolicy(shadow_batches=2, stagger_batches=1),
+    )
+    controller.request_rollout(detector)
+    outcome = controller.run_stream(_stream())
+    assert outcome.completed
+    # Every rollout decision is logged on a flushed boundary.
+    kinds = {event.kind for event in outcome.events}
+    assert kinds == {"shadow-start", "promote", "swap", "rollout-complete"}
+    _assert_stamped(outcome.events, clock, kinds)
