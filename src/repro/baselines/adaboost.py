@@ -7,7 +7,7 @@ attack mix, which is exactly the behaviour the comparative bench reproduces.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -9,7 +9,7 @@ CPU core (the paper used the full corpora and a desktop-class machine).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict
 
 __all__ = [
     "NetworkConfig",

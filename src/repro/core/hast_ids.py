@@ -20,7 +20,6 @@ from ..nn.layers import (
     Dropout,
     GlobalAveragePooling1D,
     MaxPooling1D,
-    Reshape,
 )
 from ..nn.models import Sequential
 from .config import NetworkConfig

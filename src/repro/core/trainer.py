@@ -10,7 +10,7 @@ examples and the tests all exercise the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -19,7 +19,7 @@ from ..metrics.ids_metrics import DetectionReport, evaluate_detection
 from ..nn.callbacks import History
 from ..nn.models import Model
 from ..preprocessing.pipeline import IDSPreprocessor, PreparedData, PreparedSplit
-from .config import ExperimentScale, NetworkConfig
+from .config import NetworkConfig
 from .pelican import compile_for_paper
 
 __all__ = ["EvaluationResult", "Trainer"]

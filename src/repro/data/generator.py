@@ -25,12 +25,12 @@ statistical structure the paper's experiments exercise:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .dataset import TrafficRecords
-from .schema import CategoricalFeature, DatasetSchema
+from .schema import DatasetSchema
 
 __all__ = [
     "DifficultyProfile",

@@ -16,8 +16,8 @@ depends on:
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 __all__ = [
     "CategoricalFeature",

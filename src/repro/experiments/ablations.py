@@ -14,15 +14,12 @@ makes but does not ablate:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..core.config import ExperimentScale, get_scale, scaled_config
 from ..core.pelican import build_residual_network
 from ..core.trainer import Trainer
 from ..data import get_schema
-from ..metrics import evaluate_detection
 from ..nn import random as nn_random
 from ..nn.optimizers import get_optimizer
 from ..preprocessing import IDSPreprocessor

@@ -20,7 +20,6 @@ from ..core.trainer import EvaluationResult, Trainer
 from ..data import get_schema, load_nslkdd, load_unswnb15
 from ..nn import random as nn_random
 from ..preprocessing import IDSPreprocessor
-from .paper_values import FOUR_NETWORKS
 
 __all__ = ["FourNetworkStudy", "run_four_network_study", "clear_study_cache"]
 

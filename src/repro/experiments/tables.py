@@ -8,7 +8,7 @@ paper reports, so benchmark output and EXPERIMENTS.md can show both.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -24,8 +24,8 @@ from ..baselines import (
 from ..core.config import ExperimentScale, PAPER_SETTINGS, get_scale, scaled_config
 from ..core.hast_ids import build_hast_ids
 from ..core.lunet import build_lunet
-from ..core.pelican import build_pelican, build_residual_network, compile_for_paper
-from ..core.trainer import EvaluationResult, Trainer
+from ..core.pelican import build_residual_network, compile_for_paper
+from ..core.trainer import Trainer
 from ..data import get_schema
 from ..metrics import evaluate_detection
 from ..nn import random as nn_random

@@ -42,7 +42,7 @@ flood-vs-benign structure for the packet-level scenario preset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 import numpy as np
 

@@ -7,7 +7,7 @@ recurrent kernels and zeros for biases.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Sequence, Tuple, Union
+from typing import Callable, Dict, Tuple, Union
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from .losses import Loss, get_loss
 from .metrics import get_metric
 from .optimizers import Optimizer, get_optimizer
 from .random import spawn_rng
-from .tensor import Tensor, as_tensor, no_grad
+from .tensor import Tensor, no_grad
 
 __all__ = ["Model", "Sequential"]
 

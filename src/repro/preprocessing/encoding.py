@@ -4,7 +4,7 @@ Conversion" (Pandas ``get_dummies``) plus a label encoder for the class column.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 

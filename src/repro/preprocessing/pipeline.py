@@ -16,8 +16,8 @@ one-hot encoded class vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 import numpy as np
 

@@ -8,16 +8,19 @@ from three independently testable pieces:
   micro-batching of incoming records, with per-submission arrival stamps so
   the age trigger always measures from the true oldest pending record;
 * :class:`CachedPreprocessor` + :class:`DetectionService`
-  (:mod:`repro.serving.service`) — cached, vectorised preprocessing (with
-  per-column unknown-vocabulary drift counters) and the graph-free
-  ``fast=True`` forward pass in float32, the one served dtype (both run in
+  (:mod:`repro.serving.service`) — cached, vectorised preprocessing (each
+  batch's result carries its per-column unknown-vocabulary tally) and the
+  graph-free ``fast=True`` forward pass in float32, the one served dtype
+  (both run in the stateless
   :func:`~repro.serving.service.score_records`, which every execution
   model calls), with per-batch latency accounting;
-* :class:`RollingDetectionMonitor` / :class:`ThroughputMonitor`
-  (:mod:`repro.serving.monitor`) — thread-safe sliding-window ACC/DR/FAR
-  plus a records-per-second headline over the wall-clock span from the
-  earliest batch start to the latest commit, so overlapping concurrent
-  batches are not double-counted.
+* :class:`ServiceMonitor` (:mod:`repro.serving.monitor`) — the service's
+  one commit ledger: under one lock it folds every committed batch into
+  the sliding-window ACC/DR/FAR, the lifetime totals, the wall-clock span
+  from the earliest batch start to the latest commit (so overlapping
+  concurrent batches are not double-counted), the latency window and the
+  unknown-categorical tallies.  Every :class:`ServiceReport` is built from
+  ledger snapshots by :meth:`ServiceReport.merge`.
 
 Three execution models run on that path:
 
@@ -31,8 +34,8 @@ Three execution models run on that path:
   scoring-identical detector from a :class:`DetectorCheckpoint` and runs
   preprocessing + inference off the GIL, and the age trigger fires on a
   background timer.  Scoring completes out of order, but the parent keeps
-  every monitor and a reorder buffer commits monitor updates and phase
-  attribution strictly in submission order, so every report is
+  the ledger and a reorder buffer commits to it and to phase attribution
+  strictly in submission order, so every report is
   record-for-record identical to the synchronous run — only the
   wall-clock numbers change.  Batches travel pickled on a private
   task/result queue pair per child.
@@ -92,7 +95,7 @@ every preset across the three execution models.
 
 from .batching import MicroBatcher
 from .driver import ControlEvent, PhaseAttributor, StreamDriver
-from .monitor import RollingDetectionMonitor, ThroughputMonitor
+from .monitor import ServiceMonitor
 from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
 
 # Import order matters: lifecycle first.  procpool imports the checkpoint
@@ -121,8 +124,7 @@ from .fleet import (
 
 __all__ = [
     "MicroBatcher",
-    "RollingDetectionMonitor",
-    "ThroughputMonitor",
+    "ServiceMonitor",
     "CachedPreprocessor",
     "DetectionService",
     "PhaseAttributor",

@@ -11,9 +11,9 @@ the same submit/poll/flush/report surface:
 * the **age trigger fires on a background timer** that polls the batcher
   on a schedule, so a lull in traffic cannot strand a partial batch until
   the next ``submit``/``poll`` call;
-* monitor updates stay **deterministic**: replies pass through a reorder
-  buffer and are committed — rolling quality, throughput, phase
-  attribution — strictly in submission order.
+* commits stay **deterministic**: replies pass through a reorder buffer
+  and are committed — to the service's ledger and to phase attribution —
+  strictly in submission order.
 
 Division of labour:
 
@@ -24,13 +24,14 @@ Division of labour:
   micro-batches arrive pickled on the child's own task queue, are
   preprocessed and scored in the child, and the predicted class indices
   travel back on its result queue with the measured scoring time and the
-  batch's unknown-categorical tallies.  The child scores through the same
-  :func:`~repro.serving.service.score_records` as the synchronous service,
-  so both serve float32 with the same numerics;
+  batch's unknown-categorical tally.  The child scores through the same
+  stateless :func:`~repro.serving.service.score_records` as the
+  synchronous service, so both serve float32 with the same numerics, and
+  keeps no state between batches but its detector;
 * the **parent** keeps every piece of mutable serving state — the
-  micro-batcher, the rolling/throughput monitors, phase attribution, the
-  vocabulary-drift counters (child tallies are folded back in) — and
-  commits results through the reorder buffer.
+  micro-batcher, the service's ledger
+  (:class:`~repro.serving.monitor.ServiceMonitor`), phase attribution —
+  and commits results through the reorder buffer.
 
 Because the child's detector is scoring-identical, a pickled batch
 unpickles string-for-string identical, and all accounting stays in the
@@ -66,7 +67,7 @@ import threading
 import time
 import traceback
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..data.dataset import TrafficRecords
@@ -109,7 +110,7 @@ class _Channel:
 
     and upstream::
 
-        ("scored", sequence, class_indices, child_latency, unknown_delta)
+        ("scored", sequence, class_indices, child_latency, unknown)
         ("error", sequence, traceback_text)
         ("swapped", worker_id, error_text_or_None)
         ("init-error", worker_id, traceback_text)
@@ -196,8 +197,8 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
     * ``init`` rehydrates the serving detector (always the first message);
       a failure replies ``init-error`` and exits the child;
     * ``score`` rebuilds the :class:`TrafficRecords`, preprocesses and
-      predicts, and replies ``scored`` (class indices + scoring time +
-      unknown tallies);
+      predicts, and replies ``scored`` (class indices + scoring time + the
+      batch's unknown-categorical tally);
     * ``swap`` rehydrates the replacement detector and replies ``swapped``;
     * ``stop`` exits the loop.
 
@@ -208,7 +209,6 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
     schema = get_schema(schema_name)
     detector = None
     pipeline = None
-    unknown_seen: Dict[str, int] = {}
     while True:
         message = task_queue.get()
         kind = message[0]
@@ -218,7 +218,6 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
             try:
                 detector = message[1].restore()
                 pipeline = CachedPreprocessor(detector.preprocessor)
-                unknown_seen = {}
                 if kind == "swap":
                     result_queue.put(("swapped", worker_id, None))
             except BaseException:
@@ -238,16 +237,9 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
                 schema=schema, numeric=numeric, categorical=categorical, labels=labels
             )
             started = time.perf_counter()
-            predicted = score_records(detector, pipeline, records)
+            predicted, unknown = score_records(detector, pipeline, records)
             latency = time.perf_counter() - started
-            unknown_now = pipeline.unknown_categoricals
-            unknown_delta = {
-                column: count - unknown_seen.get(column, 0)
-                for column, count in unknown_now.items()
-                if count != unknown_seen.get(column, 0)
-            }
-            unknown_seen = unknown_now
-            result_queue.put(("scored", sequence, predicted, latency, unknown_delta))
+            result_queue.put(("scored", sequence, predicted, latency, unknown))
         except BaseException:
             result_queue.put(("error", sequence, traceback.format_exc()))
 
@@ -294,7 +286,7 @@ class ProcessWorkerPool:
     Parameters
     ----------
     service:
-        The wrapped synchronous service; its batcher and monitors stay in
+        The wrapped synchronous service; its batcher and ledger stay in
         the parent and are the only copy of the serving state.  The pool
         only changes *where* scoring runs and *when* the age trigger fires.
     num_workers:
@@ -648,8 +640,8 @@ class ProcessWorkerPool:
     def _handle_message(self, message) -> None:
         kind = message[0]
         if kind == "scored":
-            _, sequence, predicted, latency, unknown_delta = message
-            self._commit_scored(sequence, predicted, latency, unknown_delta)
+            _, sequence, predicted, latency, unknown = message
+            self._commit_scored(sequence, predicted, latency, unknown)
         elif kind == "error":
             _, sequence, text = message
             self._record_error(
@@ -677,18 +669,18 @@ class ProcessWorkerPool:
                 )
             )
 
-    def _commit_scored(self, sequence, predicted, child_latency, unknown_delta) -> None:
+    def _commit_scored(self, sequence, predicted, child_latency, unknown) -> None:
         """Assemble the BatchResult the synchronous path would have built.
 
-        The child did preprocessing + inference; labels are encoded (and
-        predictions decoded) here against the parent pipeline, and the
-        child's unknown-categorical tallies fold into the parent's counters
-        so the drift report matches a synchronous run exactly.  ``finished``
-        is stamped with the parent service's clock — the only timeline the
-        throughput monitor knows — and the latency is the parent-measured
-        round trip (dispatch to collected reply, same clock), so IPC
-        cost shows up in the latency columns; ``child_latency`` (the pure
-        scoring time) is informational.
+        The child did preprocessing + inference and tallied the batch's
+        unknown categoricals; labels are encoded (and predictions decoded)
+        here against the parent pipeline.  A batch whose labels fail to
+        encode commits as a hole, so — as on the synchronous path — its
+        tally is never counted.  ``finished`` is stamped with the parent
+        service's clock — the only timeline the ledger knows — and the
+        latency is the parent-measured round trip (dispatch to collected
+        reply, same clock), so IPC cost shows up in the latency columns;
+        ``child_latency`` (the pure scoring time) is informational.
         """
         with self._commit_cond:
             entry = self._inflight.pop(sequence, None)
@@ -700,8 +692,6 @@ class ProcessWorkerPool:
         pipeline = self.service.pipeline
         result: Optional[BatchResult]
         try:
-            if unknown_delta:
-                pipeline.absorb_unknown_counts(unknown_delta)
             finished = self.clock()
             result = BatchResult(
                 size=len(records),
@@ -710,6 +700,7 @@ class ProcessWorkerPool:
                 class_indices=predicted,
                 true_indices=pipeline.encode_labels(records),
                 finished=finished,
+                unknown_categoricals=unknown,
             )
         except BaseException as exc:
             result = None
@@ -726,7 +717,7 @@ class ProcessWorkerPool:
 
         The ordering seam: the collector thread calls it with each reply,
         the orphan sweeps with the holes of lost batches.  Results enter in
-        any order; monitor updates and callbacks leave strictly in
+        any order; ledger commits and callbacks leave strictly in
         submission order.  A ``None`` result (the batch errored or was
         lost) is skipped but still advances the commit cursor, so one
         failure cannot stall every later batch.
@@ -1044,7 +1035,7 @@ class ProcessWorkerPool:
                 self.close()
 
     def _stream_report(self, phase_reports) -> ServiceReport:
-        return replace(self.report(), phase_reports=phase_reports)
+        return self.service._stream_report(phase_reports)
 
     def run_stream(
         self,

@@ -13,13 +13,19 @@ Architecture (one request path, three stages):
    with vectorised lookups.  It emits float32, the served dtype: the
    float64 training-pipeline values rounded once (at most 1 ulp away).
    Categorical values missing from the training vocabulary are
-   zero-encoded *and counted* per column — vocabulary drift is surfaced
-   in every :class:`ServiceReport` instead of being swallowed.
+   zero-encoded *and tallied* per column; the tally travels with the
+   batch's result, so vocabulary drift is surfaced in every
+   :class:`ServiceReport` instead of being swallowed.
 3. **Graph-free inference** — the batch runs through
    ``Model.predict(..., fast=True)`` (see :mod:`repro.nn.inference`) in
-   float32, and every batch updates a rolling ACC/DR/FAR monitor plus
-   per-batch latency/throughput accounting.  Stages 2 and 3 are one
-   function, :func:`score_records`, that every execution model calls.
+   float32.  Stages 2 and 3 are one stateless function,
+   :func:`score_records`, that every execution model calls.
+
+Every committed batch is folded into the service's one ledger, a
+:class:`~repro.serving.monitor.ServiceMonitor`: rolling ACC/DR/FAR,
+totals, wall span, latency window and unknown-categorical tallies, under
+one lock.  Every :class:`ServiceReport` is built from its snapshots by
+:meth:`ServiceReport.merge`.
 
 Execution models on top of this path:
 
@@ -34,18 +40,17 @@ Execution models on top of this path:
   reports merge back into one.
 
 The scoring path is split so those models compose: :meth:`DetectionService.score`
-is pure (thread-safe, no monitor writes) and :meth:`DetectionService.observe`
-applies a result to the monitors; :meth:`DetectionService.process` is simply
+is pure (thread-safe, no ledger writes) and :meth:`DetectionService.observe`
+commits a result to the ledger; :meth:`DetectionService.process` is simply
 one followed by the other.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,7 +61,7 @@ from ..metrics.ids_metrics import DetectionReport
 from ..preprocessing.pipeline import IDSPreprocessor
 from .batching import MicroBatcher
 from .driver import PhaseAttributor, StreamDriver
-from .monitor import RollingDetectionMonitor, ThroughputMonitor
+from .monitor import MonitorSnapshot, ServiceMonitor
 
 __all__ = [
     "CachedPreprocessor",
@@ -79,7 +84,8 @@ class CachedPreprocessor:
     Categorical values outside the training vocabulary cannot be one-hot
     encoded; they contribute an all-zero block (the same behaviour the
     training pipeline has for unseen values) and are tallied per column in
-    :attr:`unknown_categoricals` so the drift is visible to operators.
+    the batch's result, so the drift is visible to operators.  The
+    pipeline itself holds no per-batch state.
     """
 
     def __init__(self, preprocessor: IDSPreprocessor) -> None:
@@ -106,40 +112,23 @@ class CachedPreprocessor:
             name: index for index, name in enumerate(self.class_names)
         }
         self.normal_index = self.class_names.index(self.schema.normal_class)
-        self._unknown_lock = threading.Lock()
-        self._unknown_counts: Dict[str, int] = {
-            name: 0 for name, _, _ in self._categorical_tables
-        }
 
-    @property
-    def unknown_categoricals(self) -> Dict[str, int]:
-        """Per-column tally of values missing from the training vocabulary."""
-        with self._unknown_lock:
-            return dict(self._unknown_counts)
+    def transform_inputs(
+        self, records: TrafficRecords
+    ) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Records → ``(inputs, unknown)``.
 
-    def absorb_unknown_counts(self, counts: Dict[str, int]) -> None:
-        """Fold a predecessor's drift tallies into this pipeline's counters.
-
-        A hot-swapped service keeps one continuous drift history: the
-        replacement pipeline starts from the retired pipeline's per-column
-        counts (columns the new vocabulary does not declare are dropped).
-        """
-        with self._unknown_lock:
-            for column, count in counts.items():
-                if column in self._unknown_counts:
-                    self._unknown_counts[column] += int(count)
-
-    def transform_inputs(self, records: TrafficRecords) -> np.ndarray:
-        """Records → float32 network input ``(n, 1, features)``.
-
-        The scaler is folded in float64 and the result is rounded once to
+        ``inputs`` is the float32 network input ``(n, 1, features)``: the
+        scaler is folded in float64 and the result is rounded once to
         float32, the served dtype (at most 1 ulp from the float64 value).
+        ``unknown`` is this batch's per-column count of values missing from
+        the training vocabulary (columns without any are left out).
         """
         n_records = len(records)
         features = np.zeros((n_records, self.num_features))
         features[:, : self._n_numeric] = records.numeric
         rows = np.arange(n_records)
-        unknown_per_column: List[Tuple[str, int]] = []
+        unknown: Dict[str, int] = {}
         for name, offset, table in self._categorical_tables:
             positions = np.fromiter(
                 (table.get(str(value), -1) for value in records.categorical[name]),
@@ -149,16 +138,12 @@ class CachedPreprocessor:
             known = positions >= 0
             n_unknown = n_records - int(known.sum())
             if n_unknown:
-                unknown_per_column.append((name, n_unknown))
+                unknown[name] = n_unknown
             features[rows[known], offset + positions[known]] = 1.0
-        if unknown_per_column:
-            with self._unknown_lock:
-                for name, n_unknown in unknown_per_column:
-                    self._unknown_counts[name] += n_unknown
         features *= self._scale_weight
         features += self._scale_shift
         # The one cast to the served dtype: fold in float64, round once.
-        return features.astype(np.float32)[:, np.newaxis, :]
+        return features.astype(np.float32)[:, np.newaxis, :], unknown
 
     def encode_labels(self, records: TrafficRecords) -> np.ndarray:
         """Class names → integer ids in the detector's class order."""
@@ -179,18 +164,20 @@ class CachedPreprocessor:
 
 def score_records(
     detector: PelicanDetector, pipeline: CachedPreprocessor, records: TrafficRecords
-) -> np.ndarray:
+) -> Tuple[np.ndarray, Dict[str, int]]:
     """The served path: records → float32 inputs → fast forward → class ids.
 
+    Returns ``(class_ids, unknown)``, ``unknown`` being the batch's
+    unknown-categorical tally (see :meth:`CachedPreprocessor.transform_inputs`).
     Every execution model scores through this one function — the sync
     service's :meth:`DetectionService.score` and the process pool's
     children alike — so they serve the same dtype and the same numerics.
     """
-    inputs = pipeline.transform_inputs(records)
+    inputs, unknown = pipeline.transform_inputs(records)
     probabilities = detector.network.predict(
         inputs, batch_size=max(len(records), 1), fast=True
     )
-    return np.argmax(probabilities, axis=-1)
+    return np.argmax(probabilities, axis=-1), unknown
 
 
 @dataclass(frozen=True)
@@ -202,12 +189,15 @@ class BatchResult:
     predictions: np.ndarray          # predicted class names
     class_indices: np.ndarray        # predicted integer classes
     true_indices: np.ndarray         # ground-truth integer classes
-    finished: Optional[float] = None  # clock reading when scoring ended
+    finished: float                  # clock reading when scoring ended
+    # Per categorical column: this batch's values unseen during training.
+    unknown_categoricals: Dict[str, int]
 
 
 @dataclass(frozen=True)
 class ServiceReport:
-    """Summary of a served stream (see :meth:`DetectionService.run_stream`)."""
+    """Summary of a served stream (see :meth:`DetectionService.run_stream`),
+    built from ledger snapshots by :meth:`merge`."""
 
     batches: int
     records: int
@@ -221,12 +211,55 @@ class ServiceReport:
     # Per shard name: the shard's own report (sharded services only).
     shard_reports: Dict[str, "ServiceReport"] = field(default_factory=dict)
 
+    @classmethod
+    def merge(
+        cls,
+        snapshots: Sequence[MonitorSnapshot],
+        phase_reports: Optional[Dict[str, DetectionReport]] = None,
+        shard_reports: Optional[Dict[str, "ServiceReport"]] = None,
+    ) -> "ServiceReport":
+        """The report over one or more ledgers' snapshots.
+
+        A service reports its one snapshot; a sharded fleet merges its
+        shards'.  Quality merges by summing confusion counts
+        (:meth:`DetectionReport.merge`); throughput divides the records by
+        the wall span from the earliest batch start to the latest commit
+        over every ledger that served, so ledgers scoring at the same time
+        are counted once; the latency stats pool the latency windows; the
+        unknown-categorical tallies add up per column.
+        """
+        records = sum(s.records for s in snapshots)
+        served = [s for s in snapshots if s.batches]
+        wall_span = (
+            max(s.wall_end for s in served) - min(s.wall_start for s in served)
+            if served else 0.0
+        )
+        latencies = np.concatenate([s.latencies for s in snapshots])
+        rollings = [s.rolling for s in snapshots if s.rolling is not None]
+        unknown: Dict[str, int] = {}
+        for s in snapshots:
+            for column, count in s.unknown_categoricals.items():
+                unknown[column] = unknown.get(column, 0) + count
+        return cls(
+            batches=sum(s.batches for s in snapshots),
+            records=records,
+            throughput=records / wall_span if wall_span > 0 else 0.0,
+            mean_latency=float(np.mean(latencies)) if len(latencies) else 0.0,
+            p95_latency=(
+                float(np.percentile(latencies, 95)) if len(latencies) else 0.0
+            ),
+            rolling=DetectionReport.merge(rollings) if rollings else None,
+            phase_reports=dict(phase_reports or {}),
+            unknown_categoricals=unknown,
+            shard_reports=dict(shard_reports or {}),
+        )
+
     def __str__(self) -> str:
         rolling = f" rolling[{self.rolling}]" if self.rolling else ""
         unknown = sum(self.unknown_categoricals.values())
         drift = f" unknown-categoricals={unknown}" if unknown else ""
         return (
-            f"ServiceReport(records={self.records}, batches={self.batches}, "
+            f"{type(self).__name__}(records={self.records}, batches={self.batches}, "
             f"throughput={self.throughput:,.0f} rec/s, "
             f"p95={self.p95_latency * 1e3:.1f} ms{rolling}{drift})"
         )
@@ -243,7 +276,7 @@ class DetectionService:
     max_batch_size / flush_interval:
         Micro-batching policy (see :class:`MicroBatcher`).
     window:
-        Rolling-monitor width in records.
+        Rolling ACC/DR/FAR window width in records.
     clock:
         Injectable time source shared by the batcher and the latency
         accounting.
@@ -272,10 +305,9 @@ class DetectionService:
             flush_interval=flush_interval,
             clock=clock,
         )
-        self.monitor = RollingDetectionMonitor(
-            normal_index=self.pipeline.normal_index, window=window
+        self.monitor = ServiceMonitor(
+            self.pipeline.normal_index, self.pipeline.schema.categorical_names, window
         )
-        self.throughput = ThroughputMonitor(clock=clock)
 
     # ------------------------------------------------------------------ #
     @property
@@ -300,14 +332,15 @@ class DetectionService:
         flush/join first so no batch is in flight and nothing is pending in
         the micro-batcher.
 
-        Monitors, the micro-batcher, the throughput history and the
-        unknown-categorical counts all survive the swap: the service keeps
-        one continuous record of the traffic it served, which is what makes
-        a hot-swapped run's confusion counts equal a drain-stop-restart
-        run's record for record.
+        The ledger (:attr:`monitor`: rolling window, throughput history,
+        unknown-categorical tallies) and the micro-batcher survive the
+        swap untouched: the service keeps one continuous record of the
+        traffic it served, which is what makes a hot-swapped run's
+        confusion counts equal a drain-stop-restart run's record for
+        record.
 
         The replacement must be fitted on the same schema with the same
-        class order — otherwise the rolling monitors' integer labels would
+        class order — otherwise the rolling window's integer labels would
         silently change meaning mid-stream.
         """
         if not detector.is_fitted:
@@ -324,7 +357,6 @@ class DetectionService:
                 f"challenger is fitted on schema {detector.schema.name!r}, "
                 f"the service is serving {old_detector.schema.name!r}"
             )
-        new_pipeline.absorb_unknown_counts(old_pipeline.unknown_categoricals)
         self._engine = (detector, new_pipeline)
         return old_detector
 
@@ -332,14 +364,15 @@ class DetectionService:
     def score(self, records: TrafficRecords) -> BatchResult:
         """Run preprocessing + inference on one batch, without side effects.
 
-        Thread-safe: touches no monitor state, so concurrent callers may
-        score at once and commit the results through :meth:`observe`.  The
-        engine (detector + pipeline) is read once, so a concurrent
-        :meth:`swap_detector` takes effect only between batches.
+        Thread-safe: nothing is counted — not even the batch's unknown
+        categoricals, which travel in the result — until the result is
+        committed through :meth:`observe`, so concurrent callers may score
+        at once.  The engine (detector + pipeline) is read once, so a
+        concurrent :meth:`swap_detector` takes effect only between batches.
         """
         detector, pipeline = self._engine
         started = self.clock()
-        predicted = score_records(detector, pipeline, records)
+        predicted, unknown = score_records(detector, pipeline, records)
         finished = self.clock()
         true_indices = pipeline.encode_labels(records)
         return BatchResult(
@@ -349,12 +382,12 @@ class DetectionService:
             class_indices=predicted,
             true_indices=true_indices,
             finished=finished,
+            unknown_categoricals=unknown,
         )
 
     def observe(self, result: BatchResult) -> None:
-        """Fold one scored batch into the rolling and throughput monitors."""
-        self.monitor.update(result.true_indices, result.class_indices)
-        self.throughput.update(result.size, result.latency, end_time=result.finished)
+        """Commit one scored batch to the service's ledger."""
+        self.monitor.observe(result)
 
     def process(self, records: TrafficRecords) -> BatchResult:
         """Run one batch through preprocessing + inference immediately.
@@ -427,17 +460,9 @@ class DetectionService:
         return [self.process(batch)] if batch is not None else []
 
     def report(self) -> ServiceReport:
-        """Current rolling quality + throughput summary."""
-        stats = self.throughput.snapshot()  # one lock: a consistent row
-        return ServiceReport(
-            batches=int(stats["batches"]),
-            records=int(stats["records"]),
-            throughput=stats["throughput_rps"],
-            mean_latency=stats["mean_latency_s"],
-            p95_latency=stats["p95_latency_s"],
-            rolling=self.monitor.report(),
-            unknown_categoricals=self.pipeline.unknown_categoricals,
-        )
+        """Current rolling quality + throughput summary (one consistent read
+        of the ledger)."""
+        return self._stream_report(phase_reports={})
 
     # ------------------------------------------------------------------ #
     # Stream-driver protocol (see repro.serving.driver): the service is an
@@ -448,7 +473,9 @@ class DetectionService:
         yield [(self, PhaseAttributor(self.pipeline.normal_index))]
 
     def _stream_report(self, phase_reports) -> ServiceReport:
-        return replace(self.report(), phase_reports=phase_reports)
+        return ServiceReport.merge(
+            [self.monitor.snapshot()], phase_reports=phase_reports
+        )
 
     def run_stream(
         self,

@@ -41,14 +41,13 @@ serving.
 from __future__ import annotations
 
 from contextlib import ExitStack, contextmanager
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.detector import PelicanDetector
 from ..data.dataset import TrafficRecords
 from ..data.generator import StreamBatch
-from ..metrics.ids_metrics import DetectionReport
 from .driver import StreamDriver
 from .procpool import ProcessWorkerPool
 from .service import BatchResult, DetectionService, ServiceReport
@@ -237,67 +236,27 @@ class ShardedDetectionService:
 
     # ------------------------------------------------------------------ #
     def report(self) -> ServiceReport:
-        """Merge the shard reports into one fleet-level report.
+        """Merge the shard ledgers into one fleet-level report.
 
-        Quality merges by summing confusion counts
-        (:meth:`DetectionReport.merge`); throughput divides the fleet's
-        records by the fleet's wall span, from the earliest batch start to
-        the latest commit over every shard, so shards that score at the
-        same time on separate pools are counted once; the latency
-        distribution pools the shards' recent windows.
+        See :meth:`ServiceReport.merge`: quality sums confusion counts,
+        throughput divides the fleet's records by the fleet's wall span
+        (shards scoring at the same time on separate pools are counted
+        once), and the latency stats pool the shards' latency windows.
         """
         return self._stream_report(phase_reports={})
 
     def _stream_report(self, phase_reports) -> ServiceReport:
-        # One read pass per shard: the attached shard_reports and the merged
-        # totals derive from the same snapshots, so the fleet row always sums
+        # One snapshot per shard: the attached shard_reports and the merged
+        # totals derive from the same reads, so the fleet row always sums
         # to its per-shard rows even while shard pools keep committing.
-        snapshots = [shard.throughput.snapshot() for shard in self.shards]
-        rollings = [shard.monitor.report() for shard in self.shards]
-        unknowns = [shard.pipeline.unknown_categoricals for shard in self.shards]
-        shard_reports = {
-            name: ServiceReport(
-                batches=int(stats["batches"]),
-                records=int(stats["records"]),
-                throughput=stats["throughput_rps"],
-                mean_latency=stats["mean_latency_s"],
-                p95_latency=stats["p95_latency_s"],
-                rolling=rolling,
-                unknown_categoricals=unknown,
-            )
-            for name, stats, rolling, unknown in zip(
-                self.names, snapshots, rollings, unknowns
-            )
-        }
-        records = int(sum(s["records"] for s in snapshots))
-        batches = int(sum(s["batches"] for s in snapshots))
-        served = [s for s in snapshots if s["batches"]]
-        wall_span = (
-            max(s["wall_end_s"] for s in served)
-            - min(s["wall_start_s"] for s in served)
-            if served else 0.0
-        )
-        throughput = records / wall_span if wall_span > 0 else 0.0
-        latencies = [
-            latency
-            for shard in self.shards
-            for latency in shard.throughput.recent_latencies
-        ]
-        rolling_parts = [report for report in rollings if report is not None]
-        unknown_merged: Dict[str, int] = {}
-        for shard_unknown in unknowns:
-            for column, count in shard_unknown.items():
-                unknown_merged[column] = unknown_merged.get(column, 0) + count
-        return ServiceReport(
-            batches=batches,
-            records=records,
-            throughput=throughput,
-            mean_latency=float(np.mean(latencies)) if latencies else 0.0,
-            p95_latency=float(np.percentile(latencies, 95)) if latencies else 0.0,
-            rolling=DetectionReport.merge(rolling_parts) if rolling_parts else None,
+        snapshots = [shard.monitor.snapshot() for shard in self.shards]
+        return ServiceReport.merge(
+            snapshots,
             phase_reports=phase_reports,
-            unknown_categoricals=unknown_merged,
-            shard_reports=shard_reports,
+            shard_reports={
+                name: ServiceReport.merge([snapshot])
+                for name, snapshot in zip(self.names, snapshots)
+            },
         )
 
     # ------------------------------------------------------------------ #

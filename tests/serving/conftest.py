@@ -12,6 +12,9 @@ training their own:
   fixture behind the cross-dataset fleet tests (ROADMAP: "cross-dataset
   fleet example").
 
+``committed`` builds bare :class:`~repro.serving.BatchResult` values for
+the tests that feed a service's ledger directly.
+
 The autouse ``_no_leaked_serving_resources`` fixture asserts after every
 test that nothing the serving layer spawns survives it: no extra
 non-daemon threads and no live child processes.  The check itself lives
@@ -19,6 +22,7 @@ in the root ``conftest.py`` (``serving_leak_check``) so the ingest suite's
 ingress tests are held to the same standard.
 """
 
+import numpy as np
 import pytest
 
 from repro.core import PelicanDetector
@@ -63,6 +67,26 @@ def unsw_detector():
 def fleet_detectors(detector, unsw_detector):
     """Two-corpus detector fleet keyed by schema name."""
     return {"nsl-kdd": detector, "unsw-nb15": unsw_detector}
+
+
+@pytest.fixture()
+def committed():
+    """Factory of committed BatchResults carrying only what the ledger
+    reads: ``committed(size, latency, end, true=, predicted=, unknown=)``."""
+    from repro.serving import BatchResult
+
+    def make(size=0, latency=0.0, end=0.0, true=(), predicted=(), unknown=None):
+        return BatchResult(
+            size=size,
+            latency=latency,
+            predictions=np.empty(len(predicted), dtype=object),
+            class_indices=np.asarray(predicted, dtype=np.int64),
+            true_indices=np.asarray(true, dtype=np.int64),
+            finished=end,
+            unknown_categoricals=unknown or {},
+        )
+
+    return make
 
 
 @pytest.fixture()

@@ -197,11 +197,11 @@ class TestSwapDetector:
         service = _service(detector)
         records = load_nslkdd(n_records=64, seed=33)
         service.process(records)
-        seen_before = service.monitor.seen
+        before = service.report()
         service.swap_detector(challenger)
-        assert service.monitor.seen == seen_before
+        assert service.report() == before
         service.process(records)
-        assert service.monitor.seen == seen_before + len(records)
+        assert service.report().records == before.records + len(records)
 
     def test_swap_carries_unknown_categorical_counts(self, detector, challenger):
         service = _service(detector)

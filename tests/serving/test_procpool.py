@@ -26,12 +26,13 @@ commit) on a stream built before either arm runs.
 """
 
 import multiprocessing
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from repro.data import nslkdd_generator
+from repro.data import NSLKDD_SCHEMA, nslkdd_generator
 from repro.scenarios import flood_scenario
 from repro.serving import (
     CachedPreprocessor,
@@ -80,7 +81,7 @@ def _near_tie_copy(detector, records):
     network = tied.network
     classifier = network.layers[-1]
     kernel, bias = classifier.get_weights()
-    float32 = CachedPreprocessor(tied.preprocessor).transform_inputs(records)
+    float32, _ = CachedPreprocessor(tied.preprocessor).transform_inputs(records)
     float64 = float32.astype(np.float64)
     probabilities = network.predict(float64, fast=True)[0]
     second, first = np.argsort(probabilities)[-2:]
@@ -169,7 +170,9 @@ class TestProcessPoolBitEquality:
         assert np.array_equal(
             np.concatenate([r.class_indices for r in pool_results]), served
         )
-        inputs = CachedPreprocessor(tied.preprocessor).transform_inputs(first_batch)
+        inputs, _ = CachedPreprocessor(tied.preprocessor).transform_inputs(
+            first_batch
+        )
         float64 = tied.network.predict(inputs.astype(np.float64), fast=True)
         assert served[0] != float64[0].argmax()
 
@@ -191,6 +194,59 @@ class TestProcessPoolBitEquality:
             == sync_service.report().unknown_categoricals
         )
 
+    def test_a_batch_that_fails_to_commit_counts_no_unknown_categoricals(
+        self, detector, traffic
+    ):
+        """A drifted batch whose labels are not classes never commits, so
+        its unseen values are never counted — on the sync service and on a
+        1-child pool alike, whose reports stay equal."""
+        drifted = traffic.subset(range(len(traffic)))
+        column = NSLKDD_SCHEMA.categorical_names[0]
+        drifted.categorical[column][:10] = "quic-v2"  # outside the vocabulary
+        drifted.labels = np.array(["not-a-class"] * len(drifted), dtype=object)
+        sync_service = _service(detector, max_batch_size=len(drifted))
+        with pytest.raises(ValueError, match="unknown label"):
+            sync_service.submit(drifted)
+        service = _service(detector, max_batch_size=len(drifted))
+        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+            pool.submit(drifted)
+            with pytest.raises(RuntimeError, match="scoring failed"):
+                pool.flush()
+        assert sync_service.report().unknown_categoricals[column] == 0
+        assert service.report() == sync_service.report()
+
+    def test_reports_read_during_a_pool_run_are_consistent(self, detector):
+        """The ledger commits a batch under one lock, so with the window
+        wider than the stream every report read from another thread while
+        the pool commits has ``rolling.total == records``."""
+        service = _service(detector)
+        torn, reads = [], []
+        stop = threading.Event()
+
+        def read_reports():
+            while not stop.is_set():
+                report = service.report()
+                windowed = report.rolling.total if report.rolling else 0
+                if windowed != report.records:
+                    torn.append((windowed, report.records))
+                reads.append(report.records)
+
+        reader = threading.Thread(target=read_reports)
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the reader and the commits
+        reader.start()
+        try:
+            with ProcessWorkerPool(service, num_workers=1) as pool:
+                final = pool.run_stream(_tiny_stream())
+        finally:
+            stop.set()
+            reader.join(60.0)
+            sys.setswitchinterval(switch_interval)
+        assert not reader.is_alive()
+        assert not torn, torn[:5]
+        assert len(set(reads)) > 1  # the reader saw the run in progress
+        assert final.rolling.total == final.records > 0
+
     def test_refuses_submissions_when_not_running(self, detector, traffic):
         service = _service(detector)
         pool = ProcessWorkerPool(service)
@@ -199,7 +255,7 @@ class TestProcessPoolBitEquality:
         # The refusal must come before the batcher is drained — otherwise
         # the due batches would be lost instead of scored after start().
         assert service.batcher.pending_count == 0
-        assert service.throughput.total_records == 0
+        assert service.report().records == 0
         with pytest.raises(RuntimeError, match="not running"):
             pool.flush()
         with pytest.raises(RuntimeError, match="not running"):
@@ -322,14 +378,11 @@ class TestPoolSurface:
             pool.submit(traffic)
             pool.flush()
             after = service.clock()
-        snapshot = service.throughput.snapshot()
-        assert before <= snapshot["wall_start_s"] < snapshot["wall_end_s"] <= after
-        assert snapshot["wall_span_s"] == (
-            snapshot["wall_end_s"] - snapshot["wall_start_s"]
-        )
-        assert snapshot["records"] == len(traffic)
-        assert snapshot["throughput_rps"] == (
-            snapshot["records"] / snapshot["wall_span_s"]
+        snapshot = service.monitor.snapshot()
+        assert before <= snapshot.wall_start < snapshot.wall_end <= after
+        assert snapshot.records == len(traffic)
+        assert service.report().throughput == (
+            snapshot.records / (snapshot.wall_end - snapshot.wall_start)
         )
 
     def test_concurrent_submitters_lose_no_records(self, detector, traffic):
@@ -352,8 +405,9 @@ class TestPoolSurface:
                 thread.join(60.0)
                 assert not thread.is_alive()
             pool.flush()
-        assert service.throughput.total_records == len(traffic)
-        assert service.monitor.seen == len(traffic)
+        report = service.report()
+        assert report.records == len(traffic)
+        assert report.rolling.total == len(traffic)
 
     def test_age_trigger_fires_on_the_timer(self, detector, traffic):
         """A partial batch must be scored without any further pool calls:
@@ -550,9 +604,9 @@ class TestProcessPoolHotSwap:
         _serve_batches(service_a, batches[:boundary])
         _serve_batches(service_b, batches[boundary:])
         merged = DetectionReport.merge(
-            [service_a.monitor.report(), service_b.monitor.report()]
+            [service_a.report().rolling, service_b.report().rolling]
         )
-        supervised = service.monitor.report()
+        supervised = service.report().rolling
         assert (supervised.tp, supervised.tn, supervised.fp, supervised.fn) == (
             merged.tp, merged.tn, merged.fp, merged.fn
         )

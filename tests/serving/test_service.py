@@ -1,4 +1,5 @@
-"""Tests for the cached preprocessing pipeline, monitors and DetectionService."""
+"""Tests for the cached preprocessing pipeline, the service ledger and
+DetectionService."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from repro.data import NSLKDD_SCHEMA, TrafficStream, load_nslkdd, nslkdd_generat
 from repro.serving import (
     CachedPreprocessor,
     DetectionService,
-    RollingDetectionMonitor,
-    ThroughputMonitor,
+    ServiceMonitor,
+    ServiceReport,
 )
 
 
@@ -17,7 +18,8 @@ class TestCachedPreprocessor:
     def test_matches_training_pipeline(self, detector, traffic):
         prepared = detector.preprocessor.transform(traffic)
         cached = CachedPreprocessor(detector.preprocessor)
-        inputs = cached.transform_inputs(traffic)
+        inputs, unknown = cached.transform_inputs(traffic)
+        assert unknown == {}
         # The served dtype is float32: the float64 pipeline values rounded
         # once (the folded scaler may land 1 ulp to the other side).
         assert inputs.dtype == np.float32
@@ -61,7 +63,7 @@ class TestServedDtype:
         monkeypatch.setattr(network, "predict", spy)
         result = service.score(traffic)
         assert seen == [(np.float32, True, np.float32)]
-        inputs = service.pipeline.transform_inputs(traffic)
+        inputs, _ = service.pipeline.transform_inputs(traffic)
         assert inputs.dtype == np.float32
         np.testing.assert_array_equal(
             result.class_indices, np.argmax(predict(inputs, fast=True), axis=-1)
@@ -82,7 +84,7 @@ class TestServedDtype:
         worst = flips = records = 0
         for batch in stream:
             served = detector.network.predict(
-                pipeline.transform_inputs(batch.records), fast=True
+                pipeline.transform_inputs(batch.records)[0], fast=True
             )
             oracle = detector.network.predict(
                 detector.preprocessor.transform(batch.records).inputs, fast=True
@@ -96,69 +98,100 @@ class TestServedDtype:
         assert flips == 0
 
 
+def _report(monitor):
+    return ServiceReport.merge([monitor.snapshot()])
+
+
 class TestMonitors:
-    def test_rolling_report_uses_only_the_window(self):
-        monitor = RollingDetectionMonitor(normal_index=0, window=4)
+    def test_rolling_report_uses_only_the_window(self, committed):
+        monitor = ServiceMonitor(normal_index=0, columns=[], window=4)
         # First four records: all wrong (attacks missed).
-        monitor.update(np.array([1, 1, 1, 1]), np.array([0, 0, 0, 0]))
-        assert monitor.report().detection_rate == 0.0
+        monitor.observe(committed(4, true=[1, 1, 1, 1], predicted=[0, 0, 0, 0]))
+        assert monitor.snapshot().rolling.detection_rate == 0.0
         # Four perfect records push the misses out of the window.
-        monitor.update(np.array([1, 1, 0, 0]), np.array([2, 1, 0, 0]))
-        report = monitor.report()
-        assert report.detection_rate == 1.0
-        assert report.false_alarm_rate == 0.0
-        assert monitor.seen == 8
-        assert monitor.current_size == 4
+        monitor.observe(committed(4, true=[1, 1, 0, 0], predicted=[2, 1, 0, 0]))
+        snapshot = monitor.snapshot()
+        assert snapshot.rolling.detection_rate == 1.0
+        assert snapshot.rolling.false_alarm_rate == 0.0
+        assert snapshot.records == 8
+        assert snapshot.rolling.total == 4
 
     def test_empty_monitor_reports_none(self):
-        assert RollingDetectionMonitor(normal_index=0).report() is None
+        monitor = ServiceMonitor(normal_index=0, columns=["protocol_type"])
+        assert monitor.snapshot().rolling is None
+        report = _report(monitor)
+        assert (report.records, report.batches, report.throughput) == (0, 0, 0.0)
+        assert (report.mean_latency, report.p95_latency) == (0.0, 0.0)
+        assert report.unknown_categoricals == {"protocol_type": 0}
 
-    def test_throughput_monitor_aggregates(self):
-        # Two back-to-back batches: ends at t=0.5 and t=1.0, each 0.5 long.
-        monitor = ThroughputMonitor()
-        monitor.update(100, 0.5, end_time=0.5)
-        monitor.update(300, 0.5, end_time=1.0)
-        assert monitor.total_records == 400
-        assert monitor.total_batches == 2
-        assert monitor.wall_span == pytest.approx(1.0)
-        assert monitor.throughput == pytest.approx(400.0)
-        assert monitor.mean_latency == pytest.approx(0.5)
+    def test_observe_rejects_a_malformed_result_and_counts_nothing(self, committed):
+        monitor = ServiceMonitor(normal_index=0, columns=["service"])
+        for malformed in (
+            committed(2, true=[1, 1], predicted=[0], unknown={"service": 2}),
+            committed(-1, 0.5, 1.0, unknown={"service": 2}),
+            committed(1, -0.5, 1.0, unknown={"service": 2}),
+        ):
+            with pytest.raises(ValueError):
+                monitor.observe(malformed)
         snapshot = monitor.snapshot()
-        assert snapshot["records"] == 400.0
-        assert snapshot["wall_span_s"] == pytest.approx(1.0)
-        assert snapshot["wall_start_s"] == pytest.approx(0.0)
-        assert snapshot["wall_end_s"] == pytest.approx(1.0)
-        assert snapshot["throughput_rps"] == pytest.approx(400.0)
+        assert (snapshot.batches, snapshot.records, len(snapshot.latencies)) == (
+            0, 0, 0
+        )
+        assert snapshot.unknown_categoricals == {"service": 0}
 
-    def test_throughput_overlapping_batches_use_the_wall_clock_span(self):
+    def test_unknown_tallies_add_up_per_column(self, committed):
+        monitor = ServiceMonitor(normal_index=0, columns=["service", "flag"])
+        monitor.observe(committed(10, unknown={"service": 3}))
+        monitor.observe(committed(10, unknown={"service": 2, "flag": 1}))
+        assert monitor.snapshot().unknown_categoricals == {"service": 5, "flag": 1}
+
+    def test_throughput_monitor_aggregates(self, committed):
+        # Two back-to-back batches: ends at t=0.5 and t=1.0, each 0.5 long.
+        monitor = ServiceMonitor(normal_index=0, columns=[])
+        monitor.observe(committed(100, 0.5, 0.5))
+        monitor.observe(committed(300, 0.5, 1.0))
+        snapshot = monitor.snapshot()
+        assert snapshot.records == 400
+        assert snapshot.batches == 2
+        assert snapshot.wall_start == pytest.approx(0.0)
+        assert snapshot.wall_end == pytest.approx(1.0)
+        report = _report(monitor)
+        assert report.records == 400
+        assert report.throughput == pytest.approx(400.0)
+        assert report.mean_latency == pytest.approx(0.5)
+
+    def test_throughput_overlapping_batches_use_the_wall_clock_span(self, committed):
         """Regression: summed latencies understate concurrent throughput.
 
         Two workers each score a 1-second batch over the *same* wall-clock
         second.  Dividing by the 2 s latency sum would report half the real
         rate; the wall span (1 s) reports the truth.
         """
-        monitor = ThroughputMonitor()
-        monitor.update(100, 1.0, end_time=1.0)
-        monitor.update(100, 1.0, end_time=1.0)
-        assert monitor.wall_span == pytest.approx(1.0)
-        assert monitor.throughput == pytest.approx(200.0)
+        monitor = ServiceMonitor(normal_index=0, columns=[])
+        monitor.observe(committed(100, 1.0, 1.0))
+        monitor.observe(committed(100, 1.0, 1.0))
+        snapshot = monitor.snapshot()
+        assert snapshot.wall_end - snapshot.wall_start == pytest.approx(1.0)
+        assert _report(monitor).throughput == pytest.approx(200.0)
 
-    def test_throughput_counts_idle_gaps_between_batches(self):
+    def test_throughput_counts_idle_gaps_between_batches(self, committed):
         """Throughput is wall clock: an hour of idle time between two
         1-second batches counts, so 2000 records span 3601 s."""
-        monitor = ThroughputMonitor()
-        monitor.update(1000, 1.0, end_time=1.0)
-        monitor.update(1000, 1.0, end_time=3601.0)  # an hour of idle between
-        assert monitor.wall_span == pytest.approx(3601.0)
-        assert monitor.throughput == pytest.approx(2000.0 / 3601.0)
+        monitor = ServiceMonitor(normal_index=0, columns=[])
+        monitor.observe(committed(1000, 1.0, 1.0))
+        monitor.observe(committed(1000, 1.0, 3601.0))  # an hour of idle between
+        snapshot = monitor.snapshot()
+        assert snapshot.wall_end - snapshot.wall_start == pytest.approx(3601.0)
+        assert _report(monitor).throughput == pytest.approx(2000.0 / 3601.0)
 
-    def test_throughput_is_zero_until_the_span_opens(self):
-        monitor = ThroughputMonitor()
-        monitor.update(100, 0.0, end_time=1.0)  # zero-length span
-        assert monitor.wall_span == 0.0
-        assert monitor.throughput == 0.0
-        monitor.update(100, 0.5, end_time=1.0)
-        assert monitor.throughput == pytest.approx(400.0)
+    def test_throughput_is_zero_until_the_span_opens(self, committed):
+        monitor = ServiceMonitor(normal_index=0, columns=[])
+        monitor.observe(committed(100, 0.0, 1.0))  # zero-length span
+        snapshot = monitor.snapshot()
+        assert snapshot.wall_end - snapshot.wall_start == 0.0
+        assert _report(monitor).throughput == 0.0
+        monitor.observe(committed(100, 0.5, 1.0))
+        assert _report(monitor).throughput == pytest.approx(400.0)
 
 
 class TestDetectionService:
@@ -179,7 +212,7 @@ class TestDetectionService:
         pass on the same preprocessed inputs."""
         service = DetectionService(detector)
         served = service.process(traffic)
-        inputs = service.pipeline.transform_inputs(traffic)
+        inputs, _ = service.pipeline.transform_inputs(traffic)
         graph = np.argmax(detector.network.predict(inputs, fast=False), axis=-1)
         np.testing.assert_array_equal(served.class_indices, graph)
 
@@ -190,7 +223,7 @@ class TestDetectionService:
         assert service.batcher.pending_count == 22
         (tail,) = service.flush()
         assert tail.size == 22
-        assert service.throughput.total_records == len(traffic)
+        assert service.report().records == len(traffic)
 
     def test_wall_span_starts_when_scoring_starts(self, detector, traffic):
         """On the service clock the span opens at the first score() start,
@@ -207,11 +240,10 @@ class TestDetectionService:
         now[0] = 160.0
         service.submit(traffic.subset(range(10, 30)))
         service.flush()
-        snapshot = service.throughput.snapshot()
-        assert snapshot["wall_start_s"] == 100.0
-        assert snapshot["wall_end_s"] == 160.0
-        assert snapshot["wall_span_s"] == 60.0
-        assert snapshot["throughput_rps"] == pytest.approx(30 / 60.0)
+        snapshot = service.monitor.snapshot()
+        assert snapshot.wall_start == 100.0
+        assert snapshot.wall_end == 160.0
+        assert service.report().throughput == pytest.approx(30 / 60.0)
 
     def test_empty_submission_is_safe(self, detector, traffic):
         service = DetectionService(detector)
@@ -271,3 +303,19 @@ class TestDetectionService:
         # The drifted records still score (zero block, like training-time
         # unseen values): the record count keeps growing.
         assert report.records == clean.size + len(drifted)
+
+    def test_score_leaves_the_report_unchanged(self, detector, traffic):
+        """score() is pure: a drifted batch scored but never committed moves
+        no number, not even the unknown-categorical tallies, which travel
+        in the result instead."""
+        service = DetectionService(detector)
+        service.process(traffic)
+        before = service.report()
+        drifted = traffic.subset(range(len(traffic)))
+        column = NSLKDD_SCHEMA.categorical_names[0]
+        drifted.categorical[column][:10] = "quic-v2"  # outside the vocabulary
+        result = service.score(drifted)
+        assert service.report() == before
+        assert result.unknown_categoricals == {column: 10}
+        service.observe(result)
+        assert service.report().unknown_categoricals[column] == 10

@@ -180,12 +180,14 @@ class TestShardedDetectionService:
         assert merged.throughput == 0.0
         assert merged.phase_reports == {}
 
-    def test_merged_throughput_spans_overlapping_shards_once(self, detector):
+    def test_merged_throughput_spans_overlapping_shards_once(
+        self, detector, committed
+    ):
         """Shards scoring at the same time on separate pools: 200 records
         over the fleet's wall span [0, 3] s, not over the summed 4 s."""
         sharded = ShardedDetectionService.replicated(detector, 2)
-        sharded.shards[0].throughput.update(100, 2.0, end_time=2.0)  # [0, 2]
-        sharded.shards[1].throughput.update(100, 2.0, end_time=3.0)  # [1, 3]
+        sharded.shards[0].observe(committed(100, 2.0, 2.0))  # [0, 2]
+        sharded.shards[1].observe(committed(100, 2.0, 3.0))  # [1, 3]
         report = sharded.report()
         assert report.throughput == pytest.approx(200.0 / 3.0)
         assert report.shard_reports["shard-0"].throughput == pytest.approx(50.0)
