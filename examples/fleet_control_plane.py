@@ -62,9 +62,7 @@ def poisoned_challenger(detector):
     predicts the normal class for everything, so post-swap DR collapses."""
     challenger = DetectorCheckpoint.capture(detector).restore()
     head = challenger.network.layers[-1]
-    normal_index = challenger.preprocessor.label_encoder.classes_.index(
-        challenger.schema.normal_class
-    )
+    normal_index = challenger.preprocessor.normal_index
     head.kernel.data[...] = 0.0
     head.bias.data[...] = 0.0
     head.bias.data[normal_index] = 10.0

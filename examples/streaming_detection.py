@@ -6,7 +6,8 @@ End-to-end use of the :mod:`repro.serving` subsystem:
 1. train a small :class:`repro.core.PelicanDetector` on synthetic NSL-KDD
    traffic (exactly like ``examples/quickstart.py``),
 2. wrap it in a :class:`repro.serving.DetectionService` — micro-batching
-   queue, cached preprocessing and the graph-free ``fast=True`` forward pass,
+   queue, the detector's own feature encoder and the graph-free
+   ``fast=True`` forward pass,
 3. drive it with a :class:`repro.data.TrafficStream` flood scenario: steady
    benign baseline, SYN/UDP/HTTP-flood-style bursts and a gradual-drift tail,
 4. read the per-phase rolling DR/FAR and the throughput headline numbers.

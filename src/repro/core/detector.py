@@ -171,7 +171,7 @@ class PelicanDetector:
         self._require_fitted()
         prepared = self.preprocessor.transform(records)
         class_indices = self.network.predict_classes(prepared.inputs, fast=fast)
-        return self.preprocessor.label_encoder.inverse_transform(class_indices)
+        return self.preprocessor.decode_labels(class_indices)
 
     def predict_proba(self, records: TrafficRecords, fast: bool = False) -> np.ndarray:
         """Class-probability matrix aligned with the schema's class order."""

@@ -25,9 +25,10 @@ Categorical columns follow the schema's event bindings
 (:data:`repro.data.schema.EVENT_CATEGORICAL_BINDINGS`): protocol and
 service from a flow's first packet, the TCP state/flag summary from its
 last.  Out-of-schema protocol/service/state values are passed through
-untouched — downstream, :class:`~repro.serving.service.CachedPreprocessor`
-zero-encodes and *counts* them, so vocabulary drift in a raw feed surfaces
-in the service report instead of crashing the pipeline.  Event ``label``
+untouched — downstream, the detector's feature encoder
+(:class:`~repro.preprocessing.pipeline.IDSPreprocessor`) zero-encodes and
+*counts* them, so vocabulary drift in a raw feed surfaces in the service
+report instead of crashing the pipeline.  Event ``label``
 values, by contrast, must be schema classes (they are ground truth).
 """
 

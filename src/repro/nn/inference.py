@@ -13,8 +13,8 @@ The fast-path contract:
 * raw ``numpy.ndarray`` in, raw ``numpy.ndarray`` out — no ``Tensor`` graph
   nodes are constructed anywhere on the path;
 * the computation runs in the input's dtype.  float32 is the served dtype:
-  :class:`~repro.serving.CachedPreprocessor` emits it, ``Model.predict``
-  keeps it, and every layer then reads float32 copies of its weights
+  :meth:`~repro.preprocessing.pipeline.IDSPreprocessor.transform_inputs`
+  emits it, ``Model.predict`` keeps it, and every layer then reads float32 copies of its weights
   (:meth:`~repro.nn.layers.base.Layer.fast_arrays`) and returns float32.
   On a trained 10-block Pelican that stays within 1e-5 of float64 (5e-6
   measured on a flood stream, no verdict flipped).  Any other input dtype

@@ -187,8 +187,9 @@ class Model(Layer):
         batch norm uses moving statistics on both paths.
 
         The fast path computes in its input's dtype when that is float32
-        (the served dtype: :class:`~repro.serving.CachedPreprocessor` emits
-        it) and returns float32 probabilities, within ~1e-5 of float64.
+        (the served dtype:
+        :meth:`~repro.preprocessing.pipeline.IDSPreprocessor.transform_inputs`
+        emits it) and returns float32 probabilities, within ~1e-5 of float64.
         Every other input — float64, integers, or any input to the tape —
         is cast to float64, and then the fast path is the float64 oracle:
         it matches the tape to float64 round-off (well within 1e-6).

@@ -1,21 +1,18 @@
 """``repro.preprocessing`` — the paper's Section V-A data pipeline.
 
-One-hot encoding of categorical columns ("numerical conversion"),
-standardization ("normalization") and k-fold split creation, composed by
-:class:`IDSPreprocessor`.
+:class:`IDSPreprocessor` is the one feature encoder: one-hot encoding of
+the categorical columns ("numerical conversion") and standardization
+("normalization"), from one set of tables, for the float64 training
+matrix and the float32 served input alike.  Plus the k-fold split
+creation and :func:`one_hot` for the class targets.
 """
 
-from .encoding import LabelEncoder, OneHotEncoder, one_hot
+from .encoding import one_hot
 from .kfold import KFold, StratifiedKFold, train_test_indices
 from .pipeline import IDSPreprocessor, PreparedData, PreparedSplit
-from .scaling import MinMaxScaler, StandardScaler
 
 __all__ = [
-    "OneHotEncoder",
-    "LabelEncoder",
     "one_hot",
-    "StandardScaler",
-    "MinMaxScaler",
     "KFold",
     "StratifiedKFold",
     "train_test_indices",

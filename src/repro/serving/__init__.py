@@ -7,13 +7,14 @@ from three independently testable pieces:
 * :class:`MicroBatcher` (:mod:`repro.serving.batching`) — size/age-triggered
   micro-batching of incoming records, with per-submission arrival stamps so
   the age trigger always measures from the true oldest pending record;
-* :class:`CachedPreprocessor` + :class:`DetectionService`
-  (:mod:`repro.serving.service`) — cached, vectorised preprocessing (each
-  batch's result carries its per-column unknown-vocabulary tally) and the
-  graph-free ``fast=True`` forward pass in float32, the one served dtype
-  (both run in the stateless
-  :func:`~repro.serving.service.score_records`, which every execution
-  model calls), with per-batch latency accounting;
+* :class:`DetectionService` (:mod:`repro.serving.service`) — the
+  detector's own feature encoder,
+  :class:`~repro.preprocessing.pipeline.IDSPreprocessor` (the training
+  matrix rounded once to float32, the one served dtype; each batch's
+  result carries its per-column unknown-vocabulary tally), and the
+  graph-free ``fast=True`` forward pass in float32 (both run in the
+  stateless :func:`~repro.serving.service.score_records`, which every
+  execution model calls), with per-batch latency accounting;
 * :class:`ServiceMonitor` (:mod:`repro.serving.monitor`) — the service's
   one commit ledger: under one lock it folds every committed batch into
   the sliding-window ACC/DR/FAR, the lifetime totals, the wall-clock span
@@ -96,7 +97,7 @@ every preset across the three execution models.
 from .batching import MicroBatcher
 from .driver import ControlEvent, PhaseAttributor, StreamDriver
 from .monitor import ServiceMonitor
-from .service import BatchResult, CachedPreprocessor, DetectionService, ServiceReport
+from .service import BatchResult, DetectionService, ServiceReport
 
 # Import order matters: lifecycle first.  procpool imports the checkpoint
 # from lifecycle, whose package import pulls in the shadow deployment, which
@@ -125,7 +126,6 @@ from .fleet import (
 __all__ = [
     "MicroBatcher",
     "ServiceMonitor",
-    "CachedPreprocessor",
     "DetectionService",
     "PhaseAttributor",
     "StreamDriver",

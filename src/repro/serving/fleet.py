@@ -49,7 +49,7 @@ from ..data.generator import StreamBatch
 from ..metrics.ids_metrics import DetectionReport
 from .driver import ControlEvent, StreamDriver
 from .procpool import PoolStats
-from .service import ServiceReport
+from .service import ServiceReport, check_challenger
 from .sharding import ShardedDetectionService
 from .lifecycle.checkpoint import DetectorCheckpoint
 from .lifecycle.shadow import Trial, counts_since, overall
@@ -282,24 +282,8 @@ class FleetController:
         """
         if isinstance(challenger, DetectorCheckpoint):
             challenger = challenger.restore()
-        if not challenger.is_fitted:
-            raise RuntimeError("request_rollout requires a fitted challenger")
         for index, shard in enumerate(self.fleet.shards):
-            if challenger.schema.name != shard.detector.schema.name:
-                raise ValueError(
-                    f"challenger is fitted on schema "
-                    f"{challenger.schema.name!r} but shard {index} serves "
-                    f"{shard.detector.schema.name!r}; staged rollouts "
-                    "require a homogeneous fleet"
-                )
-            challenger_classes = list(
-                challenger.preprocessor.label_encoder.classes_
-            )
-            if challenger_classes != shard.pipeline.class_names:
-                raise ValueError(
-                    f"challenger class order {challenger_classes} does not "
-                    f"match shard {index}'s {shard.pipeline.class_names}"
-                )
+            check_challenger(challenger, shard.detector, f"shard {index}")
         with self._pending_lock:
             self._pending_rollouts.append(challenger)
 

@@ -34,7 +34,7 @@ from ...data.generator import StreamBatch
 from ...metrics.ids_metrics import DetectionReport
 from ..driver import StreamDriver
 from ..procpool import ProcessWorkerPool
-from ..service import DetectionService, ServiceReport
+from ..service import DetectionService, ServiceReport, check_challenger
 from ..sharding import ShardedDetectionService
 
 __all__ = ["Trial", "ShadowDeployment", "ShadowComparison", "ShadowReport"]
@@ -110,7 +110,9 @@ def mirror_service(
 ) -> DetectionService:
     """The challenger's service: ``challenger`` itself when it is one,
     otherwise a service batching and windowing exactly like ``template``.
-    Either way its class order must match the template's."""
+    Either way its detector must pass :func:`check_challenger` against the
+    template's: a shadow comparison over mismatched labels is
+    meaningless."""
     service = challenger
     if not isinstance(challenger, DetectionService):
         service = DetectionService(
@@ -120,11 +122,7 @@ def mirror_service(
             window=template.monitor.window,
             clock=template.clock,
         )
-    if service.pipeline.class_names != template.pipeline.class_names:
-        raise ValueError(
-            "challenger class order does not match the primary's; a "
-            "shadow comparison over mismatched labels is meaningless"
-        )
+    check_challenger(service.detector, template.detector, "the primary")
     return service
 
 

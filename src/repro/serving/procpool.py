@@ -19,15 +19,17 @@ Division of labour:
 
 * each **child process** rehydrates a scoring-identical detector from a
   :class:`~repro.serving.lifecycle.DetectorCheckpoint` at startup (weights,
-  buffers, preprocessor vocabularies and scaler — the restored
-  ``predict(fast=True)`` is bitwise-equal to the parent's), then loops:
+  buffers, and its feature encoder's vocabularies and standardization
+  statistics — the restored ``predict(fast=True)`` is bitwise-equal to
+  the parent's), then loops:
   micro-batches arrive pickled on the child's own task queue, are
   preprocessed and scored in the child, and the predicted class indices
   travel back on its result queue with the measured scoring time and the
   batch's unknown-categorical tally.  The child scores through the same
   stateless :func:`~repro.serving.service.score_records` as the
-  synchronous service, so both serve float32 with the same numerics, and
-  keeps no state between batches but its detector;
+  synchronous service — through the detector's own encoder, so both serve
+  float32 with the same numerics — and keeps no state between batches but
+  its detector;
 * the **parent** keeps every piece of mutable serving state — the
   micro-batcher, the service's ledger
   (:class:`~repro.serving.monitor.ServiceMonitor`), phase attribution —
@@ -46,12 +48,12 @@ clock — so the serialization/IPC cost is *visible* in the latency columns.
 The child's pure scoring time still travels back in the reply.
 
 Hot-swap: :meth:`ProcessWorkerPool.swap_detector` drains the in-flight
-batches, swaps the parent engine, then re-ships the challenger's checkpoint
-to every child and waits for their acknowledgements.  Per-child task queues
-are FIFO, so any batch dispatched after the swap is scored by the new
-model — the same batch-boundary semantics as the in-process swap, which is
-what keeps a drift-supervised run's counts equal to a drain-stop-restart
-run.
+batches, swaps the parent service's detector, then re-ships the
+challenger's checkpoint to every child and waits for their
+acknowledgements.  Per-child task queues are FIFO, so any batch dispatched
+after the swap is scored by the new model — the same batch-boundary
+semantics as the in-process swap, which is what keeps a drift-supervised
+run's counts equal to a drain-stop-restart run.
 
 Start method: ``"spawn"`` — fork would duplicate the parent's running
 threads (age timers, other pools, test watchdogs) into the child mid-lock.
@@ -75,13 +77,7 @@ from ..data.generator import StreamBatch
 from ..data.schema import get_schema
 from .driver import PhaseAttributor, StreamDriver
 from .lifecycle.checkpoint import DetectorCheckpoint
-from .service import (
-    BatchResult,
-    CachedPreprocessor,
-    DetectionService,
-    ServiceReport,
-    score_records,
-)
+from .service import BatchResult, DetectionService, ServiceReport, score_records
 
 __all__ = ["PoolStats", "ProcessWorkerPool"]
 
@@ -208,7 +204,6 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
     """
     schema = get_schema(schema_name)
     detector = None
-    pipeline = None
     while True:
         message = task_queue.get()
         kind = message[0]
@@ -217,7 +212,6 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
         if kind in ("init", "swap"):
             try:
                 detector = message[1].restore()
-                pipeline = CachedPreprocessor(detector.preprocessor)
                 if kind == "swap":
                     result_queue.put(("swapped", worker_id, None))
             except BaseException:
@@ -237,7 +231,7 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
                 schema=schema, numeric=numeric, categorical=categorical, labels=labels
             )
             started = time.perf_counter()
-            predicted, unknown = score_records(detector, pipeline, records)
+            predicted, unknown = score_records(detector, records)
             latency = time.perf_counter() - started
             result_queue.put(("scored", sequence, predicted, latency, unknown))
         except BaseException:
@@ -872,10 +866,11 @@ class ProcessWorkerPool:
     # Hot-swap
     # ------------------------------------------------------------------ #
     def swap_detector(self, detector):
-        """Swap the parent engine and re-ship the checkpoint to the children.
+        """Swap the parent service's detector; re-ship its checkpoint to the
+        children.
 
         Drains every dispatched batch first, so the swap lands on a batch
-        boundary: nothing scored by the old engine commits after it, and —
+        boundary: nothing scored by the old detector commits after it, and —
         because each child applies the swap message before any later task on
         its FIFO queue — nothing dispatched afterwards is scored by the old
         model.  Blocks until every child acknowledges the rehydration and

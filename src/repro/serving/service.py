@@ -6,16 +6,16 @@ Architecture (one request path, three stages):
    are buffered by a :class:`~repro.serving.batching.MicroBatcher` and
    released as model-sized batches (size trigger) or after a bounded wait
    (age trigger), so tiny submissions do not pay a full forward pass each.
-2. **Cached preprocessing** — :class:`CachedPreprocessor` precomputes the
-   one-hot layout (per-column value→position tables) and folds the standard
-   scaler into a single multiply-add, replacing the per-record Python loops
-   of the training-time :class:`~repro.preprocessing.pipeline.IDSPreprocessor`
-   with vectorised lookups.  It emits float32, the served dtype: the
-   float64 training-pipeline values rounded once (at most 1 ulp away).
-   Categorical values missing from the training vocabulary are
+2. **Preprocessing** — the detector's own
+   :class:`~repro.preprocessing.pipeline.IDSPreprocessor`, the one feature
+   encoder of training and serving: its
+   :meth:`~repro.preprocessing.pipeline.IDSPreprocessor.transform_inputs`
+   is the training matrix rounded once to float32, the served dtype, bit
+   for bit.  Categorical values missing from the training vocabulary are
    zero-encoded *and tallied* per column; the tally travels with the
    batch's result, so vocabulary drift is surfaced in every
-   :class:`ServiceReport` instead of being swallowed.
+   :class:`ServiceReport` instead of being swallowed.  A non-finite
+   numeric feature fails the batch before anything is scored.
 3. **Graph-free inference** — the batch runs through
    ``Model.predict(..., fast=True)`` (see :mod:`repro.nn.inference`) in
    float32.  Stages 2 and 3 are one stateless function,
@@ -64,120 +64,57 @@ from .driver import PhaseAttributor, StreamDriver
 from .monitor import MonitorSnapshot, ServiceMonitor
 
 __all__ = [
-    "CachedPreprocessor",
     "score_records",
+    "check_challenger",
     "BatchResult",
     "ServiceReport",
     "DetectionService",
 ]
 
 
-class CachedPreprocessor:
-    """Vectorised, cache-backed version of a fitted ``IDSPreprocessor``.
-
-    Built once from the training-time preprocessor, it caches everything the
-    per-request transform needs: the categorical value→column tables, the
-    folded scaler coefficients and the label mapping.  The per-batch work is
-    then one dict lookup per categorical value and a single fused
-    multiply-add over the feature matrix.
-
-    Categorical values outside the training vocabulary cannot be one-hot
-    encoded; they contribute an all-zero block (the same behaviour the
-    training pipeline has for unseen values) and are tallied per column in
-    the batch's result, so the drift is visible to operators.  The
-    pipeline itself holds no per-batch state.
-    """
-
-    def __init__(self, preprocessor: IDSPreprocessor) -> None:
-        scaler = preprocessor.scaler
-        if scaler.mean_ is None or scaler.scale_ is None:
-            raise RuntimeError(
-                "CachedPreprocessor requires a fitted IDSPreprocessor"
-            )
-        self.schema = preprocessor.schema
-        self._n_numeric = len(self.schema.numeric_features)
-        # Per categorical column: (offset into the feature vector, value->slot).
-        self._categorical_tables: List[Tuple[str, int, Dict[str, int]]] = []
-        offset = self._n_numeric
-        for name, vocabulary in preprocessor.encoder.categories_.items():
-            table = {value: position for position, value in enumerate(vocabulary)}
-            self._categorical_tables.append((name, offset, table))
-            offset += len(vocabulary)
-        self.num_features = offset
-        # Fold (x - mean) / scale into x * weight + shift.
-        self._scale_weight = 1.0 / scaler.scale_
-        self._scale_shift = -scaler.mean_ / scaler.scale_
-        self.class_names = list(preprocessor.label_encoder.classes_)
-        self._label_table = {
-            name: index for index, name in enumerate(self.class_names)
-        }
-        self.normal_index = self.class_names.index(self.schema.normal_class)
-
-    def transform_inputs(
-        self, records: TrafficRecords
-    ) -> Tuple[np.ndarray, Dict[str, int]]:
-        """Records → ``(inputs, unknown)``.
-
-        ``inputs`` is the float32 network input ``(n, 1, features)``: the
-        scaler is folded in float64 and the result is rounded once to
-        float32, the served dtype (at most 1 ulp from the float64 value).
-        ``unknown`` is this batch's per-column count of values missing from
-        the training vocabulary (columns without any are left out).
-        """
-        n_records = len(records)
-        features = np.zeros((n_records, self.num_features))
-        features[:, : self._n_numeric] = records.numeric
-        rows = np.arange(n_records)
-        unknown: Dict[str, int] = {}
-        for name, offset, table in self._categorical_tables:
-            positions = np.fromiter(
-                (table.get(str(value), -1) for value in records.categorical[name]),
-                dtype=np.int64,
-                count=n_records,
-            )
-            known = positions >= 0
-            n_unknown = n_records - int(known.sum())
-            if n_unknown:
-                unknown[name] = n_unknown
-            features[rows[known], offset + positions[known]] = 1.0
-        features *= self._scale_weight
-        features += self._scale_shift
-        # The one cast to the served dtype: fold in float64, round once.
-        return features.astype(np.float32)[:, np.newaxis, :], unknown
-
-    def encode_labels(self, records: TrafficRecords) -> np.ndarray:
-        """Class names → integer ids in the detector's class order."""
-        try:
-            return np.fromiter(
-                (self._label_table[str(label)] for label in records.labels),
-                dtype=np.int64,
-                count=len(records),
-            )
-        except KeyError as exc:
-            raise ValueError(f"unknown label {exc.args[0]!r}") from exc
-
-    def decode_labels(self, class_indices: np.ndarray) -> np.ndarray:
-        """Integer ids → class names (object array)."""
-        names = np.asarray(self.class_names, dtype=object)
-        return names[np.asarray(class_indices, dtype=np.int64)]
-
-
 def score_records(
-    detector: PelicanDetector, pipeline: CachedPreprocessor, records: TrafficRecords
+    detector: PelicanDetector, records: TrafficRecords
 ) -> Tuple[np.ndarray, Dict[str, int]]:
     """The served path: records → float32 inputs → fast forward → class ids.
 
     Returns ``(class_ids, unknown)``, ``unknown`` being the batch's
-    unknown-categorical tally (see :meth:`CachedPreprocessor.transform_inputs`).
+    unknown-categorical tally (see
+    :meth:`~repro.preprocessing.pipeline.IDSPreprocessor.transform_inputs`).
     Every execution model scores through this one function — the sync
     service's :meth:`DetectionService.score` and the process pool's
     children alike — so they serve the same dtype and the same numerics.
     """
-    inputs, unknown = pipeline.transform_inputs(records)
+    inputs, unknown = detector.preprocessor.transform_inputs(records)
     probabilities = detector.network.predict(
         inputs, batch_size=max(len(records), 1), fast=True
     )
     return np.argmax(probabilities, axis=-1), unknown
+
+
+def check_challenger(
+    challenger: PelicanDetector,
+    serving: PelicanDetector,
+    where: str = "the service",
+) -> None:
+    """Raise unless ``challenger`` may replace ``serving`` mid-stream: it
+    must be fitted, on the same schema, with the same class order —
+    otherwise the ledger's integer labels would silently change meaning.
+    ``where`` names the serving side in the message."""
+    if not challenger.is_fitted:
+        raise RuntimeError("the challenger must be a fitted detector")
+    rule = "a challenger must be fitted on the serving schema with its class order"
+    if challenger.schema.name != serving.schema.name:
+        raise ValueError(
+            f"challenger is fitted on schema {challenger.schema.name!r}, "
+            f"{where} serves {serving.schema.name!r}; {rule}"
+        )
+    challenger_classes = challenger.preprocessor.class_names
+    serving_classes = serving.preprocessor.class_names
+    if challenger_classes != serving_classes:
+        raise ValueError(
+            f"challenger class order {challenger_classes} does not match "
+            f"{where}'s {serving_classes}; {rule}"
+        )
 
 
 @dataclass(frozen=True)
@@ -293,13 +230,10 @@ class DetectionService:
         if not detector.is_fitted:
             raise RuntimeError("DetectionService requires a fitted detector")
         self.clock = clock
-        # The scoring engine is one tuple so a hot-swap replaces detector and
-        # pipeline in a single atomic attribute store: a concurrent score()
-        # can never see the new network with the old vocabulary tables.
-        self._engine: Tuple[PelicanDetector, CachedPreprocessor] = (
-            detector,
-            CachedPreprocessor(detector.preprocessor),
-        )
+        # The detector carries its encoder, so a hot-swap is one attribute
+        # store: a concurrent score() never sees the new network with the old
+        # vocabulary tables.
+        self._detector = detector
         self.batcher = MicroBatcher(
             max_batch_size=max_batch_size,
             flush_interval=flush_interval,
@@ -313,20 +247,20 @@ class DetectionService:
     @property
     def detector(self) -> PelicanDetector:
         """The currently serving detector (see :meth:`swap_detector`)."""
-        return self._engine[0]
+        return self._detector
 
     @property
-    def pipeline(self) -> CachedPreprocessor:
-        """The currently serving cached preprocessor."""
-        return self._engine[1]
+    def pipeline(self) -> IDSPreprocessor:
+        """The currently serving detector's feature encoder."""
+        return self._detector.preprocessor
 
     def swap_detector(self, detector: PelicanDetector) -> PelicanDetector:
         """Atomically replace the serving detector; returns the retired one.
 
         The swap is a single attribute store, so concurrent scorers see
-        either the old engine or the new one, never a mixture.  It commits
+        either the old detector or the new one, never a mixture.  It commits
         on a *batch boundary* by construction — a batch that already read
-        the engine finishes on the model it started with; the next batch
+        the detector finishes on the model it started with; the next batch
         picks up the replacement.  Callers that need stop-the-world
         equivalence (the :class:`~repro.serving.lifecycle.DriftSupervisor`)
         flush/join first so no batch is in flight and nothing is pending in
@@ -339,25 +273,12 @@ class DetectionService:
         confusion counts equal a drain-stop-restart run's record for
         record.
 
-        The replacement must be fitted on the same schema with the same
-        class order — otherwise the rolling window's integer labels would
-        silently change meaning mid-stream.
+        The replacement must pass :func:`check_challenger`: fitted, on the
+        same schema, with the same class order.
         """
-        if not detector.is_fitted:
-            raise RuntimeError("swap_detector requires a fitted detector")
-        old_detector, old_pipeline = self._engine
-        new_pipeline = CachedPreprocessor(detector.preprocessor)
-        if new_pipeline.class_names != old_pipeline.class_names:
-            raise ValueError(
-                f"challenger class order {new_pipeline.class_names} does not "
-                f"match the serving order {old_pipeline.class_names}"
-            )
-        if detector.schema.name != old_detector.schema.name:
-            raise ValueError(
-                f"challenger is fitted on schema {detector.schema.name!r}, "
-                f"the service is serving {old_detector.schema.name!r}"
-            )
-        self._engine = (detector, new_pipeline)
+        old_detector = self._detector
+        check_challenger(detector, old_detector)
+        self._detector = detector
         return old_detector
 
     # ------------------------------------------------------------------ #
@@ -367,12 +288,13 @@ class DetectionService:
         Thread-safe: nothing is counted — not even the batch's unknown
         categoricals, which travel in the result — until the result is
         committed through :meth:`observe`, so concurrent callers may score
-        at once.  The engine (detector + pipeline) is read once, so a
+        at once.  The detector (network + encoder) is read once, so a
         concurrent :meth:`swap_detector` takes effect only between batches.
         """
-        detector, pipeline = self._engine
+        detector = self._detector
+        pipeline = detector.preprocessor
         started = self.clock()
-        predicted, unknown = score_records(detector, pipeline, records)
+        predicted, unknown = score_records(detector, records)
         finished = self.clock()
         true_indices = pipeline.encode_labels(records)
         return BatchResult(

@@ -52,9 +52,7 @@ def _poisoned(detector):
     record, so its DR is exactly zero while FAR stays zero too."""
     challenger = DetectorCheckpoint.capture(detector).restore()
     final = challenger.network.layers[-1]
-    normal_index = challenger.preprocessor.label_encoder.classes_.index(
-        challenger.schema.normal_class
-    )
+    normal_index = challenger.preprocessor.normal_index
     final.kernel.data[...] = 0.0
     final.bias.data[...] = 0.0
     final.bias.data[normal_index] = 10.0

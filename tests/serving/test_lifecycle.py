@@ -130,10 +130,12 @@ class TestDetectorCheckpoint:
         restored = DetectorCheckpoint.load(path).restore()
         original = detector.preprocessor
         clone = restored.preprocessor
-        assert clone.encoder.categories_ == original.encoder.categories_
-        assert np.array_equal(clone.scaler.mean_, original.scaler.mean_)
-        assert np.array_equal(clone.scaler.scale_, original.scaler.scale_)
-        assert clone.label_encoder.classes_ == original.label_encoder.classes_
+        ours, theirs = clone.export_state(), original.export_state()
+        assert ours["categories"] == theirs["categories"]
+        assert np.array_equal(ours["scaler_mean"], theirs["scaler_mean"])
+        assert np.array_equal(ours["scaler_scale"], theirs["scaler_scale"])
+        assert clone.class_names == original.class_names
+        assert clone.normal_index == original.normal_index
 
     def test_restored_detector_is_independent(self, detector, tmp_path):
         path = DetectorCheckpoint.capture(detector).save(tmp_path / "d")

@@ -35,7 +35,6 @@ import pytest
 from repro.data import NSLKDD_SCHEMA, nslkdd_generator
 from repro.scenarios import flood_scenario
 from repro.serving import (
-    CachedPreprocessor,
     DetectionService,
     DetectorCheckpoint,
     DriftPolicy,
@@ -81,7 +80,7 @@ def _near_tie_copy(detector, records):
     network = tied.network
     classifier = network.layers[-1]
     kernel, bias = classifier.get_weights()
-    float32, _ = CachedPreprocessor(tied.preprocessor).transform_inputs(records)
+    float32, _ = tied.preprocessor.transform_inputs(records)
     float64 = float32.astype(np.float64)
     probabilities = network.predict(float64, fast=True)[0]
     second, first = np.argsort(probabilities)[-2:]
@@ -170,9 +169,7 @@ class TestProcessPoolBitEquality:
         assert np.array_equal(
             np.concatenate([r.class_indices for r in pool_results]), served
         )
-        inputs, _ = CachedPreprocessor(tied.preprocessor).transform_inputs(
-            first_batch
-        )
+        inputs, _ = tied.preprocessor.transform_inputs(first_batch)
         float64 = tied.network.predict(inputs.astype(np.float64), fast=True)
         assert served[0] != float64[0].argmax()
 
@@ -213,6 +210,25 @@ class TestProcessPoolBitEquality:
             with pytest.raises(RuntimeError, match="scoring failed"):
                 pool.flush()
         assert sync_service.report().unknown_categoricals[column] == 0
+        assert service.report() == sync_service.report()
+
+    def test_a_batch_with_non_finite_features_fails_and_commits_nothing(
+        self, detector, traffic
+    ):
+        """NaN and inf features fail the batch in the child before it is
+        scored; a 1-child pool commits none of it, like the sync service."""
+        batch = traffic.subset(np.arange(64))
+        batch.numeric[0, 1] = np.nan
+        batch.numeric[1, 4] = np.inf
+        sync_service = _service(detector, max_batch_size=64)
+        with pytest.raises(ValueError, match="non-finite"):
+            sync_service.process(batch)
+        service = _service(detector, max_batch_size=64)
+        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+            pool.submit(batch)
+            with pytest.raises(RuntimeError, match="non-finite"):
+                pool.flush()
+        assert service.report().records == 0
         assert service.report() == sync_service.report()
 
     def test_reports_read_during_a_pool_run_are_consistent(self, detector):

@@ -1,47 +1,64 @@
-"""Tests for the cached preprocessing pipeline, the service ledger and
-DetectionService."""
+"""Tests for the served inputs, the service ledger and DetectionService."""
 
 import numpy as np
 import pytest
 
 from repro.core import PelicanDetector
 from repro.data import NSLKDD_SCHEMA, TrafficStream, load_nslkdd, nslkdd_generator
-from repro.serving import (
-    CachedPreprocessor,
-    DetectionService,
-    ServiceMonitor,
-    ServiceReport,
-)
+from repro.preprocessing import IDSPreprocessor
+from repro.serving import DetectionService, ServiceMonitor, ServiceReport
 
 
 class TestCachedPreprocessor:
+    """The served inputs: :meth:`IDSPreprocessor.transform_inputs`, the
+    training encoder's matrix rounded once to float32."""
+
     def test_matches_training_pipeline(self, detector, traffic):
-        prepared = detector.preprocessor.transform(traffic)
-        cached = CachedPreprocessor(detector.preprocessor)
-        inputs, unknown = cached.transform_inputs(traffic)
+        preprocessor = detector.preprocessor
+        prepared = preprocessor.transform(traffic)
+        inputs, unknown = preprocessor.transform_inputs(traffic)
         assert unknown == {}
-        # The served dtype is float32: the float64 pipeline values rounded
-        # once (the folded scaler may land 1 ulp to the other side).
         assert inputs.dtype == np.float32
-        np.testing.assert_array_max_ulp(
-            inputs, prepared.inputs.astype(np.float32), maxulp=1
-        )
+        np.testing.assert_array_equal(inputs, prepared.inputs.astype(np.float32))
         np.testing.assert_array_equal(
-            cached.encode_labels(traffic), prepared.class_indices
+            preprocessor.encode_labels(traffic), prepared.class_indices
         )
-        assert cached.normal_index == prepared.normal_index
-        assert cached.class_names == prepared.class_names
+        assert preprocessor.normal_index == prepared.normal_index
+        assert preprocessor.class_names == prepared.class_names
+        # A drifted batch: each column's unseen values are tallied, and
+        # their one-hot block is zero before standardization.
+        drifted = traffic.subset(range(len(traffic)))
+        for shift, name in enumerate(NSLKDD_SCHEMA.categorical_names):
+            drifted.categorical[name][shift::5] = "never-seen"
+        inputs, unknown = preprocessor.transform_inputs(drifted)
+        np.testing.assert_array_equal(
+            inputs, preprocessor.transform(drifted).inputs.astype(np.float32)
+        )
+        assert unknown == {
+            name: len(range(shift, len(traffic), 5))
+            for shift, name in enumerate(NSLKDD_SCHEMA.categorical_names)
+        }
+        state = preprocessor.export_state()
+        absent = ((0.0 - state["scaler_mean"]) / state["scaler_scale"]).astype(
+            np.float32
+        )
+        offset = len(NSLKDD_SCHEMA.numeric_features)
+        for shift, feature in enumerate(NSLKDD_SCHEMA.categorical_features):
+            block = slice(offset, offset + feature.cardinality)
+            rows = inputs[shift::5, 0, block]
+            np.testing.assert_array_equal(
+                rows, np.broadcast_to(absent[block], rows.shape)
+            )
+            offset += feature.cardinality
 
     def test_decode_inverts_encode(self, detector, traffic):
-        cached = CachedPreprocessor(detector.preprocessor)
-        decoded = cached.decode_labels(cached.encode_labels(traffic))
+        preprocessor = detector.preprocessor
+        decoded = preprocessor.decode_labels(preprocessor.encode_labels(traffic))
         np.testing.assert_array_equal(decoded, traffic.labels)
 
-    def test_requires_fitted_preprocessor(self):
-        from repro.preprocessing import IDSPreprocessor
-
+    def test_requires_fitted_preprocessor(self, traffic):
         with pytest.raises(RuntimeError, match="fitted"):
-            CachedPreprocessor(IDSPreprocessor(NSLKDD_SCHEMA))
+            IDSPreprocessor(NSLKDD_SCHEMA).transform_inputs(traffic)
 
 
 class TestServedDtype:
@@ -77,7 +94,7 @@ class TestServedDtype:
             dropout_rate=0.3, seed=1,
         )
         detector.fit(load_nslkdd(n_records=384, seed=1))
-        pipeline = CachedPreprocessor(detector.preprocessor)
+        pipeline = detector.preprocessor
         stream = TrafficStream.flood_scenario(
             nslkdd_generator(), batch_size=256, seed=1
         )
@@ -319,3 +336,21 @@ class TestDetectionService:
         assert result.unknown_categoricals == {column: 10}
         service.observe(result)
         assert service.report().unknown_categoricals[column] == 10
+
+    def test_non_finite_features_fail_the_batch_and_commit_nothing(
+        self, detector, traffic
+    ):
+        """A NaN or inf feature raises, naming its column, before anything
+        is scored: neither process() nor submit() commits the batch."""
+        batch = traffic.subset(np.arange(64))
+        batch.numeric[0, 1] = np.nan
+        batch.numeric[1, 4] = np.inf
+        names = NSLKDD_SCHEMA.numeric_names
+        message = rf"non-finite.*'{names[1]}', '{names[4]}'"
+        service = DetectionService(detector, max_batch_size=64)
+        with pytest.raises(ValueError, match=message):
+            service.process(batch)
+        with pytest.raises(ValueError, match=message):
+            service.submit(batch)
+        assert service.report().records == 0
+        assert service.report().batches == 0

@@ -1,13 +1,20 @@
-"""Every name a ``repro`` module imports is used.
+"""Every name a ``repro`` module imports is used, and every name it
+exports exists.
 
 An AST scan over ``src/repro`` (package ``__init__.py`` files re-export by
 importing, so they are left out): each name an ``import`` binds must be
 referenced somewhere in its module — as a name, as the base of an
 attribute, inside a string annotation, or in ``__all__``.  ``__future__``
 imports are directives, not bindings, and are skipped.
+
+Every module, packages included, is then imported, and each name in its
+``__all__`` must be an attribute of it, so a stale export of a deleted
+class fails here rather than at a caller's ``import *``.
 """
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 from typing import Dict, Iterator, Set
 
@@ -16,6 +23,12 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 MODULES = sorted(
     path for path in PACKAGE.rglob("*.py") if path.name != "__init__.py"
+)
+MODULE_NAMES = sorted(
+    ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts).removesuffix(
+        ".__init__"
+    )
+    for path in PACKAGE.rglob("*.py")
 )
 
 
@@ -114,3 +127,21 @@ def test_no_unused_imports(path):
     assert not unused, ", ".join(
         f"{name} (line {line})" for name, line in sorted(unused.items())
     )
+
+
+def _resolves(module, name: str) -> bool:
+    if hasattr(module, name):
+        return True
+    # ``from package import *`` imports a submodule named in ``__all__``.
+    return hasattr(module, "__path__") and (
+        importlib.util.find_spec(f"{module.__name__}.{name}") is not None
+    )
+
+
+@pytest.mark.parametrize("module_name", MODULE_NAMES)
+def test_every_export_resolves(module_name):
+    module = importlib.import_module(module_name)
+    missing = [
+        name for name in getattr(module, "__all__", ()) if not _resolves(module, name)
+    ]
+    assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"

@@ -20,7 +20,9 @@ from repro.metrics import (
 )
 from repro.nn import tensor as ops
 from repro.nn.tensor import Tensor
-from repro.preprocessing import LabelEncoder, OneHotEncoder, StandardScaler, one_hot
+from repro.data.dataset import TrafficRecords
+from repro.data.schema import CategoricalFeature, DatasetSchema, NumericFeature
+from repro.preprocessing import IDSPreprocessor, one_hot
 from repro.preprocessing.kfold import KFold, StratifiedKFold
 
 # Keep hypothesis fast and deterministic enough for CI-style runs.
@@ -29,6 +31,33 @@ SETTINGS = settings(max_examples=30, deadline=None)
 finite_floats = st.floats(
     min_value=-50.0, max_value=50.0, allow_nan=False, allow_infinity=False
 )
+
+
+_CLASSES = ("normal", "dos", "probe", "r2l", "u2r")
+
+
+def _schema(n_numeric, vocabulary=()):
+    """A schema of ``n_numeric`` numeric columns and, given a vocabulary,
+    one categorical column ``proto``."""
+    return DatasetSchema(
+        name="property",
+        numeric_features=tuple(NumericFeature(f"f{i}") for i in range(n_numeric)),
+        categorical_features=(
+            (CategoricalFeature("proto", tuple(vocabulary)),) if vocabulary else ()
+        ),
+        classes=_CLASSES,
+        class_priors={name: 1 / len(_CLASSES) for name in _CLASSES},
+    )
+
+
+def _records(schema, numeric, proto=None, labels=None):
+    n_records = len(numeric)
+    return TrafficRecords(
+        schema=schema,
+        numeric=numeric,
+        categorical={} if proto is None else {"proto": np.array(proto, dtype=object)},
+        labels=np.array(labels or ["normal"] * n_records, dtype=object),
+    )
 
 
 def small_matrices(max_side=6):
@@ -160,7 +189,10 @@ class TestPreprocessingProperties:
         )
     )
     def test_standard_scaler_output_statistics(self, values):
-        scaled = StandardScaler().fit_transform(values)
+        schema = _schema(values.shape[1])
+        scaled = IDSPreprocessor(schema).fit_transform(
+            _records(schema, values)
+        ).flat_inputs
         assert np.all(np.isfinite(scaled))
         # Columns that are (numerically) constant are only centred, and columns
         # whose spread is at the limit of float precision cannot be checked
@@ -180,10 +212,24 @@ class TestPreprocessingProperties:
         )
     )
     def test_one_hot_encoder_row_sums(self, values):
-        encoder = OneHotEncoder()
-        encoded = encoder.fit_transform({"proto": np.array(values, dtype=object)})
-        assert np.allclose(encoded.sum(axis=1), 1.0)
-        assert encoded.shape[1] == len(set(values))
+        """A declared value sets one slot, any other none; the width is the
+        vocabulary's whatever the batch holds."""
+        vocabulary = ("tcp", "udp", "icmp")
+        schema = _schema(0, vocabulary)
+        preprocessor = IDSPreprocessor(schema).restore_state({
+            "schema": schema.name,
+            "categories": {"proto": vocabulary},
+            "classes": _CLASSES,
+            "scaler_mean": np.zeros(3),
+            "scaler_scale": np.ones(3),
+        })
+        inputs, unknown = preprocessor.transform_inputs(
+            _records(schema, np.zeros((len(values), 0)), values)
+        )
+        known = np.isin(values, vocabulary)
+        assert inputs.shape == (len(values), 1, 3)
+        np.testing.assert_array_equal(inputs[:, 0].sum(axis=1), known)
+        assert unknown == ({"proto": int((~known).sum())} if not known.all() else {})
 
     @SETTINGS
     @given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=100))
@@ -201,9 +247,12 @@ class TestPreprocessingProperties:
         )
     )
     def test_label_encoder_roundtrip(self, labels):
-        encoder = LabelEncoder()
-        encoded = encoder.fit_transform(labels)
-        assert list(encoder.inverse_transform(encoded)) == labels
+        schema = _schema(1)
+        preprocessor = IDSPreprocessor(schema)
+        encoded = preprocessor.encode_labels(
+            _records(schema, np.zeros((len(labels), 1)), labels=labels)
+        )
+        assert list(preprocessor.decode_labels(encoded)) == labels
 
     @SETTINGS
     @given(
