@@ -17,10 +17,11 @@ shortcut — and documents that this adds one parameter layer.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..nn.inference import weights_epoch
 from ..nn.layers import (
     GRU,
     Add,
@@ -110,6 +111,8 @@ class PlainBlock(Layer):
         self.dropout = self.register(
             Dropout(self.dropout_rate, name=f"{self.name}/dropout")
         )
+        # (weights epoch, stacked gate arrays) — see inference_arrays.
+        self._gates: Optional[Tuple[int, Dict[str, np.ndarray]]] = None
 
     # ------------------------------------------------------------------ #
     def build(self, input_shape: Tuple[int, ...]) -> None:
@@ -154,25 +157,76 @@ class PlainBlock(Layer):
         outputs, _ = self.transform(inputs, training)
         return outputs
 
+    def inference_arrays(self) -> Dict[str, np.ndarray]:
+        """The GRU's two live gates on one step, with the second BN folded in.
+
+        On one step the GRU's state starts at zero, so its output is
+        ``(1 - z) * c`` with ``z = clip(0.2 (y K_z + b_z) + 0.5, 0, 1)``,
+        ``c = tanh(y K_c + b_c)`` and ``y = x s + t`` the second batch
+        norm's folded affine map.  Everything before the clip and the tanh
+        is affine, and ``1 - clip(u, 0, 1) == clip(1 - u, 0, 1)``, so both
+        gates come from one stacked product ``x @ kernel + bias``::
+
+            kernel[0] = -0.2 diag(s) K_z    bias[0] = 0.5 - 0.2 (t K_z + b_z)
+            kernel[1] =      diag(s) K_c    bias[1] =        t K_c + b_c
+
+        and ``(1 - z) * c == clip(gates[0], 0, 1) * tanh(gates[1])``.  The
+        float64 fold is cached per weights epoch, like the batch norm's
+        (see :meth:`BatchNormalization.folded_constants`); ``fast_arrays``
+        casts it once per ``(epoch, dtype)``.  Empty until the GRU is built.
+        """
+        if not self.recurrent.built:
+            return {}
+        epoch = weights_epoch()
+        gates = self._gates
+        if gates is None or gates[0] != epoch:
+            scale, shift = self.recurrent_norm.folded_constants()
+            units = self.recurrent_units
+            kernel = self.recurrent.kernel.data
+            bias = self.recurrent.bias.data
+            # The update and candidate columns, in either GRU layout.
+            stacked = np.stack([kernel[:, :units], kernel[:, -units:]])
+            stacked_bias = shift @ stacked + np.stack([bias[:units], bias[-units:]])
+            stacked *= scale[:, None]
+            stacked[0] *= -0.2
+            stacked_bias[0] *= -0.2
+            stacked_bias[0] += 0.5
+            gates = (epoch, {"kernel": stacked, "bias": stacked_bias[:, None, :]})
+            self._gates = gates
+        return gates[1]
+
     def fast_transform(self, inputs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Graph-free :meth:`transform` (inference semantics, raw ndarrays).
 
         ``inputs`` is only read.  Every later array is one the block just
-        allocated: the convolution's GEMM output (which max pooling returns
-        as is on one step) takes the second batch norm in place, and the
-        GRU output is returned for the caller to own.  Dropout is a no-op
-        at inference.
+        allocated.  On one step (the paper's shape) max pooling returns the
+        convolution's GEMM output as is, and the second batch norm and the
+        GRU run as one stacked ``(2, batch, units)`` product with the
+        folded gate arrays of :meth:`inference_arrays`: the update gate's
+        clip and the candidate's tanh run in place on its two contiguous
+        halves, and their product is the output.  On more steps the second
+        batch norm runs in place on the pooled output and the GRU runs its
+        own :meth:`~repro.nn.layers.recurrent.GRU.fast_call`.  Dropout is a
+        no-op at inference.
         """
         folded = self.input_norm.fast_arrays(inputs.dtype)
         normalized = inputs * folded["scale"]
         normalized += folded["shift"]
         features = self.convolution.fast_call(normalized)
         features = self.pooling.fast_call(features)
+        batch, steps, _ = features.shape
+        if steps == 1:
+            folded = self.fast_arrays(features.dtype)
+            gates = features[:, 0] @ folded["kernel"]
+            gates += folded["bias"]
+            keep = np.clip(gates[0], 0.0, 1.0, out=gates[0])
+            keep *= np.tanh(gates[1], out=gates[1])
+            return keep.reshape(batch, 1, self.recurrent_units), normalized
         folded = self.recurrent_norm.fast_arrays(features.dtype)
         features *= folded["scale"]
         features += folded["shift"]
         features = self.recurrent.fast_call(features)
-        return features.reshape(len(features), 1, self.recurrent_units), normalized
+        return features.reshape(batch, 1, self.recurrent_units), normalized
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         outputs, _ = self.fast_transform(inputs)

@@ -16,10 +16,10 @@ The fast-path contract:
   :meth:`~repro.preprocessing.pipeline.IDSPreprocessor.transform_inputs`
   emits it, ``Model.predict`` keeps it, and every layer then reads float32 copies of its weights
   (:meth:`~repro.nn.layers.base.Layer.fast_arrays`) and returns float32.
-  On a trained 10-block Pelican that stays within 1e-5 of float64 (5e-6
-  measured on a flood stream, no verdict flipped).  Any other input dtype
-  reads the stored float64 arrays themselves, with no copy, so float64
-  input is the oracle below;
+  On a trained 10-block Pelican that stays within 1e-5 of the float64
+  tape (3.2e-6 measured on a flood stream, no verdict flipped).  Any
+  other input dtype reads the stored float64 arrays (or their per-epoch
+  folds) themselves, with no copy, so float64 input is the oracle below;
 * inference semantics only: dropout is a no-op and batch normalization uses
   its moving statistics, exactly like the tape path with ``training=False``;
 * float64 outputs match the tape path to float64 round-off, not bitwise (up to
@@ -37,8 +37,11 @@ The fast-path contract:
   comes from GEMM blocking (on the zero state the fast GRU multiplies the
   update and candidate column views; the tape multiplies the whole Keras
   layout, with zero reset columns on 1 step, so that it trains bit for bit
-  like the full layer) and from batch norm folded into one scale and
-  shift.
+  like the full layer), from batch norm folded into one scale and shift,
+  and, in a Pelican block on one step, from the second batch norm and the
+  hard sigmoid's affine part folded into one stacked update/candidate
+  kernel and bias (:meth:`repro.core.blocks.PlainBlock.inference_arrays`),
+  which sums ``x (diag(s) K)`` where the tape sums ``(x s + t) K``.
 
 Ownership rule: a fast kernel writes only into arrays it allocated.  The
 raw ``relu``, ``hard_sigmoid`` and ``tanh`` kernels overwrite and return
@@ -49,8 +52,11 @@ temporary it just created, and copies first when the array is not its own
 carried cell state).  No ``fast_call`` ever writes into its input, so the
 caller's array survives the forward pass unchanged.  Batch normalization
 runs as ``out = x * scale; out += shift`` with the folded constants from
-:func:`fold_batch_norm`, and a residual block applies its second batch norm
-and its shortcut add in place on arrays it owns.
+:func:`fold_batch_norm`.  A block on one step multiplies its pooled
+convolution output by its stacked, folded gate kernel into one fresh
+``(2, batch, units)`` array and runs the bias add, the update gate's clip,
+the candidate's tanh and their product in place on it; a residual block
+then adds its shortcut in place on that product.
 
 Layers without a specialised ``fast_call`` transparently fall back to the
 tape path under ``no_grad``, so custom layers keep working.
@@ -65,9 +71,10 @@ weight.  Re-deriving them on every batch is wasted work in a serving loop
 where the weights never change between requests.  The module keeps a
 global, monotonically increasing **weights epoch**; layers cache their
 derived constants tagged with the epoch and recompute only after the epoch
-moves.  The folded batch norm is cached per epoch in float64; the float32
-copies (of the weights, or of batch norm's float64 fold) are cached per
-``(epoch, dtype)``, one per layer.  Everything that mutates weights bumps it:
+moves.  The folded batch norm and a block's folded gates are cached per
+epoch in float64; the float32 copies (of the weights, or of those float64
+folds) are cached per ``(epoch, dtype)``, one per layer.  Everything that
+mutates weights bumps it:
 :meth:`repro.nn.optimizers.Optimizer.step`, :meth:`repro.nn.layers.base.Layer.set_weights`
 and the training-mode batch-norm forward (which updates the moving
 statistics).  The counter is process-global and only ever increments, so

@@ -158,7 +158,8 @@ class Layer:
         """The float64 arrays :meth:`fast_call` reads, by name.
 
         The stored parameter arrays themselves; layers that serve derived
-        constants instead (batch norm's folded scale and shift) override it.
+        constants instead (batch norm's folded scale and shift, a Pelican
+        block's folded GRU gates) override it.
         """
         return {name: p.data for name, p in self._parameters.items()}
 

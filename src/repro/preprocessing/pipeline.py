@@ -266,8 +266,9 @@ class IDSPreprocessor:
     def export_state(self) -> Dict[str, object]:
         """The fitted statistics as plain data (vocabularies, scaler, classes).
 
-        The scaler arrays come back as ``float64`` numpy arrays so a
-        checkpoint can store them losslessly; everything else is JSON-able.
+        The scaler arrays come back as ``float64`` copies, so a checkpoint
+        stores them losslessly and shares nothing with the live encoder;
+        everything else is JSON-able.
         Restoring with :meth:`restore_state` reproduces transforms bitwise.
         """
         if not self.is_fitted:
@@ -276,8 +277,8 @@ class IDSPreprocessor:
             "schema": self.schema.name,
             "categories": {name: list(table) for name, _, table in self._tables},
             "classes": list(self.class_names),
-            "scaler_mean": np.asarray(self.mean, dtype=np.float64),
-            "scaler_scale": np.asarray(self.scale, dtype=np.float64),
+            "scaler_mean": np.array(self.mean, dtype=np.float64),
+            "scaler_scale": np.array(self.scale, dtype=np.float64),
         }
 
     def restore_state(self, state: Dict[str, object]) -> "IDSPreprocessor":

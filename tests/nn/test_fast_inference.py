@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     NetworkConfig,
+    PlainBlock,
     build_network,
     compile_for_paper,
     get_scale,
@@ -553,13 +554,25 @@ class TestServedDtype:
         x = np.random.default_rng(0).normal(size=(16, 1, SMALL_CONFIG.filters))
         assert network.predict(x, fast=True).dtype == np.float64
 
+        # On one step a block reads its own folded gate arrays in place of
+        # its second batch norm's and its GRU's.
+        blocks = [layer for layer in _layer_tree(network)
+                  if isinstance(layer, PlainBlock)]
+        assert bool(blocks) == (name == "residual-21")
+        folded_into_blocks = {id(sublayer) for block in blocks
+                              for sublayer in (block.recurrent_norm, block.recurrent)}
         with_arrays = {id(layer) for layer in _layer_tree(network)
                        if layer.inference_arrays()}
-        assert {id(layer) for layer, _, _ in calls} == with_arrays
+        assert ({id(layer) for layer, _, _ in calls}
+                == with_arrays - folded_into_blocks)
         for layer, dtype, arrays in calls:
             assert dtype == np.float64
-            stored = (layer.folded_constants() if isinstance(layer, BatchNormalization)
-                      else [p.data for p in layer._parameters.values()])
+            if isinstance(layer, BatchNormalization):
+                stored = layer.folded_constants()
+            elif isinstance(layer, PlainBlock):
+                stored = list(layer.inference_arrays().values())  # per-epoch fold
+            else:
+                stored = [p.data for p in layer._parameters.values()]
             assert len(arrays) == len(stored)
             for array in arrays.values():
                 assert any(array is original for original in stored), layer.name

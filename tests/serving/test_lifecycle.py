@@ -110,6 +110,20 @@ class TestDetectorCheckpoint:
             detector.predict(test_records, fast=True),
         )
 
+    def test_capture_shares_no_array_with_the_detector(self, detector):
+        live = DetectorCheckpoint.capture(detector).restore()  # ours to write into
+        checkpoint = DetectorCheckpoint.capture(live)
+        before = [array.copy() for array in (
+            checkpoint.scaler_mean, checkpoint.scaler_scale, *checkpoint.weights,
+            *checkpoint.buffers,
+        )]
+        live.preprocessor.mean[0] = 123.0
+        live.preprocessor.scale[0] = 7.0
+        live.network.parameters()[0].data[...] = 5.0
+        after = (checkpoint.scaler_mean, checkpoint.scaler_scale,
+                 *checkpoint.weights, *checkpoint.buffers)
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+
     def test_folded_bn_cache_is_rederived_after_load(self, detector, tmp_path):
         """Restoring moves the weights epoch, so the fast path's folded
         batch-norm constants are recomputed from the restored buffers."""
