@@ -131,14 +131,10 @@ class CNNClassifier(_NeuralClassifier):
 
     def _build(self, n_features: int, n_classes: int) -> Sequential:
         network = Sequential(name="cnn", seed=self.seed)
-        network.add(
-            Conv1D(self.filters, self.kernel_size, padding="same", activation="relu")
-        )
-        network.add(MaxPooling1D(pool_size=2, padding="same"))
+        network.add(Conv1D(self.filters, self.kernel_size, activation="relu"))
+        network.add(MaxPooling1D(pool_size=2))
         network.add(BatchNormalization())
-        network.add(
-            Conv1D(self.filters, self.kernel_size, padding="same", activation="relu")
-        )
+        network.add(Conv1D(self.filters, self.kernel_size, activation="relu"))
         network.add(GlobalAveragePooling1D())
         if self.dropout_rate > 0:
             network.add(Dropout(self.dropout_rate))

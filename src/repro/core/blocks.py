@@ -85,13 +85,12 @@ class PlainBlock(Layer):
             Conv1D(
                 filters=self.filters,
                 kernel_size=self.kernel_size,
-                padding="same",
                 activation="relu",
                 name=f"{self.name}/conv",
             )
         )
         self.pooling = self.register(
-            MaxPooling1D(pool_size=self.pool_size, padding="same", name=f"{self.name}/pool")
+            MaxPooling1D(pool_size=self.pool_size, name=f"{self.name}/pool")
         )
         self.recurrent_norm = self.register(
             BatchNormalization(name=f"{self.name}/bn_rec")
@@ -99,8 +98,6 @@ class PlainBlock(Layer):
         self.recurrent = self.register(
             GRU(
                 units=self.recurrent_units,
-                activation="tanh",
-                recurrent_activation="hard_sigmoid",
                 return_sequences=False,
                 name=f"{self.name}/gru",
             )
@@ -130,7 +127,7 @@ class PlainBlock(Layer):
                 f"got {input_shape}"
             )
         batch, steps, _ = input_shape
-        pooled_steps = max(int(np.ceil(steps / self.pooling.strides)), 1)
+        pooled_steps = max(int(np.ceil(steps / self.pooling.pool_size)), 1)
         stages = (
             (self.input_norm, input_shape),
             (self.convolution, input_shape),
@@ -297,7 +294,6 @@ class ResidualBlock(PlainBlock):
                 Conv1D(
                     filters=self.recurrent_units,
                     kernel_size=1,
-                    padding="same",
                     name=f"{self.name}/shortcut_proj",
                 )
             )

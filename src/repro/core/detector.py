@@ -25,8 +25,7 @@ import numpy as np
 from ..data.dataset import TrafficRecords
 from ..data.schema import DatasetSchema
 from ..metrics.ids_metrics import DetectionReport, evaluate_detection
-from ..nn.callbacks import History
-from ..nn.models import Sequential
+from ..nn.models import History, Sequential
 from ..preprocessing.pipeline import IDSPreprocessor, PreparedData
 from .config import NetworkConfig, get_paper_config
 from .pelican import build_network, compile_for_paper

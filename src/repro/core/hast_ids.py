@@ -46,16 +46,14 @@ def build_hast_ids(
     # Spatial stage: two stacked convolutions (the "hierarchical spatial
     # features" of HAST-IDS), each followed by pooling.
     network.add(
-        Conv1D(config.filters, config.kernel_size, padding="same", activation="relu",
-               name=f"{name}/conv1")
+        Conv1D(config.filters, config.kernel_size, activation="relu", name=f"{name}/conv1")
     )
-    network.add(MaxPooling1D(pool_size=2, padding="same", name=f"{name}/pool1"))
+    network.add(MaxPooling1D(pool_size=2, name=f"{name}/pool1"))
     network.add(BatchNormalization(name=f"{name}/bn1"))
     network.add(
-        Conv1D(config.filters, config.kernel_size, padding="same", activation="relu",
-               name=f"{name}/conv2")
+        Conv1D(config.filters, config.kernel_size, activation="relu", name=f"{name}/conv2")
     )
-    network.add(MaxPooling1D(pool_size=2, padding="same", name=f"{name}/pool2"))
+    network.add(MaxPooling1D(pool_size=2, name=f"{name}/pool2"))
     # Temporal stage: LSTM over the (single-step) convolutional feature map.
     network.add(
         LSTM(config.recurrent_units, return_sequences=True, name=f"{name}/lstm")

@@ -16,8 +16,7 @@ import numpy as np
 
 from ..data.dataset import TrafficRecords
 from ..metrics.ids_metrics import DetectionReport, evaluate_detection
-from ..nn.callbacks import History
-from ..nn.models import Model
+from ..nn.models import History, Model
 from ..preprocessing.pipeline import IDSPreprocessor, PreparedData, PreparedSplit
 from .config import NetworkConfig
 from .pelican import compile_for_paper

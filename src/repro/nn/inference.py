@@ -45,10 +45,9 @@ The fast-path contract:
 
 Ownership rule: a fast kernel writes only into arrays it allocated.  The
 raw ``relu``, ``hard_sigmoid`` and ``tanh`` kernels overwrite and return
-their argument (``linear`` returns it untouched; ``sigmoid`` and
-``softmax`` allocate), so a layer hands them only a GEMM output or another
-temporary it just created, and copies first when the array is not its own
-(:class:`~repro.nn.layers.core.Activation` copies its input, the LSTM its
+their argument (``linear`` returns it untouched; ``softmax`` allocates), so
+a layer hands them only a GEMM output or another temporary it just created,
+and copies first when the array is not its own (the LSTM copies its
 carried cell state).  No ``fast_call`` ever writes into its input, so the
 caller's array survives the forward pass unchanged.  Batch normalization
 runs as ``out = x * scale; out += shift`` with the folded constants from
@@ -58,8 +57,7 @@ convolution output by its stacked, folded gate kernel into one fresh
 the candidate's tanh and their product in place on it; a residual block
 then adds its shortcut in place on that product.
 
-Layers without a specialised ``fast_call`` transparently fall back to the
-tape path under ``no_grad``, so custom layers keep working.
+Every layer defines its own ``fast_call``; there is no tape fallback.
 
 Derived-constant caching
 ------------------------
@@ -85,16 +83,18 @@ constants after training resumed.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from . import tensor as ops
-from .tensor import no_grad, same_padding1d
+from .tensor import same_padding1d
 
 __all__ = [
     "RAW_ACTIVATIONS",
     "get_raw_activation",
+    "raw_hard_sigmoid",
+    "raw_tanh",
     "raw_conv1d",
     "raw_max_pool1d",
     "fold_batch_norm",
@@ -140,17 +140,15 @@ def _raw_relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0, out=x)
 
 
-def _raw_sigmoid(x: np.ndarray) -> np.ndarray:
-    return ops.sigmoid_forward(x)
-
-
-def _raw_hard_sigmoid(x: np.ndarray) -> np.ndarray:
+def raw_hard_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The recurrent layers' gate activation, in place."""
     x *= 0.2
     x += 0.5
     return np.clip(x, 0.0, 1.0, out=x)
 
 
-def _raw_tanh(x: np.ndarray) -> np.ndarray:
+def raw_tanh(x: np.ndarray) -> np.ndarray:
+    """The recurrent layers' candidate activation, in place."""
     return np.tanh(x, out=x)
 
 
@@ -160,66 +158,32 @@ def _raw_softmax(x: np.ndarray) -> np.ndarray:
     return exps / exps.sum(axis=-1, keepdims=True)
 
 
+#: The activations a ``Dense`` or ``Conv1D`` can name.
 RAW_ACTIVATIONS = {
     "linear": _raw_linear,
     "relu": _raw_relu,
-    "sigmoid": _raw_sigmoid,
-    "hard_sigmoid": _raw_hard_sigmoid,
-    "tanh": _raw_tanh,
     "softmax": _raw_softmax,
 }
 
-#: Tape-op -> raw-kernel mapping, so layers constructed with a callable from
-#: ``repro.nn.tensor`` (rather than a name) still get the fast kernel.
-_TENSOR_OP_TO_RAW = {
-    ops.relu: _raw_relu,
-    ops.sigmoid: _raw_sigmoid,
-    ops.hard_sigmoid: _raw_hard_sigmoid,
-    ops.tanh: _raw_tanh,
-    ops.softmax: _raw_softmax,
-}
 
-
-def get_raw_activation(
-    identifier: Union[str, Callable, None]
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolve the raw-ndarray counterpart of an activation identifier.
-
-    Unknown callables are wrapped so they run on the tape path under
-    ``no_grad`` — slower, but the fast path stays correct for custom
-    activations.
-    """
+def get_raw_activation(identifier: Optional[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolve the raw-ndarray counterpart of an activation name (``None`` is linear)."""
     if identifier is None:
         return _raw_linear
-    if isinstance(identifier, str):
-        try:
-            return RAW_ACTIVATIONS[identifier]
-        except KeyError as exc:
-            known = ", ".join(sorted(RAW_ACTIVATIONS))
-            raise ValueError(
-                f"unknown activation {identifier!r}; known activations: {known}"
-            ) from exc
-    if identifier in _TENSOR_OP_TO_RAW:
-        return _TENSOR_OP_TO_RAW[identifier]
-
-    def fallback(x: np.ndarray) -> np.ndarray:
-        with no_grad():
-            return identifier(ops.as_tensor(x)).data
-
-    return fallback
+    try:
+        return RAW_ACTIVATIONS[identifier]
+    except KeyError as exc:
+        known = ", ".join(sorted(RAW_ACTIVATIONS))
+        raise ValueError(
+            f"unknown activation {identifier!r}; known activations: {known}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------- #
 # Raw window kernels
 # ---------------------------------------------------------------------- #
-def raw_conv1d(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: Optional[np.ndarray] = None,
-    stride: int = 1,
-    padding: str = "same",
-) -> np.ndarray:
-    """1-D convolution over ``(batch, steps, channels)`` without tape nodes.
+def raw_conv1d(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """1-D ``"same"`` convolution over ``(batch, steps, channels)`` without tape nodes.
 
     The same per-tap 2-D GEMMs as the tape's :func:`repro.nn.tensor.conv1d`
     (see :func:`repro.nn.tensor.conv1d_forward`), which skip the zero-padded
@@ -228,31 +192,17 @@ def raw_conv1d(
     ``kernel_size * channels``.  The result is always a fresh array (the
     bias is added in place), so callers own it.
     """
-    return ops.conv1d_forward(x, kernel, bias, stride, padding)[0]
+    return ops.conv1d_forward(x, kernel, bias)[0]
 
 
-def raw_max_pool1d(
-    x: np.ndarray,
-    pool_size: int = 2,
-    stride: Optional[int] = None,
-    padding: str = "same",
-) -> np.ndarray:
-    """1-D max pooling over ``(batch, steps, channels)`` without tape nodes."""
-    if stride is None:
-        stride = pool_size
+def raw_max_pool1d(x: np.ndarray, pool_size: int) -> np.ndarray:
+    """1-D ``"same"`` max pooling, stride ``pool_size``, without tape nodes."""
     batch, steps, channels = x.shape
-    if padding == "same":
-        pad_left, pad_right = same_padding1d(steps, pool_size, stride)
-    elif padding == "valid":
-        pad_left = pad_right = 0
-    else:
-        raise ValueError(f"unknown padding mode: {padding!r}")
-
-    padded_steps = steps + pad_left + pad_right
-    out_steps = (padded_steps - pool_size) // stride + 1
-    if steps == 1 and out_steps == 1:
-        # Every window covers the single real step (padding is -inf).
+    if steps == 1:
+        # The one window covers the single real step (padding is -inf).
         return x
+    pad_left, pad_right = same_padding1d(steps, pool_size, pool_size)
+    out_steps = (steps + pad_left + pad_right - pool_size) // pool_size + 1
     x_padded = np.pad(
         x, ((0, 0), (pad_left, pad_right), (0, 0)), constant_values=-np.inf
     )
@@ -260,7 +210,7 @@ def raw_max_pool1d(
     windows = np.lib.stride_tricks.as_strided(
         x_padded,
         shape=(batch, out_steps, pool_size, channels),
-        strides=(strides[0], strides[1] * stride, strides[1], strides[2]),
+        strides=(strides[0], strides[1] * pool_size, strides[1], strides[2]),
         writeable=False,
     )
     return windows.max(axis=2)

@@ -7,23 +7,11 @@ recurrent kernels and zeros for biases.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple, Union
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-__all__ = [
-    "zeros",
-    "ones",
-    "constant",
-    "random_normal",
-    "random_uniform",
-    "glorot_uniform",
-    "glorot_normal",
-    "he_uniform",
-    "he_normal",
-    "orthogonal",
-    "get_initializer",
-]
+__all__ = ["zeros", "ones", "glorot_uniform", "orthogonal", "get_initializer"]
 
 Shape = Tuple[int, ...]
 Initializer = Callable[[Shape, np.random.Generator], np.ndarray]
@@ -50,59 +38,11 @@ def ones(shape: Shape, rng: np.random.Generator) -> np.ndarray:
     return np.ones(shape)
 
 
-def constant(value: float) -> Initializer:
-    """Return an initializer that fills the array with ``value``."""
-
-    def initialize(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-        return np.full(shape, float(value))
-
-    return initialize
-
-
-def random_normal(stddev: float = 0.05) -> Initializer:
-    """Gaussian initializer with the given standard deviation."""
-
-    def initialize(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-        return rng.normal(0.0, stddev, size=shape)
-
-    return initialize
-
-
-def random_uniform(limit: float = 0.05) -> Initializer:
-    """Uniform initializer on ``[-limit, limit]``."""
-
-    def initialize(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(-limit, limit, size=shape)
-
-    return initialize
-
-
 def glorot_uniform(shape: Shape, rng: np.random.Generator) -> np.ndarray:
     """Glorot/Xavier uniform initializer (Keras default for kernels)."""
     fan_in, fan_out = _fan_in_out(shape)
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
-
-
-def glorot_normal(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-    """Glorot/Xavier normal initializer."""
-    fan_in, fan_out = _fan_in_out(shape)
-    stddev = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, stddev, size=shape)
-
-
-def he_uniform(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-    """He uniform initializer, suited to ReLU activations."""
-    fan_in, _ = _fan_in_out(shape)
-    limit = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def he_normal(shape: Shape, rng: np.random.Generator) -> np.ndarray:
-    """He normal initializer, suited to ReLU activations."""
-    fan_in, _ = _fan_in_out(shape)
-    stddev = np.sqrt(2.0 / fan_in)
-    return rng.normal(0.0, stddev, size=shape)
 
 
 def orthogonal(shape: Shape, rng: np.random.Generator) -> np.ndarray:
@@ -123,17 +63,12 @@ _REGISTRY: Dict[str, Initializer] = {
     "zeros": zeros,
     "ones": ones,
     "glorot_uniform": glorot_uniform,
-    "glorot_normal": glorot_normal,
-    "he_uniform": he_uniform,
-    "he_normal": he_normal,
     "orthogonal": orthogonal,
 }
 
 
-def get_initializer(identifier: Union[str, Initializer]) -> Initializer:
-    """Resolve an initializer from a name or pass a callable through."""
-    if callable(identifier):
-        return identifier
+def get_initializer(identifier: str) -> Initializer:
+    """Resolve an initializer from its name."""
     try:
         return _REGISTRY[identifier]
     except KeyError as exc:

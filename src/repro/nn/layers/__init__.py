@@ -2,33 +2,23 @@
 
 from .base import Layer
 from .convolutional import Conv1D
-from .core import Activation, Dense, Dropout, Flatten, Reshape, get_activation
-from .merge import Add, Concatenate
+from .core import Dense, Dropout, Reshape, get_activation
+from .merge import Add
 from .normalization import BatchNormalization
-from .pooling import (
-    AveragePooling1D,
-    GlobalAveragePooling1D,
-    GlobalMaxPooling1D,
-    MaxPooling1D,
-)
+from .pooling import GlobalAveragePooling1D, MaxPooling1D
 from .recurrent import GRU, LSTM
 
 __all__ = [
     "Layer",
     "Dense",
-    "Activation",
     "Dropout",
-    "Flatten",
     "Reshape",
     "get_activation",
     "Conv1D",
     "MaxPooling1D",
-    "AveragePooling1D",
     "GlobalAveragePooling1D",
-    "GlobalMaxPooling1D",
     "BatchNormalization",
     "GRU",
     "LSTM",
     "Add",
-    "Concatenate",
 ]

@@ -9,14 +9,14 @@ with :meth:`register` so that ``parameters()`` recurses into them.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..inference import invalidate_weight_caches, weights_epoch
-from ..initializers import Initializer, get_initializer
+from ..initializers import get_initializer
 from ..random import spawn_rng
-from ..tensor import Tensor, as_tensor, no_grad
+from ..tensor import Tensor, as_tensor
 
 __all__ = ["Layer"]
 
@@ -59,11 +59,12 @@ class Layer:
         self,
         name: str,
         shape: Tuple[int, ...],
-        initializer: Union[str, Initializer] = "glorot_uniform",
+        initializer: str,
         live=None,
     ) -> Tensor:
         """Create, register and return a trainable parameter tensor.
 
+        ``initializer`` names a scheme of :mod:`repro.nn.initializers`.
         ``live`` is an optional index into the initial value: the value is
         drawn at the full ``shape`` (same generator, same fans) and only
         ``value[live]`` is kept, so a layer that stores part of a kernel
@@ -142,17 +143,11 @@ class Layer:
     def fast_call(self, inputs):
         """Inference-mode forward on raw ndarrays, bypassing the autodiff tape.
 
-        Subclasses override this with pure-numpy kernels; the default falls
-        back to the tape path under ``no_grad`` so custom layers remain
-        usable (just without the speedup).  Inference semantics apply:
-        dropout is a no-op and batch norm uses its moving statistics.
+        Every layer overrides this with pure-numpy kernels (there is no tape
+        fallback).  Inference semantics apply: dropout is a no-op and batch
+        norm uses its moving statistics.
         """
-        with no_grad():
-            if isinstance(inputs, (list, tuple)):
-                result = self.call([as_tensor(x) for x in inputs], training=False)
-            else:
-                result = self.call(as_tensor(inputs), training=False)
-        return result.data
+        raise NotImplementedError
 
     def inference_arrays(self) -> Dict[str, np.ndarray]:
         """The float64 arrays :meth:`fast_call` reads, by name.

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .. import tensor as ops
 from ..inference import get_raw_activation, raw_conv1d
-from ..initializers import Initializer
 from ..tensor import Tensor
 from .base import Layer
 from .core import get_activation
@@ -19,6 +18,9 @@ __all__ = ["Conv1D"]
 class Conv1D(Layer):
     """1-D convolution over ``(batch, steps, channels)`` inputs.
 
+    Stride 1 with ``"same"`` padding (the paper's setting, which keeps the
+    time dimension), a Glorot-uniform kernel and a zero-initialised bias.
+
     Parameters
     ----------
     filters:
@@ -27,50 +29,36 @@ class Conv1D(Layer):
         the residual shortcut's ``add`` has matching shapes.
     kernel_size:
         Length of the convolution window (10 in the paper).
-    strides:
-        Stride of the window.
-    padding:
-        ``"same"`` (paper setting, keeps the time dimension) or ``"valid"``.
     activation:
         Optional activation applied to the convolution output (ReLU in the
         paper's plain block).
 
-    Built on a 1-step input with ``"same"`` padding (the paper's shape),
-    the layer stores only the tap that reads the real step, index
-    ``(kernel_size - 1) // 2``, as a ``(1, in_channels, filters)`` kernel.
-    Every other tap reads only zero padding, so it adds nothing to the
-    output and never gets a gradient: a kernel-1 convolution over that tap
-    is exactly the full convolution.  The tap is sliced from a kernel drawn
-    at the full shape, so the initial values (and the Glorot fans) are
-    those of the full kernel.  Inputs of more than one step keep the full
-    ``(kernel_size, in_channels, filters)`` kernel.
+    Built on a 1-step input (the paper's shape), the layer stores only the
+    tap that reads the real step, index ``(kernel_size - 1) // 2``, as a
+    ``(1, in_channels, filters)`` kernel.  Every other tap reads only zero
+    padding, so it adds nothing to the output and never gets a gradient: a
+    kernel-1 convolution over that tap is exactly the full convolution.
+    The tap is sliced from a kernel drawn at the full shape, so the initial
+    values (and the Glorot fans) are those of the full kernel.  Inputs of
+    more than one step keep the full ``(kernel_size, in_channels, filters)``
+    kernel.
     """
 
     def __init__(
         self,
         filters: int,
         kernel_size: int,
-        strides: int = 1,
-        padding: str = "same",
-        activation: Union[str, Callable, None] = None,
-        use_bias: bool = True,
-        kernel_initializer: Union[str, Initializer] = "glorot_uniform",
+        activation: Optional[str] = None,
         name: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> None:
         super().__init__(name=name, seed=seed)
-        if filters <= 0 or kernel_size <= 0 or strides <= 0:
-            raise ValueError("filters, kernel_size and strides must be positive")
-        if padding not in ("same", "valid"):
-            raise ValueError("padding must be 'same' or 'valid'")
+        if filters <= 0 or kernel_size <= 0:
+            raise ValueError("filters and kernel_size must be positive")
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
-        self.strides = int(strides)
-        self.padding = padding
         self.activation = get_activation(activation)
         self.activation_raw = get_raw_activation(activation)
-        self.use_bias = use_bias
-        self.kernel_initializer = kernel_initializer
         self.kernel: Optional[Tensor] = None
         self.bias: Optional[Tensor] = None
 
@@ -81,7 +69,7 @@ class Conv1D(Layer):
             )
         in_channels = input_shape[-1]
         live = None
-        if input_shape[1] == 1 and self.padding == "same" and self.kernel_size > 1:
+        if input_shape[1] == 1 and self.kernel_size > 1:
             # Only the centre tap reads the one real step; the others see
             # only zero padding.  Keep that tap as a kernel-1 convolution.
             tap = (self.kernel_size - 1) // 2
@@ -89,11 +77,10 @@ class Conv1D(Layer):
         self.kernel = self.add_parameter(
             "kernel",
             (self.kernel_size, in_channels, self.filters),
-            self.kernel_initializer,
+            "glorot_uniform",
             live=live,
         )
-        if self.use_bias:
-            self.bias = self.add_parameter("bias", (self.filters,), "zeros")
+        self.bias = self.add_parameter("bias", (self.filters,), "zeros")
 
     def _one_step(self) -> bool:
         """Built on 1 step: the kernel holds only the centre tap."""
@@ -101,23 +88,10 @@ class Conv1D(Layer):
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
         self._check_steps(inputs.shape[1], self._one_step())
-        outputs = ops.conv1d(
-            inputs,
-            self.kernel,
-            bias=self.bias if self.use_bias else None,
-            stride=self.strides,
-            padding=self.padding,
-        )
-        return self.activation(outputs)
+        return self.activation(ops.conv1d(inputs, self.kernel, self.bias))
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         self._check_steps(inputs.shape[1], self._one_step())
         weights = self.fast_arrays(inputs.dtype)
-        outputs = raw_conv1d(
-            inputs,
-            weights["kernel"],
-            bias=weights.get("bias"),
-            stride=self.strides,
-            padding=self.padding,
-        )
+        outputs = raw_conv1d(inputs, weights["kernel"], weights["bias"])
         return self.activation_raw(outputs)  # in place on the fresh output

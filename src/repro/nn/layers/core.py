@@ -1,41 +1,35 @@
-"""Core layers: Dense, Activation, Dropout, Flatten, Reshape.
+"""Core layers: Dense, Dropout, Reshape.
 
 These correspond directly to the Keras layers the paper's implementation was
-composed of (the "Dense" classifier head, the ReLU activations after the
-convolutions, the Dropout regulariser, and the Reshape used to keep data
-dimensions consistent between the convolutional and recurrent stages).
+composed of (the "Dense" classifier head, the Dropout regulariser, and the
+Reshape used to keep data dimensions consistent between the convolutional and
+recurrent stages).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .. import tensor as ops
 from ..inference import get_raw_activation
-from ..initializers import Initializer
 from ..tensor import Tensor
 from .base import Layer
 
-__all__ = ["Dense", "Activation", "Dropout", "Flatten", "Reshape", "get_activation"]
+__all__ = ["Dense", "Dropout", "Reshape", "get_activation"]
 
 _ACTIVATIONS = {
     "linear": lambda x: x,
     "relu": ops.relu,
-    "sigmoid": ops.sigmoid,
-    "hard_sigmoid": ops.hard_sigmoid,
-    "tanh": ops.tanh,
     "softmax": ops.softmax,
 }
 
 
-def get_activation(identifier: Union[str, Callable, None]) -> Callable[[Tensor], Tensor]:
-    """Resolve an activation function from its name (or pass a callable through)."""
+def get_activation(identifier: Optional[str]) -> Callable[[Tensor], Tensor]:
+    """Resolve an activation function from its name (``None`` is linear)."""
     if identifier is None:
         return _ACTIVATIONS["linear"]
-    if callable(identifier):
-        return identifier
     try:
         return _ACTIVATIONS[identifier]
     except KeyError as exc:
@@ -48,22 +42,20 @@ def get_activation(identifier: Union[str, Callable, None]) -> Callable[[Tensor],
 class Dense(Layer):
     """Fully-connected layer: ``output = activation(inputs @ kernel + bias)``.
 
+    The kernel is Glorot-uniform and the bias starts at zero.
+
     Parameters
     ----------
     units:
         Output dimensionality.
     activation:
         Name of an activation applied to the affine output.
-    use_bias:
-        Whether to add a bias vector.
     """
 
     def __init__(
         self,
         units: int,
-        activation: Union[str, Callable, None] = None,
-        use_bias: bool = True,
-        kernel_initializer: Union[str, Initializer] = "glorot_uniform",
+        activation: Optional[str] = None,
         name: Optional[str] = None,
         seed: Optional[int] = None,
     ) -> None:
@@ -73,48 +65,25 @@ class Dense(Layer):
         self.units = int(units)
         self.activation = get_activation(activation)
         self.activation_raw = get_raw_activation(activation)
-        self.use_bias = use_bias
-        self.kernel_initializer = kernel_initializer
         self.kernel: Optional[Tensor] = None
         self.bias: Optional[Tensor] = None
 
     def build(self, input_shape: Tuple[int, ...]) -> None:
         input_dim = input_shape[-1]
         self.kernel = self.add_parameter(
-            "kernel", (input_dim, self.units), self.kernel_initializer
+            "kernel", (input_dim, self.units), "glorot_uniform"
         )
-        if self.use_bias:
-            self.bias = self.add_parameter("bias", (self.units,), "zeros")
+        self.bias = self.add_parameter("bias", (self.units,), "zeros")
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        outputs = ops.matmul(inputs, self.kernel)
-        if self.use_bias:
-            outputs = outputs + self.bias
+        outputs = ops.matmul(inputs, self.kernel) + self.bias
         return self.activation(outputs)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         weights = self.fast_arrays(inputs.dtype)
         outputs = inputs @ weights["kernel"]
-        if self.use_bias:
-            outputs += weights["bias"]
+        outputs += weights["bias"]
         return self.activation_raw(outputs)
-
-
-class Activation(Layer):
-    """Standalone activation layer (e.g. the ReLU after each residual add)."""
-
-    def __init__(self, activation: Union[str, Callable], name: Optional[str] = None) -> None:
-        super().__init__(name=name)
-        self.activation = get_activation(activation)
-        self.activation_raw = get_raw_activation(activation)
-
-    def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        return self.activation(inputs)
-
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        # The raw kernels work in place, so give them a copy; the dtype is
-        # the one the allocating formula would produce (float32 stays).
-        return self.activation_raw(inputs.astype(np.result_type(inputs, 0.0)))
 
 
 class Dropout(Layer):
@@ -137,17 +106,6 @@ class Dropout(Layer):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         return inputs
-
-
-class Flatten(Layer):
-    """Flatten everything except the batch dimension."""
-
-    def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        batch = inputs.shape[0]
-        return ops.reshape(inputs, (batch, -1))
-
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs.reshape(inputs.shape[0], -1)
 
 
 class Reshape(Layer):

@@ -1,4 +1,4 @@
-"""Merge layers: the residual ``Add`` and a ``Concatenate`` helper.
+"""The residual merge layer, ``Add``.
 
 ``Add`` is the heart of the residual block — the shortcut taken from the block
 input (the first BN output in the paper's Fig. 4(b)) is summed element-wise
@@ -7,15 +7,14 @@ with the block's transformation output.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .. import tensor as ops
 from ..tensor import Tensor
 from .base import Layer
 
-__all__ = ["Add", "Concatenate"]
+__all__ = ["Add"]
 
 
 class Add(Layer):
@@ -42,21 +41,3 @@ class Add(Layer):
         for array in inputs[1:]:
             total = total + array
         return total
-
-
-class Concatenate(Layer):
-    """Concatenate tensors along a given axis (default: the channel axis)."""
-
-    def __init__(self, axis: int = -1, name: Optional[str] = None) -> None:
-        super().__init__(name=name)
-        self.axis = axis
-
-    def call(self, inputs: Sequence[Tensor], training: bool = False) -> Tensor:
-        if not isinstance(inputs, (list, tuple)) or len(inputs) < 2:
-            raise ValueError("Concatenate expects a list of at least two input tensors")
-        return ops.concatenate(list(inputs), axis=self.axis)
-
-    def fast_call(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        if not isinstance(inputs, (list, tuple)) or len(inputs) < 2:
-            raise ValueError("Concatenate expects a list of at least two input tensors")
-        return np.concatenate(list(inputs), axis=self.axis)

@@ -1,4 +1,4 @@
-"""Pooling layers: max pooling, average pooling and global average pooling."""
+"""Pooling layers: max pooling and global average pooling."""
 
 from __future__ import annotations
 
@@ -11,84 +11,29 @@ from ..inference import raw_max_pool1d
 from ..tensor import Tensor
 from .base import Layer
 
-__all__ = ["MaxPooling1D", "AveragePooling1D", "GlobalAveragePooling1D", "GlobalMaxPooling1D"]
+__all__ = ["MaxPooling1D", "GlobalAveragePooling1D"]
 
 
 class MaxPooling1D(Layer):
     """Max pooling over the time axis of ``(batch, steps, channels)`` inputs.
 
-    The paper's plain block uses this after the convolution to "select the
-    most active neurons" before the recurrent stage.
+    The window strides by its own size with ``"same"`` padding, so the
+    output has ``ceil(steps / pool_size)`` steps.  The paper's plain block
+    uses this after the convolution to "select the most active neurons"
+    before the recurrent stage.
     """
 
-    def __init__(
-        self,
-        pool_size: int = 2,
-        strides: Optional[int] = None,
-        padding: str = "same",
-        name: Optional[str] = None,
-    ) -> None:
+    def __init__(self, pool_size: int = 2, name: Optional[str] = None) -> None:
         super().__init__(name=name)
         if pool_size <= 0:
             raise ValueError("pool_size must be positive")
-        if padding not in ("same", "valid"):
-            raise ValueError("padding must be 'same' or 'valid'")
         self.pool_size = int(pool_size)
-        self.strides = int(strides) if strides is not None else self.pool_size
-        self.padding = padding
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        return ops.max_pool1d(
-            inputs, pool_size=self.pool_size, stride=self.strides, padding=self.padding
-        )
+        return ops.max_pool1d(inputs, self.pool_size)
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        return raw_max_pool1d(
-            inputs, pool_size=self.pool_size, stride=self.strides, padding=self.padding
-        )
-
-
-class AveragePooling1D(Layer):
-    """Average pooling over the time axis of ``(batch, steps, channels)`` inputs."""
-
-    def __init__(
-        self,
-        pool_size: int = 2,
-        strides: Optional[int] = None,
-        padding: str = "same",
-        name: Optional[str] = None,
-    ) -> None:
-        super().__init__(name=name)
-        if pool_size <= 0:
-            raise ValueError("pool_size must be positive")
-        if padding not in ("same", "valid"):
-            raise ValueError("padding must be 'same' or 'valid'")
-        self.pool_size = int(pool_size)
-        self.strides = int(strides) if strides is not None else self.pool_size
-        self.padding = padding
-
-    def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        # Average pooling is expressed with the existing primitives: a "same"
-        # padded sum over each window divided by the window size.  For the
-        # 1-timestep inputs used in the paper this is the identity.
-        steps = inputs.shape[1]
-        if steps == 1:
-            return inputs
-        pooled_windows = []
-        for start in range(0, steps, self.strides):
-            window = inputs[:, start:start + self.pool_size, :]
-            pooled_windows.append(ops.reduce_mean(window, axis=1, keepdims=True))
-        return ops.concatenate(pooled_windows, axis=1)
-
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        steps = inputs.shape[1]
-        if steps == 1:
-            return inputs
-        windows = [
-            inputs[:, start:start + self.pool_size, :].mean(axis=1, keepdims=True)
-            for start in range(0, steps, self.strides)
-        ]
-        return np.concatenate(windows, axis=1)
+        return raw_max_pool1d(inputs, self.pool_size)
 
 
 class GlobalAveragePooling1D(Layer):
@@ -103,13 +48,3 @@ class GlobalAveragePooling1D(Layer):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         return inputs.mean(axis=1)
-
-
-class GlobalMaxPooling1D(Layer):
-    """Max over the whole time axis, producing ``(batch, channels)``."""
-
-    def call(self, inputs: Tensor, training: bool = False) -> Tensor:
-        return ops.reduce_max(inputs, axis=1)
-
-    def fast_call(self, inputs: np.ndarray) -> np.ndarray:
-        return inputs.max(axis=1)

@@ -2,20 +2,21 @@
 
 The gate formulations follow the Keras conventions the paper relied on:
 ``tanh`` candidate activation and ``hard_sigmoid`` recurrent (gate) activation,
-Glorot-uniform input kernels and orthogonal recurrent kernels.
+Glorot-uniform input kernels and orthogonal recurrent kernels.  Both
+activations are fixed: the Pelican block's folded gate kernel
+(:meth:`repro.core.blocks.PlainBlock.inference_arrays`) assumes them.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .. import tensor as ops
-from ..inference import get_raw_activation
+from ..inference import raw_hard_sigmoid, raw_tanh
 from ..tensor import Tensor
 from .base import Layer
-from .core import get_activation
 
 __all__ = ["GRU", "LSTM"]
 
@@ -26,8 +27,6 @@ class _RecurrentBase(Layer):
     def __init__(
         self,
         units: int,
-        activation: Union[str, Callable] = "tanh",
-        recurrent_activation: Union[str, Callable] = "hard_sigmoid",
         return_sequences: bool = False,
         name: Optional[str] = None,
         seed: Optional[int] = None,
@@ -36,10 +35,6 @@ class _RecurrentBase(Layer):
         if units <= 0:
             raise ValueError("units must be a positive integer")
         self.units = int(units)
-        self.activation = get_activation(activation)
-        self.activation_raw = get_raw_activation(activation)
-        self.recurrent_activation = get_activation(recurrent_activation)
-        self.recurrent_activation_raw = get_raw_activation(recurrent_activation)
         self.return_sequences = return_sequences
 
     def _validate_input(self, input_shape: Tuple[int, ...]) -> int:
@@ -66,7 +61,7 @@ class GRU(_RecurrentBase):
         c_t = tanh(x_t W_c + (r_t * h_{t-1}) U_c + b_c)
         h_t = z_t * h_{t-1} + (1 - z_t) * c_t
 
-    where ``sigma`` is the hard sigmoid by default.  On more than one step
+    where ``sigma`` is the hard sigmoid.  On more than one step
     the layer stores the Keras layout: ``kernel`` ``(input_dim, 3 * units)``
     and ``bias`` ``(3 * units,)`` with columns ``[z | r | c]``, plus the
     orthogonal ``recurrent_kernel`` ``(units, 3 * units)``.
@@ -132,18 +127,18 @@ class GRU(_RecurrentBase):
                 # h_0 == 0, so gates_h is exactly zero and the reset gate,
                 # which only scales it, is moot (as in fast_call).  The later
                 # steps, if any, give the recurrent kernel its gradient.
-                update = self.recurrent_activation(gates_x[:, 0:units])
-                candidate = self.activation(gates_x[:, 2 * units:3 * units])
+                update = ops.hard_sigmoid(gates_x[:, 0:units])
+                candidate = ops.tanh(gates_x[:, 2 * units:3 * units])
                 hidden = (1.0 - update) * candidate
             else:
                 gates_h = ops.matmul(hidden, self.recurrent_kernel)
-                update = self.recurrent_activation(
+                update = ops.hard_sigmoid(
                     gates_x[:, 0:units] + gates_h[:, 0:units]
                 )
-                reset = self.recurrent_activation(
+                reset = ops.hard_sigmoid(
                     gates_x[:, units:2 * units] + gates_h[:, units:2 * units]
                 )
-                candidate = self.activation(
+                candidate = ops.tanh(
                     gates_x[:, 2 * units:3 * units]
                     + reset * gates_h[:, 2 * units:3 * units]
                 )
@@ -171,22 +166,22 @@ class GRU(_RecurrentBase):
                 # runs in place.
                 update = x_t @ kernel[:, 0:units]
                 update += bias[0:units]
-                update = self.recurrent_activation_raw(update)
+                update = raw_hard_sigmoid(update)
                 candidate = x_t @ kernel[:, -units:]
                 candidate += bias[-units:]
-                candidate = self.activation_raw(candidate)
+                candidate = raw_tanh(candidate)
                 hidden = np.subtract(1.0, update, out=update)
                 hidden *= candidate
             else:
                 gates_x = x_t @ kernel + bias
                 gates_h = hidden @ weights["recurrent_kernel"]
-                update = self.recurrent_activation_raw(
+                update = raw_hard_sigmoid(
                     gates_x[:, 0:units] + gates_h[:, 0:units]
                 )
-                reset = self.recurrent_activation_raw(
+                reset = raw_hard_sigmoid(
                     gates_x[:, units:2 * units] + gates_h[:, units:2 * units]
                 )
-                candidate = self.activation_raw(
+                candidate = raw_tanh(
                     gates_x[:, 2 * units:3 * units]
                     + reset * gates_h[:, 2 * units:3 * units]
                 )
@@ -231,12 +226,12 @@ class LSTM(_RecurrentBase):
                 + ops.matmul(hidden, self.recurrent_kernel)
                 + self.bias
             )
-            input_gate = self.recurrent_activation(gates[:, 0:units])
-            forget_gate = self.recurrent_activation(gates[:, units:2 * units])
-            candidate = self.activation(gates[:, 2 * units:3 * units])
-            output_gate = self.recurrent_activation(gates[:, 3 * units:4 * units])
+            input_gate = ops.hard_sigmoid(gates[:, 0:units])
+            forget_gate = ops.hard_sigmoid(gates[:, units:2 * units])
+            candidate = ops.tanh(gates[:, 2 * units:3 * units])
+            output_gate = ops.hard_sigmoid(gates[:, 3 * units:4 * units])
             cell = forget_gate * cell + input_gate * candidate
-            hidden = output_gate * self.activation(cell)
+            hidden = output_gate * ops.tanh(cell)
             outputs.append(hidden)
         return self._stack_outputs(outputs)
 
@@ -255,13 +250,13 @@ class LSTM(_RecurrentBase):
             if hidden is not None:
                 gates += hidden @ recurrent_kernel
             gates += bias
-            input_gate = self.recurrent_activation_raw(gates[:, 0:units])
-            forget_gate = self.recurrent_activation_raw(gates[:, units:2 * units])
-            candidate = self.activation_raw(gates[:, 2 * units:3 * units])
-            output_gate = self.recurrent_activation_raw(gates[:, 3 * units:4 * units])
+            input_gate = raw_hard_sigmoid(gates[:, 0:units])
+            forget_gate = raw_hard_sigmoid(gates[:, units:2 * units])
+            candidate = raw_tanh(gates[:, 2 * units:3 * units])
+            output_gate = raw_hard_sigmoid(gates[:, 3 * units:4 * units])
             cell = input_gate * candidate if cell is None else forget_gate * cell + input_gate * candidate
             # cell is carried to the next step; the raw kernel works in place.
-            hidden = output_gate * self.activation_raw(cell.copy())
+            hidden = output_gate * raw_tanh(cell.copy())
             if self.return_sequences:
                 outputs.append(hidden)
         return np.stack(outputs, axis=1) if self.return_sequences else hidden

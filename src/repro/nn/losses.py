@@ -14,14 +14,7 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor, clip, log, reduce_mean, reduce_sum, softmax
 
-__all__ = [
-    "Loss",
-    "CategoricalCrossentropy",
-    "SparseCategoricalCrossentropy",
-    "BinaryCrossentropy",
-    "MeanSquaredError",
-    "get_loss",
-]
+__all__ = ["Loss", "CategoricalCrossentropy", "get_loss"]
 
 _EPSILON = 1e-7
 
@@ -67,55 +60,7 @@ class CategoricalCrossentropy(Loss):
         return reduce_mean(per_sample)
 
 
-class SparseCategoricalCrossentropy(Loss):
-    """Cross-entropy for integer class-index targets."""
-
-    name = "sparse_categorical_crossentropy"
-
-    def __init__(self, from_logits: bool = False) -> None:
-        self.from_logits = from_logits
-
-    def call(self, y_true: np.ndarray, y_pred: Tensor) -> Tensor:
-        labels = np.asarray(y_true).astype(np.int64).reshape(-1)
-        num_classes = y_pred.shape[-1]
-        one_hot = np.eye(num_classes)[labels]
-        return CategoricalCrossentropy(from_logits=self.from_logits).call(
-            one_hot, y_pred
-        )
-
-
-class BinaryCrossentropy(Loss):
-    """Binary cross-entropy for probabilistic binary predictions."""
-
-    name = "binary_crossentropy"
-
-    def call(self, y_true: np.ndarray, y_pred: Tensor) -> Tensor:
-        y_true = np.asarray(y_true).reshape(y_pred.shape)
-        probabilities = clip(y_pred, _EPSILON, 1.0 - _EPSILON)
-        losses = (
-            as_tensor(y_true) * log(probabilities)
-            + as_tensor(1.0 - y_true) * log(1.0 - probabilities)
-        ) * -1.0
-        return reduce_mean(losses)
-
-
-class MeanSquaredError(Loss):
-    """Mean squared error regression loss."""
-
-    name = "mean_squared_error"
-
-    def call(self, y_true: np.ndarray, y_pred: Tensor) -> Tensor:
-        difference = y_pred - as_tensor(np.asarray(y_true).reshape(y_pred.shape))
-        return reduce_mean(difference * difference)
-
-
-_REGISTRY = {
-    "categorical_crossentropy": CategoricalCrossentropy,
-    "sparse_categorical_crossentropy": SparseCategoricalCrossentropy,
-    "binary_crossentropy": BinaryCrossentropy,
-    "mean_squared_error": MeanSquaredError,
-    "mse": MeanSquaredError,
-}
+_REGISTRY = {"categorical_crossentropy": CategoricalCrossentropy}
 
 
 def get_loss(identifier: Union[str, Loss]) -> Loss:

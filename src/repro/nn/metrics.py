@@ -11,12 +11,7 @@ from typing import Callable, Dict, Union
 
 import numpy as np
 
-__all__ = [
-    "categorical_accuracy",
-    "sparse_categorical_accuracy",
-    "binary_accuracy",
-    "get_metric",
-]
+__all__ = ["categorical_accuracy", "get_metric"]
 
 
 def categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
@@ -26,25 +21,9 @@ def categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     return float(np.mean(np.argmax(y_true, axis=-1) == np.argmax(y_pred, axis=-1)))
 
 
-def sparse_categorical_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Fraction of samples whose argmax prediction matches the integer target."""
-    y_true = np.asarray(y_true).reshape(-1)
-    y_pred = np.asarray(y_pred)
-    return float(np.mean(y_true == np.argmax(y_pred, axis=-1)))
-
-
-def binary_accuracy(y_true: np.ndarray, y_pred: np.ndarray, threshold: float = 0.5) -> float:
-    """Fraction of samples whose thresholded probability matches the binary target."""
-    y_true = np.asarray(y_true).reshape(-1)
-    y_pred = np.asarray(y_pred).reshape(-1)
-    return float(np.mean(y_true == (y_pred >= threshold)))
-
-
 _REGISTRY: Dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
     "accuracy": categorical_accuracy,
     "categorical_accuracy": categorical_accuracy,
-    "sparse_categorical_accuracy": sparse_categorical_accuracy,
-    "binary_accuracy": binary_accuracy,
 }
 
 

@@ -2,18 +2,18 @@
 
 A model is a stack (or composition) of layers plus a training loop.  The API
 mirrors the subset of Keras the paper's implementation used: ``compile`` with
-an optimizer/loss/metrics, ``fit`` with batching, shuffling and validation
-data, ``evaluate`` and ``predict``.
+an optimizer/loss/metrics, ``fit`` with shuffled batches and optional
+validation data (returning a :class:`History`), ``evaluate`` and ``predict``.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .callbacks import Callback, CallbackList, History
 from .layers.base import Layer
 from .losses import Loss, get_loss
 from .metrics import get_metric
@@ -21,7 +21,20 @@ from .optimizers import Optimizer, get_optimizer
 from .random import spawn_rng
 from .tensor import Tensor, no_grad
 
-__all__ = ["Model", "Sequential"]
+__all__ = ["History", "Model", "Sequential"]
+
+
+@dataclass
+class History:
+    """Per-epoch training record filled and returned by :meth:`Model.fit`.
+
+    ``history`` maps each log name (``loss``, the metrics, and their
+    ``val_`` counterparts) to one value per epoch; ``epochs`` lists the
+    epoch indices.
+    """
+
+    history: Dict[str, List[float]] = field(default_factory=dict)
+    epochs: List[int] = field(default_factory=list)
 
 
 class Model(Layer):
@@ -38,7 +51,6 @@ class Model(Layer):
         self.optimizer: Optional[Optimizer] = None
         self.loss: Optional[Loss] = None
         self.metric_fns: Dict[str, callable] = {}
-        self.stop_training = False
         self.history: Optional[History] = None
         self._shuffle_rng = spawn_rng(seed)
 
@@ -67,11 +79,9 @@ class Model(Layer):
         x: np.ndarray,
         y: np.ndarray,
         batch_size: int,
-        shuffle: bool,
     ) -> Iterable[Tuple[np.ndarray, np.ndarray]]:
         indices = np.arange(len(x))
-        if shuffle:
-            self._shuffle_rng.shuffle(indices)
+        self._shuffle_rng.shuffle(indices)
         for start in range(0, len(x), batch_size):
             batch = indices[start:start + batch_size]
             yield x[batch], y[batch]
@@ -103,14 +113,13 @@ class Model(Layer):
         epochs: int = 1,
         batch_size: int = 32,
         validation_data: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        validation_split: float = 0.0,
-        shuffle: bool = True,
         verbose: int = 0,
-        callbacks: Optional[List[Callback]] = None,
     ) -> History:
         """Train the model and return the per-epoch :class:`History`.
 
-        Parameters mirror Keras; ``verbose=1`` prints one line per epoch.
+        Each epoch runs the shuffled training set in ``batch_size`` batches,
+        then evaluates ``validation_data`` (if given) into ``val_`` logs.
+        ``verbose=1`` prints one line per epoch.
         """
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
@@ -123,27 +132,14 @@ class Model(Layer):
         if epochs <= 0 or batch_size <= 0:
             raise ValueError("epochs and batch_size must be positive")
 
-        if validation_data is None and validation_split > 0.0:
-            if not 0.0 < validation_split < 1.0:
-                raise ValueError("validation_split must be in (0, 1)")
-            split = int(len(x) * (1.0 - validation_split))
-            x, validation_x = x[:split], x[split:]
-            y, validation_y = y[:split], y[split:]
-            validation_data = (validation_x, validation_y)
-
-        self.stop_training = False
-        self.history = History()
-        callback_list = CallbackList([self.history, *(callbacks or [])], self)
-        callback_list.on_train_begin()
-
+        history = self.history = History()
         for epoch in range(epochs):
-            callback_list.on_epoch_begin(epoch)
             epoch_start = time.time()
             batch_losses: List[float] = []
             batch_metrics: Dict[str, List[float]] = {name: [] for name in self.metric_fns}
             batch_sizes: List[int] = []
 
-            for batch_x, batch_y in self._iterate_batches(x, y, batch_size, shuffle):
+            for batch_x, batch_y in self._iterate_batches(x, y, batch_size):
                 logs = self.train_on_batch(batch_x, batch_y)
                 batch_losses.append(logs["loss"])
                 batch_sizes.append(len(batch_x))
@@ -161,16 +157,14 @@ class Model(Layer):
                 )
                 epoch_logs.update({f"val_{k}": v for k, v in validation_logs.items()})
 
-            callback_list.on_epoch_end(epoch, epoch_logs)
+            history.epochs.append(epoch)
+            for key, value in epoch_logs.items():
+                history.history.setdefault(key, []).append(float(value))
             if verbose:
                 elapsed = time.time() - epoch_start
                 rendered = " - ".join(f"{k}: {v:.4f}" for k, v in epoch_logs.items())
                 print(f"Epoch {epoch + 1}/{epochs} [{elapsed:.1f}s] {rendered}")
-            if self.stop_training:
-                break
-
-        callback_list.on_train_end()
-        return self.history
+        return history
 
     # ------------------------------------------------------------------ #
     # Inference
@@ -193,8 +187,7 @@ class Model(Layer):
         Every other input — float64, integers, or any input to the tape —
         is cast to float64, and then the fast path is the float64 oracle:
         it matches the tape to float64 round-off (well within 1e-6).
-        Layers without a fast kernel transparently fall back to the graph
-        path.
+        Every layer defines its own fast kernel; there is no tape fallback.
 
         Empty inputs return a correctly shaped ``(0, ...)`` array instead of
         crashing downstream ``argmax`` calls — empty batches are routine in

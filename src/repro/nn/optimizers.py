@@ -1,8 +1,7 @@
 """Gradient-descent optimizers.
 
-The paper trains every network with RMSprop; SGD, Adam, Adagrad and Adadelta
-are provided both for the optimizer ablation bench and for the classical
-baselines that use different training dynamics.
+The paper trains every network with RMSprop; SGD and Adam are the other two
+arms of the optimizer ablation bench.
 
 An optimizer updates :class:`~repro.nn.tensor.Tensor` parameters in place using
 the gradients accumulated by ``backward()``.  State (momenta, running averages)
@@ -23,8 +22,6 @@ __all__ = [
     "SGD",
     "RMSprop",
     "Adam",
-    "Adagrad",
-    "Adadelta",
     "get_optimizer",
 ]
 
@@ -187,69 +184,10 @@ class Adam(Optimizer):
         parameter.data -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
-class Adagrad(Optimizer):
-    """Adagrad: per-parameter learning rates from accumulated squared gradients."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        epsilon: float = 1e-7,
-        clipnorm: Optional[float] = None,
-    ) -> None:
-        super().__init__(learning_rate, clipnorm)
-        self.epsilon = epsilon
-
-    def _update(self, parameter: Tensor) -> None:
-        grad = parameter.grad
-        slot = self._slot(parameter)
-        accumulator = slot.get("accumulator")
-        if accumulator is None:
-            accumulator = np.zeros_like(parameter.data)
-        accumulator = accumulator + grad ** 2
-        slot["accumulator"] = accumulator
-        parameter.data -= self.learning_rate * grad / (np.sqrt(accumulator) + self.epsilon)
-
-
-class Adadelta(Optimizer):
-    """Adadelta (referred to as ADAELTA in the paper's Section III)."""
-
-    def __init__(
-        self,
-        learning_rate: float = 1.0,
-        rho: float = 0.95,
-        epsilon: float = 1e-6,
-        clipnorm: Optional[float] = None,
-    ) -> None:
-        super().__init__(learning_rate, clipnorm)
-        self.rho = rho
-        self.epsilon = epsilon
-
-    def _update(self, parameter: Tensor) -> None:
-        grad = parameter.grad
-        slot = self._slot(parameter)
-        accumulated_grad = slot.get("accumulated_grad")
-        accumulated_update = slot.get("accumulated_update")
-        if accumulated_grad is None:
-            accumulated_grad = np.zeros_like(parameter.data)
-            accumulated_update = np.zeros_like(parameter.data)
-        accumulated_grad = self.rho * accumulated_grad + (1.0 - self.rho) * grad ** 2
-        update = (
-            np.sqrt(accumulated_update + self.epsilon)
-            / np.sqrt(accumulated_grad + self.epsilon)
-            * grad
-        )
-        accumulated_update = self.rho * accumulated_update + (1.0 - self.rho) * update ** 2
-        slot["accumulated_grad"] = accumulated_grad
-        slot["accumulated_update"] = accumulated_update
-        parameter.data -= self.learning_rate * update
-
-
 _REGISTRY = {
     "sgd": SGD,
     "rmsprop": RMSprop,
     "adam": Adam,
-    "adagrad": Adagrad,
-    "adadelta": Adadelta,
 }
 
 

@@ -2,21 +2,16 @@
 
 The paper's workflow trains a detector once and then deploys it inside the
 NIDS (Fig. 1); this module provides the persistence layer that makes that
-workflow possible here:
-
-* :func:`save_weights` / :func:`load_weights` — the trainable parameter
-  arrays alone, in :meth:`~repro.nn.layers.base.Layer.get_weights` order;
-* :func:`save_state` / :func:`load_state` — parameters **plus** the
-  non-trainable buffers (batch-norm moving statistics), i.e. the complete
-  inference state.  A model restored with :func:`load_state` scores
-  identically to the one that was saved; a model restored from weights
-  alone would fall back to freshly initialised moving statistics.
-
-Both pairs store a single ``.npz`` archive and load back into a freshly
-constructed (already built) model of the same architecture.  Loading bumps
-the global weights epoch (via ``set_weights`` / ``set_buffers``), so cached
-derived constants such as the folded batch-norm scale/shift are re-derived
-on the next fast-path batch instead of serving stale values.
+workflow possible here.  :func:`save_state` writes the trainable parameters
+(in :meth:`~repro.nn.layers.base.Layer.get_weights` order) **plus** the
+non-trainable buffers (batch-norm moving statistics), i.e. the complete
+inference state, to a single ``.npz`` archive; :func:`load_state` reads it
+back into a freshly constructed (already built) model of the same
+architecture, which then scores identically to the one that was saved.
+Loading bumps the global weights epoch (via ``set_weights`` /
+``set_buffers``), so cached derived constants such as the folded batch-norm
+scale/shift are re-derived on the next fast-path batch instead of serving
+stale values.
 
 Shape mismatches are reported by array index *and* qualified parameter
 name (``weight 3 ('dense/kernel'): ...``), so a wrong-architecture load
@@ -34,8 +29,6 @@ import numpy as np
 from .layers.base import Layer
 
 __all__ = [
-    "save_weights",
-    "load_weights",
     "save_state",
     "load_state",
     "WEIGHT_KEY",
@@ -102,48 +95,13 @@ def load_prefixed_arrays(path: Union[str, Path], prefix: str) -> List[np.ndarray
         return [archive[key] for key in keys]
 
 
-def save_weights(model: Layer, path: Union[str, Path]) -> Path:
-    """Save a model's weights to ``path`` (``.npz`` appended if missing).
-
-    The arrays are stored in the deterministic order produced by
-    :meth:`Layer.get_weights`, so loading requires an identically structured
-    (already built) model.
-    """
-    path = _normalise_path(path, must_exist=False)
-    weights = model.get_weights()
-    if not weights:
-        raise ValueError(
-            "the model has no weights to save; build it by calling it on data first"
-        )
-    arrays = {
-        WEIGHT_KEY.format(index=index): array
-        for index, array in enumerate(weights)
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
-    return path
-
-
-def load_weights(model: Layer, path: Union[str, Path]) -> Layer:
-    """Load weights saved by :func:`save_weights` into ``model`` (in place).
-
-    The model must already be built (its parameters created) and have the same
-    architecture as the model the weights came from; shape mismatches raise
-    ``ValueError`` naming the offending array index and parameter.
-    """
-    path = _normalise_path(path, must_exist=True)
-    weights = load_prefixed_arrays(path, "weight_")
-    check_array_specs("weight", model.weight_specs(), weights, path.name)
-    model.set_weights(weights)
-    return model
-
-
 def save_state(model: Layer, path: Union[str, Path]) -> Path:
     """Save weights *and* buffers — the model's complete inference state.
 
-    Unlike :func:`save_weights`, the archive also carries the non-trainable
-    state arrays (batch-norm moving mean/variance), so a model restored with
-    :func:`load_state` produces bitwise-identical inference outputs.
+    ``path`` gets ``.npz`` appended if missing.  The archive carries the
+    non-trainable state arrays (batch-norm moving mean/variance) beside the
+    weights, so a model restored with :func:`load_state` produces
+    bitwise-identical inference outputs.
     """
     path = _normalise_path(path, must_exist=False)
     weights = model.get_weights()
@@ -165,10 +123,12 @@ def save_state(model: Layer, path: Union[str, Path]) -> Path:
 def load_state(model: Layer, path: Union[str, Path]) -> Layer:
     """Load an archive saved by :func:`save_state` into ``model`` (in place).
 
-    Validates every array's shape (weights and buffers) against the model
-    before mutating anything, so a failed load leaves the model untouched.
-    Accepts plain :func:`save_weights` archives too, in which case the
-    buffers keep their current values.
+    The model must already be built and have the same architecture as the
+    saved one.  Validates every array's shape (weights and buffers) against
+    the model before mutating anything, so a failed load leaves the model
+    untouched; a mismatch raises ``ValueError`` naming the offending array
+    index and parameter.  An archive of a model without buffers (no batch
+    norm) holds weights only, and loads as such.
     """
     path = _normalise_path(path, must_exist=True)
     weights = load_prefixed_arrays(path, "weight_")

@@ -38,10 +38,8 @@ __all__ = [
     "exp",
     "log",
     "softmax",
-    "log_softmax",
     "concatenate",
     "stack",
-    "pad1d",
     "no_grad",
     "same_padding1d",
     "conv1d_forward",
@@ -486,20 +484,6 @@ def softmax(a: ArrayLike, axis: int = -1) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-def log_softmax(a: ArrayLike, axis: int = -1) -> Tensor:
-    """Log-softmax along ``axis``."""
-    a = as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - log_sum
-
-    def backward(grad: np.ndarray):
-        softmax_vals = np.exp(data)
-        return (grad - softmax_vals * grad.sum(axis=axis, keepdims=True),)
-
-    return _make_result(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------- #
 # Linear algebra
 # ---------------------------------------------------------------------- #
@@ -665,18 +649,6 @@ def stack(tensors: Sequence[ArrayLike], axis: int = 0) -> Tensor:
     return _make_result(data, tuple(tensors), backward)
 
 
-def pad1d(a: ArrayLike, left: int, right: int) -> Tensor:
-    """Zero-pad the time axis (axis 1) of a ``(batch, steps, channels)`` tensor."""
-    a = as_tensor(a)
-    data = np.pad(a.data, ((0, 0), (left, right), (0, 0)))
-
-    def backward(grad: np.ndarray):
-        steps = a.shape[1]
-        return (grad[:, left:left + steps, :],)
-
-    return _make_result(data, (a,), backward)
-
-
 # ---------------------------------------------------------------------- #
 # Convolution and pooling primitives (1-D, channels-last)
 # ---------------------------------------------------------------------- #
@@ -694,25 +666,21 @@ def same_padding1d(steps: int, window: int, stride: int) -> Tuple[int, int]:
 
 
 def conv1d_forward(
-    x: np.ndarray,
-    kernel: np.ndarray,
-    bias: Optional[np.ndarray],
-    stride: int,
-    padding: str,
+    x: np.ndarray, kernel: np.ndarray, bias: np.ndarray
 ) -> Tuple[np.ndarray, list]:
-    """Raw 1-D convolution as one 2-D GEMM per live tap.
+    """Raw stride-1 ``"same"`` 1-D convolution as one 2-D GEMM per live tap.
 
     Shared by the tape op :func:`conv1d` and the inference kernel
     :func:`repro.nn.inference.raw_conv1d`.  A tap is live when it reads real
     input for at least one output step; taps that see only the zero padding
-    are skipped (kernel 10 over 3 ``"same"``-padded steps has two such
-    taps).  Every output has at least one live tap.  The paper's 1-step
+    are skipped (kernel 10 over 3 steps has two such taps).  Every output
+    has at least one live tap.  The paper's 1-step
     :class:`~repro.nn.layers.Conv1D` stores only its live tap, so it runs
     here as a kernel-1 convolution with no padding.  Returns the output
     and, per live tap, ``(tap, out_start, out_stop, in_start, in_stop,
     columns)``: output steps ``out_start:out_stop`` read input steps
-    ``in_start:in_stop:stride``, gathered into the ``(batch * rows,
-    channels)`` matrix ``columns``.
+    ``in_start:in_stop``, gathered into the ``(batch * rows, channels)``
+    matrix ``columns``.
     """
     kernel_size, in_channels, out_channels = kernel.shape
     batch, steps, channels = x.shape
@@ -720,64 +688,42 @@ def conv1d_forward(
         raise ValueError(
             f"conv1d expected {in_channels} input channels, got {channels}"
         )
-    if padding == "same":
-        pad_left, pad_right = same_padding1d(steps, kernel_size, stride)
-    elif padding == "valid":
-        pad_left = pad_right = 0
-    else:
-        raise ValueError(f"unknown padding mode: {padding!r}")
-    out_steps = (steps + pad_left + pad_right - kernel_size) // stride + 1
-    if out_steps < 1:
-        raise ValueError(
-            f"conv1d: {steps} steps are too few for a {padding!r} kernel of "
-            f"{kernel_size}"
-        )
+    pad_left, _ = same_padding1d(steps, kernel_size, 1)
 
-    shape = (batch, out_steps, out_channels)
     output: Optional[np.ndarray] = None
     live = []
     for tap in range(kernel_size):
-        # Input index feeding output step t through this tap: t*stride + tap - pad_left.
+        # Input index feeding output step t through this tap: t + tap - pad_left.
         first_in = tap - pad_left
-        t_min = -(first_in // stride) if first_in < 0 else 0  # ceil(-first_in/stride)
-        t_max = min((steps - 1 - first_in) // stride, out_steps - 1)
+        t_min = max(-first_in, 0)
+        t_max = min(steps - 1 - first_in, steps - 1)
         if t_max < t_min:
             continue
-        in_start = t_min * stride + first_in
-        in_stop = t_max * stride + first_in + 1
+        in_start = t_min + first_in
+        in_stop = t_max + first_in + 1
         rows = t_max + 1 - t_min
         # One 2-D GEMM over batch * rows: a 3-D operand would make numpy run
-        # one small product per record.  reshape copies only a strided slice.
-        columns = x[:, in_start:in_stop:stride, :].reshape(batch * rows, channels)
+        # one small product per record.  reshape copies only a partial slice.
+        columns = x[:, in_start:in_stop, :].reshape(batch * rows, channels)
         live.append((tap, t_min, t_max + 1, in_start, in_stop, columns))
         product = (columns @ kernel[tap]).reshape(batch, rows, out_channels)
         if output is None:
-            if rows == out_steps:
+            if rows == steps:
                 output = product
                 continue
-            output = np.zeros(shape, dtype=np.result_type(x, kernel))
+            output = np.zeros(
+                (batch, steps, out_channels), dtype=np.result_type(x, kernel)
+            )
         output[:, t_min:t_max + 1, :] += product
-    if bias is not None:
-        output += bias
+    output += bias
     return output, live
 
 
-def conv1d(
-    x: ArrayLike,
-    kernel: ArrayLike,
-    bias: Optional[ArrayLike] = None,
-    stride: int = 1,
-    padding: str = "same",
-) -> Tensor:
-    """1-D convolution over a ``(batch, steps, in_channels)`` input.
+def conv1d(x: ArrayLike, kernel: ArrayLike, bias: ArrayLike) -> Tensor:
+    """Stride-1 ``"same"`` 1-D convolution over a ``(batch, steps, in_channels)`` input.
 
-    Parameters
-    ----------
-    kernel:
-        Weight tensor of shape ``(kernel_size, in_channels, out_channels)``.
-    padding:
-        ``"same"`` pads so that ``out_steps == ceil(steps / stride)``;
-        ``"valid"`` applies no padding.
+    ``kernel`` has shape ``(kernel_size, in_channels, out_channels)`` and
+    ``bias`` ``(out_channels,)``; the output keeps the input's steps.
 
     Forward and backward touch only the live taps (see
     :func:`conv1d_forward`): the zero padding contributes nothing to the
@@ -785,11 +731,8 @@ def conv1d(
     exact-zero kernel gradient.  A kernel-1 convolution (the paper's
     1-step :class:`~repro.nn.layers.Conv1D`) is one GEMM each way.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    bias = None if bias is None else as_tensor(bias)
-    data, live = conv1d_forward(
-        x.data, kernel.data, None if bias is None else bias.data, stride, padding
-    )
+    x, kernel, bias = as_tensor(x), as_tensor(kernel), as_tensor(bias)
+    data, live = conv1d_forward(x.data, kernel.data, bias.data)
     batch, steps, in_channels = x.shape
     out_channels = kernel.shape[2]
 
@@ -806,37 +749,22 @@ def conv1d(
                     grad_x = grad_taps
                     continue
                 grad_x = np.zeros(x.shape)
-            grad_x[:, in_start:in_stop:stride, :] += grad_taps
-        grads = [grad_x, grad_kernel]
-        if bias is not None:
-            grads.append(grad.sum(axis=(0, 1)))
-        return tuple(grads)
+            grad_x[:, in_start:in_stop, :] += grad_taps
+        return grad_x, grad_kernel, grad.sum(axis=(0, 1))
 
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _make_result(data, parents, backward)
+    return _make_result(data, (x, kernel, bias), backward)
 
 
-def max_pool1d(
-    x: ArrayLike, pool_size: int = 2, stride: Optional[int] = None, padding: str = "same"
-) -> Tensor:
-    """1-D max pooling over a ``(batch, steps, channels)`` input."""
+def max_pool1d(x: ArrayLike, pool_size: int) -> Tensor:
+    """1-D ``"same"`` max pooling, stride ``pool_size``, over ``(batch, steps, channels)``."""
     x = as_tensor(x)
-    if stride is None:
-        stride = pool_size
     batch, steps, channels = x.shape
-
-    if padding == "same":
-        pad_left, pad_right = same_padding1d(steps, pool_size, stride)
-    elif padding == "valid":
-        pad_left = pad_right = 0
-    else:
-        raise ValueError(f"unknown padding mode: {padding!r}")
-
-    padded_steps = steps + pad_left + pad_right
-    out_steps = (padded_steps - pool_size) // stride + 1
-    if steps == 1 and out_steps == 1:
+    if steps == 1:
         # The one window covers the single real step (padding is -inf).
         return x
+    pad_left, pad_right = same_padding1d(steps, pool_size, pool_size)
+    padded_steps = steps + pad_left + pad_right
+    out_steps = (padded_steps - pool_size) // pool_size + 1
     x_padded = np.pad(
         x.data, ((0, 0), (pad_left, pad_right), (0, 0)), constant_values=-np.inf
     )
@@ -844,7 +772,7 @@ def max_pool1d(
     windows = np.lib.stride_tricks.as_strided(
         x_padded,
         shape=(batch, out_steps, pool_size, channels),
-        strides=(strides[0], strides[1] * stride, strides[1], strides[2]),
+        strides=(strides[0], strides[1] * pool_size, strides[1], strides[2]),
         writeable=False,
     )
     data = windows.max(axis=2)
@@ -856,7 +784,7 @@ def max_pool1d(
             np.arange(batch), np.arange(channels), indexing="ij"
         )
         for step in range(out_steps):
-            positions = step * stride + argmax[:, step, :]
+            positions = step * pool_size + argmax[:, step, :]
             np.add.at(
                 grad_padded,
                 (batch_idx, positions, channel_idx),

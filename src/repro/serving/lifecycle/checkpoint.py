@@ -131,7 +131,7 @@ class DetectorCheckpoint:
             if "meta" not in archive.files:
                 raise ValueError(
                     f"{path.name} is not a detector checkpoint (no metadata); "
-                    "weight-only archives load with repro.nn.serialization"
+                    "network-only archives load with repro.nn.serialization.load_state"
                 )
             meta = json.loads(str(archive["meta"][()]))
             if meta.get("format") != CHECKPOINT_FORMAT:

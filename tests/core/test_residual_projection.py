@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import ResidualBlock
-from repro.nn.serialization import load_weights, save_weights
+from repro.nn.serialization import load_state, save_state
 
 
 def make_block(seed=0):
@@ -42,8 +42,8 @@ class TestEagerProjection:
         target = make_block(seed=2)
         target.build((4, 1, 8))
         target.built = True
-        path = save_weights(source, tmp_path / "block.npz")
-        load_weights(target, path)
+        path = save_state(source, tmp_path / "block.npz")
+        load_state(target, path)
 
         x = np.random.default_rng(3).normal(size=(5, 1, 8))
         np.testing.assert_allclose(

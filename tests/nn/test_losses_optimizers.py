@@ -37,26 +37,7 @@ class TestLosses:
         # Increasing the probability of the true class must reduce the loss.
         assert y_pred.grad[0, 0] < 0
 
-    def test_sparse_categorical_crossentropy_matches_dense(self):
-        probabilities = Tensor([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
-        sparse = losses.SparseCategoricalCrossentropy()(np.array([0, 1]), probabilities)
-        dense = losses.CategoricalCrossentropy()(
-            np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), probabilities
-        )
-        assert sparse.item() == pytest.approx(dense.item())
-
-    def test_binary_crossentropy(self):
-        loss = losses.BinaryCrossentropy()(
-            np.array([1.0, 0.0]), Tensor([0.9, 0.1])
-        )
-        assert loss.item() == pytest.approx(-np.log(0.9), rel=1e-6)
-
-    def test_mean_squared_error(self):
-        loss = losses.MeanSquaredError()(np.array([1.0, 2.0]), Tensor([1.5, 2.5]))
-        assert loss.item() == pytest.approx(0.25)
-
     def test_get_loss_by_name(self):
-        assert isinstance(losses.get_loss("mse"), losses.MeanSquaredError)
         assert isinstance(
             losses.get_loss("categorical_crossentropy"), losses.CategoricalCrossentropy
         )
@@ -90,12 +71,8 @@ class TestOptimizers:
             (optimizers.SGD(learning_rate=0.05, momentum=0.9, nesterov=True), 300),
             (optimizers.RMSprop(learning_rate=0.05), 300),
             (optimizers.Adam(learning_rate=0.1), 300),
-            (optimizers.Adagrad(learning_rate=0.5), 300),
-            # Adadelta's effective step size starts tiny, so it needs more
-            # iterations to cross the same distance (expected behaviour).
-            (optimizers.Adadelta(learning_rate=1.0), 4000),
         ],
-        ids=["sgd", "sgd-momentum", "sgd-nesterov", "rmsprop", "adam", "adagrad", "adadelta"],
+        ids=["sgd", "sgd-momentum", "sgd-nesterov", "rmsprop", "adam"],
     )
     def test_converges_on_quadratic(self, optimizer, steps):
         final = _run_optimizer(optimizer, steps=steps)
@@ -155,20 +132,11 @@ class TestInitializers:
         assert np.allclose(initializers.zeros((3, 2), rng), 0.0)
         assert np.allclose(initializers.ones((3, 2), rng), 1.0)
 
-    def test_constant(self):
-        rng = np.random.default_rng(0)
-        assert np.allclose(initializers.constant(0.3)((4,), rng), 0.3)
-
     def test_glorot_uniform_bounds(self):
         rng = np.random.default_rng(0)
         values = initializers.glorot_uniform((100, 100), rng)
         limit = np.sqrt(6.0 / 200)
         assert np.abs(values).max() <= limit
-
-    def test_he_normal_scale(self):
-        rng = np.random.default_rng(0)
-        values = initializers.he_normal((200, 300), rng)
-        assert values.std() == pytest.approx(np.sqrt(2.0 / 200), rel=0.1)
 
     def test_orthogonal_is_orthogonal(self):
         rng = np.random.default_rng(0)
@@ -200,15 +168,6 @@ class TestTrainingMetrics:
         y_true = np.array([[1, 0], [0, 1], [1, 0]])
         y_pred = np.array([[0.9, 0.1], [0.2, 0.8], [0.3, 0.7]])
         assert metrics.categorical_accuracy(y_true, y_pred) == pytest.approx(2 / 3)
-
-    def test_sparse_categorical_accuracy(self):
-        y_pred = np.array([[0.9, 0.1], [0.2, 0.8]])
-        assert metrics.sparse_categorical_accuracy(np.array([0, 0]), y_pred) == 0.5
-
-    def test_binary_accuracy(self):
-        assert metrics.binary_accuracy(np.array([1, 0, 1]), np.array([0.9, 0.4, 0.2])) == (
-            pytest.approx(2 / 3)
-        )
 
     def test_get_metric_unknown(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Tests for the Sequential model container: training loop, callbacks, inference."""
+"""Tests for the Sequential model container: training loop, history, inference."""
 
 import gc
 import weakref
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
-from repro.nn.callbacks import EarlyStopping, LearningRateScheduler
 
 
 def _toy_classification(n=200, features=6, seed=0):
@@ -94,24 +93,13 @@ class TestTrainingLoop:
         assert "val_accuracy" in history.history
         assert len(history.history["val_loss"]) == 3
 
-    def test_validation_split(self):
-        X, Y, _ = _toy_classification(n=100)
-        model = _dense_model()
-        history = model.fit(X, Y, epochs=2, batch_size=20, validation_split=0.2, verbose=0)
-        assert "val_loss" in history.history
-
-    def test_invalid_validation_split(self):
-        X, Y, _ = _toy_classification(n=30)
-        model = _dense_model()
-        with pytest.raises(ValueError):
-            model.fit(X, Y, epochs=1, validation_split=1.5)
-
     def test_history_epoch_count(self):
         X, Y, _ = _toy_classification(n=60)
         model = _dense_model()
         history = model.fit(X, Y, epochs=4, batch_size=30, verbose=0)
         assert len(history.history["loss"]) == 4
         assert history.epochs == [0, 1, 2, 3]
+        assert model.history is history
 
     def test_train_on_batch_returns_logs(self):
         X, Y, _ = _toy_classification(n=32)
@@ -124,7 +112,7 @@ def _paper_shaped_model(seed=0):
     """Conv1D(kernel 10) -> max pool -> GRU -> softmax on 1-step inputs, RMSprop."""
     model = nn.Sequential(
         [
-            nn.Conv1D(8, 10, padding="same", activation="relu", seed=seed),
+            nn.Conv1D(8, 10, activation="relu", seed=seed),
             nn.MaxPooling1D(2),
             nn.GRU(6, seed=seed),
             nn.Dense(2, activation="softmax", seed=seed),
@@ -162,7 +150,8 @@ class TestGradientRelease:
 
 class TestReferenceCycles:
     def test_fitted_model_is_freed_without_the_cyclic_collector(self):
-        """History drops its model at train end: no model <-> history cycle."""
+        """History is a plain record with no model reference: no model <->
+        history cycle."""
         X, Y, _ = _toy_classification(n=40)
         gc.disable()
         try:
@@ -205,42 +194,6 @@ class TestInference:
         logs = model.evaluate(X, Y)
         assert set(logs) == {"loss", "accuracy"}
         assert logs["loss"] >= 0.0
-
-
-class TestCallbacks:
-    def test_early_stopping_halts_training(self):
-        X, Y, _ = _toy_classification(n=60)
-        model = _dense_model()
-        stopper = EarlyStopping(monitor="loss", patience=1, min_delta=10.0)
-        history = model.fit(X, Y, epochs=50, batch_size=30, verbose=0, callbacks=[stopper])
-        assert len(history.history["loss"]) < 50
-
-    def test_early_stopping_restore_best_weights(self):
-        X, Y, _ = _toy_classification(n=60)
-        model = _dense_model()
-        stopper = EarlyStopping(
-            monitor="loss", patience=2, min_delta=100.0, restore_best_weights=True
-        )
-        model.fit(X, Y, epochs=6, batch_size=30, verbose=0, callbacks=[stopper])
-        assert stopper.best_weights is not None
-
-    def test_early_stopping_invalid_mode(self):
-        with pytest.raises(ValueError):
-            EarlyStopping(mode="sideways")
-
-    def test_learning_rate_scheduler(self):
-        X, Y, _ = _toy_classification(n=40)
-        model = _dense_model()
-        scheduler = LearningRateScheduler(lambda epoch, lr: lr * 0.5)
-        model.fit(X, Y, epochs=3, batch_size=20, verbose=0, callbacks=[scheduler])
-        assert model.optimizer.learning_rate == pytest.approx(0.01 * 0.5**3)
-
-    def test_learning_rate_scheduler_rejects_nonpositive(self):
-        X, Y, _ = _toy_classification(n=40)
-        model = _dense_model()
-        scheduler = LearningRateScheduler(lambda epoch, lr: 0.0)
-        with pytest.raises(ValueError):
-            model.fit(X, Y, epochs=1, batch_size=20, verbose=0, callbacks=[scheduler])
 
 
 class TestWeightsRoundtrip:

@@ -172,10 +172,10 @@ class TestDetectorCheckpoint:
         with pytest.raises(RuntimeError, match="fitted"):
             DetectorCheckpoint.capture(unfitted)
 
-    def test_weight_only_archives_are_rejected(self, detector, tmp_path):
-        from repro.nn.serialization import save_weights
+    def test_network_only_archives_are_rejected(self, detector, tmp_path):
+        from repro.nn.serialization import save_state
 
-        path = save_weights(detector.network, tmp_path / "bare")
+        path = save_state(detector.network, tmp_path / "bare")
         with pytest.raises(ValueError, match="not a detector checkpoint"):
             DetectorCheckpoint.load(path)
 

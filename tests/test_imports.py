@@ -10,13 +10,22 @@ imports are directives, not bindings, and are skipped.
 Every module, packages included, is then imported, and each name in its
 ``__all__`` must be an attribute of it, so a stale export of a deleted
 class fails here rather than at a caller's ``import *``.
+
+Last, ``repro.nn`` must not regrow names nothing calls: every public
+top-level function or class of a ``repro/nn`` module needs a reference
+in ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/`` other than
+its definition, ``__all__`` lists and package re-exports.  A reference
+inside its own module counts, so registries and ``Tensor``'s operators
+keep their targets.  The few names kept for tests or documentation are
+listed in ``NN_ALLOWED_UNREFERENCED``, each with its reason.
 """
 
 import ast
+import functools
 import importlib
 import importlib.util
 from pathlib import Path
-from typing import Dict, Iterator, Set
+from typing import Dict, Iterator, List, Set, Tuple
 
 import pytest
 
@@ -145,3 +154,167 @@ def test_every_export_resolves(module_name):
         name for name in getattr(module, "__all__", ()) if not _resolves(module, name)
     ]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+# ---------------------------------------------------------------------- #
+# repro.nn regrowth guard
+# ---------------------------------------------------------------------- #
+SRC = PACKAGE.parent
+NN = PACKAGE / "nn"
+NN_MODULES = sorted(path for path in NN.rglob("*.py") if path.name != "__init__.py")
+CALLER_ROOTS = [SRC, *(SRC.parent / name for name in ("examples", "benchmarks", "perfbench"))]
+
+#: Public ``repro.nn`` names (``module.name`` under ``repro/nn``) kept
+#: without a caller in the scanned code, and why.
+NN_ALLOWED_UNREFERENCED = {
+    "gradcheck.check_gradient": "the numerical gradient checks of tests/nn call it",
+    "random.get_rng": "goes with the framework-global generator it returns",
+    "serialization.save_state": "the bare-network archive pair; tests and docs/SERVING.md use it",
+    "serialization.load_state": "the bare-network archive pair; tests and docs/SERVING.md use it",
+}
+
+
+def _is_module(name: str) -> bool:
+    path = SRC.joinpath(*name.split("."))
+    return path.with_suffix(".py").exists() or (path / "__init__.py").exists()
+
+
+def _import_source(path: Path, node: ast.ImportFrom) -> str:
+    """Absolute module name an ``ImportFrom`` reads (``""`` if not resolvable)."""
+    if not node.level:
+        return node.module or ""
+    if SRC not in path.parents:
+        return ""
+    package = list(path.relative_to(SRC).parent.parts)
+    base = package[: len(package) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
+def _nn_bindings(path: Path, tree: ast.Module) -> Tuple[Set[str], Dict[str, str]]:
+    """Local names bound to ``repro.nn`` modules, and to ``repro.nn`` objects."""
+    modules: Set[str] = set()
+    objects: Dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = _import_source(path, node)
+            if not source.startswith("repro.nn"):
+                continue
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if _is_module(f"{source}.{alias.name}"):
+                    modules.add(local)
+                else:
+                    objects[local] = alias.name
+        elif isinstance(node, ast.Import):
+            modules.update(
+                alias.asname
+                for alias in node.names
+                if alias.asname and alias.name.startswith("repro.nn")
+            )
+    return modules, objects
+
+
+def nn_references(path: Path, source: str) -> Set[str]:
+    """Names of ``repro.nn`` objects ``source`` uses through its imports.
+
+    An import alone is not a use: ``from .x import name`` must be followed
+    by ``name`` in the code, ``import repro.nn as nn`` by ``nn.name``.
+    """
+    tree = ast.parse(source)
+    modules, objects = _nn_bindings(path, tree)
+    used: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in objects:
+            used.add(objects[node.id])
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+        ):
+            used.add(node.attr)
+    return used
+
+
+def unreferenced_definitions(source: str, referenced: Set[str]) -> List[str]:
+    """Public top-level functions and classes of ``source`` that neither the
+    rest of ``source`` nor ``referenced`` names."""
+    tree = ast.parse(source)
+    unreferenced = []
+    for statement in tree.body:
+        if not isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if statement.name.startswith("_") or statement.name in referenced:
+            continue
+        elsewhere = {
+            node.id
+            for other in tree.body
+            if other is not statement
+            for node in ast.walk(other)
+            if isinstance(node, ast.Name)
+        }
+        if statement.name not in elsewhere:
+            unreferenced.append(statement.name)
+    return unreferenced
+
+
+@functools.lru_cache(maxsize=None)
+def _nn_callers() -> frozenset:
+    """Every ``repro.nn`` name used anywhere under :data:`CALLER_ROOTS`."""
+    return frozenset(
+        name
+        for root in CALLER_ROOTS
+        for path in root.rglob("*.py")
+        for name in nn_references(path, path.read_text())
+    )
+
+
+def test_the_nn_scan_counts_uses_not_imports_or_definitions():
+    caller = (
+        "import repro.nn as nn\n"
+        "from ..nn import tensor as ops\n"
+        "from ..nn.layers import Add, Dense as D\n"
+        "def build(x):\n"
+        "    return nn.Sequential([D(3)]), ops.conv1d(x)\n"
+    )
+    assert nn_references(PACKAGE / "core" / "caller.py", caller) == {
+        "Sequential", "Dense", "conv1d"
+    }
+    module = (
+        "__all__ = ['exported', 'registered']\n"
+        "def exported(): pass\n"
+        "def registered(): pass\n"
+        "def recursive(): return recursive()\n"
+        "def called(): pass\n"
+        "def _private(): pass\n"
+        "_REGISTRY = {'r': registered}\n"
+    )
+    assert unreferenced_definitions(module, {"called"}) == ["exported", "recursive"]
+
+
+@pytest.mark.parametrize(
+    "path", NN_MODULES, ids=[str(p.relative_to(NN)) for p in NN_MODULES]
+)
+def test_every_public_nn_name_has_a_caller(path):
+    module = ".".join(path.relative_to(NN).with_suffix("").parts)
+    uncalled = [
+        name
+        for name in unreferenced_definitions(path.read_text(), _nn_callers())
+        if f"{module}.{name}" not in NN_ALLOWED_UNREFERENCED
+    ]
+    assert not uncalled, (
+        f"repro.nn.{module} defines names nothing calls: {uncalled}; delete "
+        "them, or list them in NN_ALLOWED_UNREFERENCED with a reason"
+    )
+
+
+def test_the_nn_allow_list_names_only_uncalled_definitions():
+    stale = [
+        entry
+        for entry in NN_ALLOWED_UNREFERENCED
+        if entry.rsplit(".", 1)[1]
+        not in unreferenced_definitions(
+            NN.joinpath(*entry.split(".")[:-1]).with_suffix(".py").read_text(),
+            _nn_callers(),
+        )
+    ]
+    assert not stale, f"allow-listed names that are gone or now called: {stale}"
