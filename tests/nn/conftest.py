@@ -5,6 +5,10 @@ textbook zero-pad + im2col formulation, with one GEMM over every tap
 (padding included) forward and a per-output-step scatter backward.  The
 library's tape op and inference kernel both skip the padding-only taps, so
 they are checked against this rather than against each other.
+
+``max_pool1d_oracle`` is the same for ``"same"`` max pooling with stride
+``pool_size``: one window at a time over the real steps only, with each
+window's upstream gradient routed to its arg-max.
 """
 
 import numpy as np
@@ -68,3 +72,29 @@ def pad_im2col_conv1d(x, kernel, bias, stride, padding, grad=None):
 @pytest.fixture
 def conv1d_oracle():
     return pad_im2col_conv1d
+
+
+def naive_max_pool1d(x, pool_size, grad=None):
+    """Forward output and ``grad_x`` for upstream ``grad`` (ones by default)."""
+    batch, steps, channels = x.shape
+    pad_left, _ = padding1d(steps, pool_size, pool_size, "same")
+    out_steps = -(-steps // pool_size)
+    if grad is None:
+        grad = np.ones((batch, out_steps, channels))
+    output = np.empty((batch, out_steps, channels))
+    grad_x = np.zeros(x.shape)
+    for step in range(out_steps):
+        start = step * pool_size - pad_left
+        low, high = max(start, 0), min(start + pool_size, steps)
+        window = x[:, low:high, :]
+        output[:, step] = window.max(axis=1)
+        winner = low + window.argmax(axis=1)
+        for b in range(batch):
+            for c in range(channels):
+                grad_x[b, winner[b, c], c] += grad[b, step, c]
+    return output, grad_x
+
+
+@pytest.fixture
+def max_pool1d_oracle():
+    return naive_max_pool1d

@@ -60,9 +60,10 @@ def assert_fast_matches_graph(layer, inputs, atol=1e-12):
 
 class TestRawKernels:
     # Kernel 1 is a 1-step layer's stored tap (and the shortcut
-    # projection); kernels 4 and 10 are wider than some step counts, so
-    # they have dead taps; 12 steps make every tap live and partial.
-    @pytest.mark.parametrize("kernel_size", [1, 4, 10])
+    # projection); kernels 2 and 3 pad unevenly and evenly; kernels 4 and
+    # 10 are wider than some step counts, so they have dead taps; 12 steps
+    # make every tap live and partial.
+    @pytest.mark.parametrize("kernel_size", [1, 2, 3, 4, 10])
     @pytest.mark.parametrize("steps", [1, 3, 5, 12])
     def test_raw_conv1d_matches_graph_op(self, steps, kernel_size, conv1d_oracle):
         # The tape op shares raw_conv1d's per-tap kernel, so both are held
@@ -74,8 +75,9 @@ class TestRawKernels:
         actual = raw_conv1d(x, kernel, bias)
         np.testing.assert_allclose(actual, expected, atol=1e-12, rtol=0)
 
-    # Odd step counts end in a window with a right pad.
-    @pytest.mark.parametrize("pool_size", [2, 3])
+    # Odd step counts end in a window with a right pad; pools 3 and 4 pad
+    # on the left too; pool 1 is the identity.
+    @pytest.mark.parametrize("pool_size", [1, 2, 3, 4])
     @pytest.mark.parametrize("steps", [1, 4, 5, 9])
     def test_raw_max_pool1d_matches_graph_op(self, pool_size, steps):
         x = RNG.normal(size=(3, steps, 4))
