@@ -13,6 +13,36 @@ recurrent_units == input features``) the shortcut is a pure identity.  For
 other shapes the block inserts a projection (1x1 convolution and/or temporal
 average) so the Add still type-checks — the standard ResNet "option B"
 shortcut — and documents that this adds one parameter layer.
+
+Three paths run a block:
+
+* **Training on one step** (``training=True``, a 1-step input, no shortcut
+  projection — every Pelican, plain and residual network of the paper)
+  runs the whole block as *one* tape node.  Its forward runs the block's
+  numpy arithmetic inline and its backward is the composed chain's
+  backward inlined, so gradients, trained weights and batch-norm moving
+  statistics are bit-identical to the composed chain's.  Bench-scale
+  training is chaotic (a round-off difference grows about tenfold per
+  step), so the node keeps these rules:
+
+  - every product has the tape's GEMM shape, including the GRU's
+    zero-padded ``[z | 0 | c]`` full-layout kernel and bias, both ways;
+  - every reduction is the tape's call on an array of the same shape
+    (:func:`~repro.nn.tensor._unbroadcast`, ``mean``, ``sum``);
+  - a value with several consumers sums their gradients in the order the
+    tape's traversal does (in a batch norm: the normalization's term,
+    then the square's two; on the block input: the ``"input"`` shortcut,
+    then the centring, then the mean);
+  - the dropout mask is the same draw from the dropout layer's generator,
+    and the moving statistics move through
+    :meth:`~repro.nn.layers.BatchNormalization.update_moving_statistics`.
+
+  In-place arithmetic stands in for a fresh array only where the values
+  are the same bits.
+* **Any other tape call** (inference mode, several steps, a projection
+  shortcut) runs the composed chain of sublayer calls.  It is also the
+  oracle the fused node is tested against.
+* **Serving** runs :meth:`PlainBlock.fast_call`, with no tape at all.
 """
 
 from __future__ import annotations
@@ -32,7 +62,13 @@ from ..nn.layers import (
     MaxPooling1D,
     Reshape,
 )
-from ..nn.tensor import Tensor, global_average_pool1d, reshape
+from ..nn.tensor import (
+    Tensor,
+    _make_result,
+    _unbroadcast,
+    global_average_pool1d,
+    reshape,
+)
 
 __all__ = ["PlainBlock", "ResidualBlock", "parameter_layers_per_block"]
 
@@ -43,6 +79,70 @@ PARAMETER_LAYERS_PER_BLOCK = 4
 def parameter_layers_per_block() -> int:
     """Number of parameter (weight-bearing) layers in one block."""
     return PARAMETER_LAYERS_PER_BLOCK
+
+
+def _norm_forward(
+    norm: BatchNormalization, values: np.ndarray
+) -> Tuple[np.ndarray, Tuple[np.ndarray, ...]]:
+    """A training-mode batch norm's tape arithmetic on a ``(batch, 1, C)`` array.
+
+    Moves the moving statistics and returns the output with what
+    :func:`_norm_backward` reads.
+    """
+    norm.update_moving_statistics(values)
+    mean = values.mean(axis=(0, 1), keepdims=True)
+    centered = values + mean * -1.0
+    variance = (centered * centered).mean(axis=(0, 1), keepdims=True)
+    shifted = variance + norm.epsilon
+    inv_std = shifted ** -0.5
+    normalized = centered * inv_std
+    outputs = normalized * norm.gamma.data
+    outputs += norm.beta.data
+    return outputs, (centered, shifted, inv_std, normalized, norm.gamma.data)
+
+
+def _norm_backward(
+    grad: np.ndarray,
+    saved: Tuple[np.ndarray, ...],
+    input_grad: bool,
+    prior: Optional[np.ndarray] = None,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
+    """The tape's backward through a training-mode batch norm.
+
+    Returns the gradients of the input (``None`` unless ``input_grad``),
+    gamma and beta.  ``prior`` is a gradient the input received before the
+    norm's own two terms (the ``"input"`` shortcut's).
+    """
+    centered, shifted, inv_std, normalized, gamma = saved
+    grad_gamma = _unbroadcast(grad * normalized, gamma.shape)
+    grad_beta = _unbroadcast(grad, gamma.shape)
+    if not input_grad:
+        return None, grad_gamma, grad_beta
+    count = centered.shape[0] * centered.shape[1]
+    grad_centered = grad * gamma
+    grad_inv_std = _unbroadcast(grad_centered * centered, inv_std.shape)
+    grad_centered *= inv_std
+    grad_square = centered * (grad_inv_std * -0.5 * shifted ** -1.5 / count)
+    # The square's two factors each add the same term, after the
+    # normalization's.
+    grad_centered += grad_square
+    grad_centered += grad_square
+    grad_mean = _unbroadcast(grad_centered, inv_std.shape) * -1.0 / count
+    grad_values = grad_centered if prior is None else prior + grad_centered
+    grad_values += grad_mean
+    return grad_values, grad_gamma, grad_beta
+
+
+def _live_columns(grad: np.ndarray, units: int) -> np.ndarray:
+    """The stored ``[z | c]`` columns of a full-layout ``[z | r | c]`` gradient.
+
+    The tape sums the zero-padded gradients of the two slices it took from
+    the stored parameter, so each column is ``0 + g``.
+    """
+    live = np.empty(grad.shape[:-1] + (2 * units,))
+    np.add(grad[..., 0:units], 0.0, out=live[..., 0:units])
+    np.add(grad[..., 2 * units:], 0.0, out=live[..., units:])
+    return live
 
 
 class PlainBlock(Layer):
@@ -151,8 +251,138 @@ class PlainBlock(Layer):
         return features, normalized
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
+        if self._fuses(inputs, training):
+            return self._training_step(inputs, shortcut_from=None)
         outputs, _ = self.transform(inputs, training)
         return outputs
+
+    def _fuses(self, inputs: Tensor, training: bool) -> bool:
+        """Whether :meth:`call` runs the block as one training node."""
+        return (
+            training
+            and inputs.ndim == 3
+            and inputs.shape[1] == 1
+            and self.convolution.kernel.shape[0] == 1
+            and self.recurrent._one_step()
+        )
+
+    def _training_step(self, inputs: Tensor, shortcut_from: Optional[str]) -> Tensor:
+        """The block on one step in training mode, as one tape node.
+
+        Bit-identical to the composed chain (see the module docstring).
+        ``shortcut_from`` is ``None`` for the plain block, else the
+        residual block's shortcut source, an identity on this path.
+        """
+        values = inputs.data
+        batch, _, channels = values.shape
+        units = self.recurrent_units
+        conv, gru, dropout = self.convolution, self.recurrent, self.dropout
+        input_grad = inputs.requires_grad or bool(inputs._parents)
+
+        normalized, norm_in = _norm_forward(self.input_norm, values)
+        # The convolution keeps only its centre tap: one GEMM, then the bias
+        # and the ReLU in place.  One-step max pooling is the identity.
+        conv_kernel = conv.kernel.data
+        columns = normalized[:, 0:1, :].reshape(batch, channels)
+        features = (columns @ conv_kernel[0]).reshape(batch, 1, self.filters)
+        features += conv.bias.data
+        np.maximum(features, 0.0, out=features)
+        recurrent_in, norm_rec = _norm_forward(self.recurrent_norm, features)
+
+        # The GRU on its zero state, multiplied in the full [z | 0 | c] layout.
+        zeros = np.zeros((gru.kernel.shape[0], units))
+        kernel = np.concatenate(
+            [gru.kernel.data[:, 0:units], zeros, gru.kernel.data[:, units:]], axis=1
+        )
+        bias = np.concatenate(
+            [gru.bias.data[0:units], zeros[0], gru.bias.data[units:]], axis=0
+        )
+        step_in = recurrent_in[:, 0, :]
+        gates = step_in @ kernel
+        gates += bias
+        update_in = gates[:, 0:units]
+        update = 0.2 * update_in
+        update += 0.5
+        np.clip(update, 0.0, 1.0, out=update)
+        candidate = np.tanh(gates[:, 2 * units:3 * units])
+        keep = update * -1.0
+        keep += 1.0
+        outputs = (keep * candidate).reshape(batch, 1, units)
+        mask = None
+        if dropout.rate > 0.0:
+            mask = (dropout.rng.random(outputs.shape) >= dropout.rate) / (
+                1.0 - dropout.rate
+            )
+            outputs *= mask
+        if shortcut_from is not None:
+            outputs += normalized if shortcut_from == "bn" else values
+
+        def backward(grad: np.ndarray):
+            grad_hidden = grad if mask is None else grad * mask
+            grad_hidden = grad_hidden.reshape(batch, units)
+            # The gates' gradient, [update | 0 | candidate]: the tape sums the
+            # zero-padded gradients of the two slices it took, so each part
+            # is 0 + g (a -0.0 becomes 0.0).
+            grad_gates = np.empty(gates.shape)
+            grad_update = np.multiply(grad_hidden, candidate, out=grad_gates[:, 0:units])
+            grad_update *= -1.0  # through 1 - z
+            grad_update *= 0.2  # the hard sigmoid's slope
+            grad_update *= (update_in > -2.5) & (update_in < 2.5)
+            grad_update += 0.0
+            grad_gates[:, units:2 * units] = 0.0
+            grad_candidate = np.multiply(
+                grad_hidden, keep, out=grad_gates[:, 2 * units:]
+            )
+            grad_candidate *= 1.0 - candidate ** 2
+            grad_candidate += 0.0
+            grad_step_in = grad_gates @ np.swapaxes(kernel, -1, -2)
+            grad_kernel = np.swapaxes(step_in, -1, -2) @ grad_gates
+            grad_bias = _unbroadcast(grad_gates, bias.shape)
+            grad_gru_kernel = _live_columns(grad_kernel, units)
+            grad_gru_bias = _live_columns(grad_bias, units)
+
+            grad_features, grad_gamma_rec, grad_beta_rec = _norm_backward(
+                grad_step_in.reshape(batch, 1, self.filters), norm_rec, True
+            )
+            grad_features *= features > 0.0  # after the ReLU: the same mask
+            grad_conv_kernel = np.zeros(conv_kernel.shape)
+            grad_rows = grad_features[:, 0:1, :].reshape(batch, self.filters)
+            np.matmul(columns.T, grad_rows, out=grad_conv_kernel[0])
+            grad_normalized = (grad_rows @ conv_kernel[0].T).reshape(
+                batch, 1, channels
+            )
+            grad_conv_bias = grad_features.sum(axis=(0, 1))
+            if shortcut_from == "bn":
+                grad_normalized += grad
+            grad_values, grad_gamma_in, grad_beta_in = _norm_backward(
+                grad_normalized,
+                norm_in,
+                input_grad,
+                prior=grad if shortcut_from == "input" else None,
+            )
+            return (
+                grad_values,
+                grad_gamma_in,
+                grad_beta_in,
+                grad_conv_kernel,
+                grad_conv_bias,
+                grad_gamma_rec,
+                grad_beta_rec,
+                grad_gru_kernel,
+                grad_gru_bias,
+            )
+
+        parameters = (
+            self.input_norm.gamma,
+            self.input_norm.beta,
+            conv.kernel,
+            conv.bias,
+            self.recurrent_norm.gamma,
+            self.recurrent_norm.beta,
+            gru.kernel,
+            gru.bias,
+        )
+        return _make_result(outputs, (inputs, *parameters), backward)
 
     def inference_arrays(self) -> Dict[str, np.ndarray]:
         """The GRU's two live gates on one step, with the second BN folded in.
@@ -311,6 +541,8 @@ class ResidualBlock(PlainBlock):
         return shortcut
 
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
+        if self._fuses(inputs, training) and inputs.shape[2] == self.recurrent_units:
+            return self._training_step(inputs, shortcut_from=self.shortcut_from)
         outputs, normalized = self.transform(inputs, training)
         shortcut_source = normalized if self.shortcut_from == "bn" else inputs
         shortcut = self._project_shortcut(shortcut_source, training)

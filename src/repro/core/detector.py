@@ -18,6 +18,8 @@ Example
 
 from __future__ import annotations
 
+import gc
+import weakref
 from typing import Optional
 
 import numpy as np
@@ -140,7 +142,15 @@ class PelicanDetector:
         if validation_records is not None:
             validation_prepared = self.preprocessor.transform(validation_records)
             validation = (validation_prepared.inputs, validation_prepared.targets)
+        replaced = None if self.network is None else weakref.ref(self.network)
         self.network = self._build_network(prepared.num_classes)
+        if replaced is not None and replaced() is not None:
+            # Something still holds the replaced network.  When that is a
+            # reference cycle (a method of it wrapped by instrumentation),
+            # only a full collection frees it, and a loop of fits allocates
+            # too few objects to trigger one soon: each dead Pelican-41
+            # would keep its weights and RMSprop state (7 MB) meanwhile.
+            gc.collect()
         self.history = self.network.fit(
             prepared.inputs,
             prepared.targets,

@@ -61,27 +61,37 @@ class BatchNormalization(Layer):
         self.add_buffer("moving_variance", np.ones(channels))
         self._moving_stats_initialized = False
 
+    def update_moving_statistics(self, values: np.ndarray) -> None:
+        """Blend one training batch's per-channel statistics into the moving ones.
+
+        The first batch ever seen seeds the moving statistics.  Both the
+        training-mode :meth:`call` and the fused training node of a Pelican
+        block (:mod:`repro.core.blocks`) update them through this method.
+        """
+        reduce_axes = tuple(range(values.ndim - 1))
+        batch_mean = values.mean(axis=reduce_axes)
+        batch_variance = values.var(axis=reduce_axes)
+        if not self._moving_stats_initialized:
+            # Seed the moving statistics with the first batch so inference
+            # is sensible even after very few training steps.
+            self._buffers["moving_mean"] = batch_mean.copy()
+            self._buffers["moving_variance"] = batch_variance.copy()
+            self._moving_stats_initialized = True
+        self._buffers["moving_mean"] = (
+            self.momentum * self._buffers["moving_mean"]
+            + (1.0 - self.momentum) * batch_mean
+        )
+        self._buffers["moving_variance"] = (
+            self.momentum * self._buffers["moving_variance"]
+            + (1.0 - self.momentum) * batch_variance
+        )
+        # The moving statistics feed the fast path's folded constants.
+        invalidate_weight_caches()
+
     def call(self, inputs: Tensor, training: bool = False) -> Tensor:
         reduce_axes = tuple(range(inputs.ndim - 1))
         if training:
-            batch_mean = inputs.data.mean(axis=reduce_axes)
-            batch_variance = inputs.data.var(axis=reduce_axes)
-            if not self._moving_stats_initialized:
-                # Seed the moving statistics with the first batch so inference
-                # is sensible even after very few training steps.
-                self._buffers["moving_mean"] = batch_mean.copy()
-                self._buffers["moving_variance"] = batch_variance.copy()
-                self._moving_stats_initialized = True
-            self._buffers["moving_mean"] = (
-                self.momentum * self._buffers["moving_mean"]
-                + (1.0 - self.momentum) * batch_mean
-            )
-            self._buffers["moving_variance"] = (
-                self.momentum * self._buffers["moving_variance"]
-                + (1.0 - self.momentum) * batch_variance
-            )
-            # The moving statistics feed the fast path's folded constants.
-            invalidate_weight_caches()
+            self.update_moving_statistics(inputs.data)
             # Normalisation must participate in the autodiff graph, so the
             # statistics are recomputed with tensor ops here.
             mean = ops.reduce_mean(inputs, axis=reduce_axes, keepdims=True)

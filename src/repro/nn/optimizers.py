@@ -10,7 +10,7 @@ is keyed by parameter identity.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, Union
 
 import numpy as np
 
@@ -27,22 +27,18 @@ __all__ = [
 
 
 class Optimizer:
-    """Base optimizer handling parameter registration and gradient clipping.
+    """Base optimizer handling parameter registration and per-parameter state.
 
     Parameters
     ----------
     learning_rate:
         Step size used by the parameter update rule.
-    clipnorm:
-        When set, the global gradient norm is rescaled to at most this value
-        before the update (a practical guard for the recurrent layers).
     """
 
-    def __init__(self, learning_rate: float = 0.01, clipnorm: Optional[float] = None) -> None:
+    def __init__(self, learning_rate: float = 0.01) -> None:
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         self.learning_rate = float(learning_rate)
-        self.clipnorm = clipnorm
         self.iterations = 0
         self._state: Dict[int, Dict[str, np.ndarray]] = {}
 
@@ -54,26 +50,10 @@ class Optimizer:
             self._state[id(parameter)] = slot
         return slot
 
-    def _clip_gradients(self, parameters: List[Tensor]) -> None:
-        if self.clipnorm is None:
-            return
-        total = 0.0
-        for parameter in parameters:
-            if parameter.grad is not None:
-                total += float(np.sum(parameter.grad ** 2))
-        norm = np.sqrt(total)
-        if norm > self.clipnorm and norm > 0:
-            scale = self.clipnorm / norm
-            for parameter in parameters:
-                if parameter.grad is not None:
-                    parameter.grad = parameter.grad * scale
-
     def step(self, parameters: Iterable[Tensor]) -> None:
         """Apply one update to every parameter that has a gradient."""
-        parameters = [p for p in parameters if p.requires_grad]
-        self._clip_gradients(parameters)
         for parameter in parameters:
-            if parameter.grad is None:
+            if not parameter.requires_grad or parameter.grad is None:
                 continue
             self._update(parameter)
         self.iterations += 1
@@ -101,9 +81,8 @@ class SGD(Optimizer):
         learning_rate: float = 0.01,
         momentum: float = 0.0,
         nesterov: bool = False,
-        clipnorm: Optional[float] = None,
     ) -> None:
-        super().__init__(learning_rate, clipnorm)
+        super().__init__(learning_rate)
         if not 0.0 <= momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         self.momentum = momentum
@@ -134,21 +113,31 @@ class RMSprop(Optimizer):
         learning_rate: float = 0.001,
         rho: float = 0.9,
         epsilon: float = 1e-7,
-        clipnorm: Optional[float] = None,
     ) -> None:
-        super().__init__(learning_rate, clipnorm)
+        super().__init__(learning_rate)
         self.rho = rho
         self.epsilon = epsilon
 
     def _update(self, parameter: Tensor) -> None:
+        """``a = rho a + (1 - rho) g^2; p -= lr g / (sqrt(a) + eps)``, in place.
+
+        Each in-place step computes the same products and sums as the
+        expression, so the update is the same bits.
+        """
         grad = parameter.grad
         slot = self._slot(parameter)
         average = slot.get("average")
         if average is None:
-            average = np.zeros_like(parameter.data)
-        average = self.rho * average + (1.0 - self.rho) * grad ** 2
-        slot["average"] = average
-        parameter.data -= self.learning_rate * grad / (np.sqrt(average) + self.epsilon)
+            average = slot["average"] = np.zeros_like(parameter.data)
+        average *= self.rho
+        square = grad * grad
+        square *= 1.0 - self.rho
+        average += square
+        denominator = np.sqrt(average, out=square)
+        denominator += self.epsilon
+        step = grad * self.learning_rate
+        step /= denominator
+        parameter.data -= step
 
 
 class Adam(Optimizer):
@@ -160,9 +149,8 @@ class Adam(Optimizer):
         beta_1: float = 0.9,
         beta_2: float = 0.999,
         epsilon: float = 1e-7,
-        clipnorm: Optional[float] = None,
     ) -> None:
-        super().__init__(learning_rate, clipnorm)
+        super().__init__(learning_rate)
         self.beta_1 = beta_1
         self.beta_2 = beta_2
         self.epsilon = epsilon

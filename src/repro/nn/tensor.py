@@ -13,6 +13,20 @@ reverse topological order and accumulates gradients into ``Tensor.grad``.
 Broadcasting is supported for the elementwise operations; gradients flowing
 into a broadcast input are summed back down to the input's original shape by
 :func:`_unbroadcast`.
+
+Where a tensor feeds several ops, ``backward()`` sums their gradients in the
+order its traversal reaches them (``existing + parent_grad``).  A tensor
+keeps a first gradient without copying it when the producing closure (or
+that sum) just allocated it; a view, a broadcast, the caller's seed array
+or an array another tensor already keeps is copied.
+
+Not every node is one primitive op.  In training mode on one time step a
+Pelican block (:mod:`repro.core.blocks`) is a single node built with
+:func:`_make_result`: its forward inlines the block's numpy arithmetic and
+its backward inlines the backward closures of the ops it replaces, with
+the same GEMM shapes, the same reduction calls and the same summation order,
+so its gradients are bit-identical to the composed ops'.  Every other call
+composes the primitive ops below.
 """
 
 from __future__ import annotations
@@ -166,11 +180,17 @@ class Tensor:
         """Reset the accumulated gradient."""
         self.grad = None
 
-    def _accumulate_grad(self, grad: np.ndarray) -> None:
+    def _accumulate_grad(self, grad: np.ndarray, owned: bool) -> None:
+        """Add ``grad`` to this tensor's gradient.
+
+        A first gradient is kept as is when ``owned`` (the caller vouches
+        that no other tensor or closure holds the array) and copied
+        otherwise.
+        """
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.array(grad, dtype=np.float64, copy=True)
+            self.grad = grad if owned else np.array(grad, dtype=np.float64, copy=True)
         else:
             self.grad = self.grad + grad
 
@@ -211,11 +231,25 @@ class Tensor:
                     stack.append((parent, False))
 
         grads: dict[int, np.ndarray] = {id(self): grad}
+        # Arrays some tensor already keeps as its gradient, and the caller's.
+        claimed = {id(grad)}
         for node in reversed(topo):
             node_grad = grads.pop(id(node), None)
             if node_grad is None:
                 continue
-            node._accumulate_grad(node_grad)
+            # Keep a gradient without copying it only when a backward closure
+            # (or a sum of contributions) just allocated it: not a view or a
+            # broadcast (they have a base), and not an array an earlier node
+            # kept, which an op like ``add`` hands on to its parents as is.
+            owned = (
+                type(node_grad) is np.ndarray
+                and node_grad.base is None
+                and node_grad.dtype == np.float64
+                and id(node_grad) not in claimed
+            )
+            node._accumulate_grad(node_grad, owned)
+            if node.grad is node_grad:
+                claimed.add(id(node_grad))
             if node._backward is None:
                 continue
             parent_grads = node._backward(node_grad)

@@ -1,5 +1,8 @@
 """Tests for the configuration registry, the Trainer protocol and PelicanDetector."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,24 @@ class TestPelicanDetector:
         assert detector.config.batch_size == 32
         assert detector.config.learning_rate == pytest.approx(0.005)
         assert detector.config.filters == 121  # inherited from Table I
+
+    def test_refit_frees_a_replaced_network_held_in_a_cycle(self):
+        # Instrumentation that wraps a network's method ties it into a
+        # reference cycle; a refit must not leave it to the next automatic
+        # collection.
+        records = load_nslkdd(n_records=64, seed=3)
+        detector = PelicanDetector(NSLKDD_SCHEMA, num_blocks=1, epochs=1, seed=0)
+        detector.fit(records)
+        network = detector.network
+        network.predict = network.predict  # the bound method holds the network
+        replaced = weakref.ref(network)
+        del network
+        gc.disable()
+        try:
+            detector.fit(records)
+            assert replaced() is None
+        finally:
+            gc.enable()
 
     def test_unfitted_detector_rejects_prediction(self):
         detector = PelicanDetector(NSLKDD_SCHEMA, num_blocks=1)

@@ -205,3 +205,32 @@ class TestRecurrentGradients:
             lambda t: layer(t[0]),
             [x, layer.kernel, layer.recurrent_kernel, layer.bias],
         )
+
+
+class TestFusedBlockGradients:
+    """A Pelican block's one-node training step (see ``repro.core.blocks``)."""
+
+    @pytest.mark.parametrize("shortcut_from", [None, "bn", "input"])
+    def test_block_training_step(self, shortcut_from):
+        from repro.core import PlainBlock, ResidualBlock
+
+        if shortcut_from is None:
+            block = PlainBlock(4, 10, 4, dropout_rate=0.6, seed=0)
+        else:
+            block = ResidualBlock(
+                4, 10, 4, dropout_rate=0.6, shortcut_from=shortcut_from, seed=0
+            )
+        x = _tensor((6, 1, 4))
+        block.build(x.shape)
+        block.built = True
+        for parameter in block.parameters():
+            parameter.data[...] = RNG.normal(scale=0.5, size=parameter.shape)
+        weights = RNG.normal(size=(6, 1, 4))
+
+        def step(t):
+            block.dropout.rng = np.random.default_rng(3)  # one mask throughout
+            outputs = block(t[0] * 1.0, training=True)
+            assert outputs._parents[1:] == tuple(block.parameters())
+            return outputs * weights
+
+        _assert_gradient(step, [x, *block.parameters()])

@@ -90,12 +90,21 @@ class TestOptimizers:
         optimizers.SGD().zero_grad([parameter])
         assert parameter.grad is None
 
-    def test_gradient_clipping_bounds_update(self):
-        parameter = Tensor(np.zeros(4), requires_grad=True)
-        parameter.grad = np.full(4, 100.0)
-        optimizer = optimizers.SGD(learning_rate=1.0, clipnorm=1.0)
-        optimizer.step([parameter])
-        assert np.linalg.norm(parameter.data) <= 1.0 + 1e-9
+    def test_rmsprop_in_place_update_is_the_expression(self):
+        # RMSprop updates its average and the parameter in place; the bits
+        # must equal the textbook expression's.
+        rng = np.random.default_rng(5)
+        parameter = Tensor(rng.normal(size=(7, 5)), requires_grad=True)
+        expected = parameter.data.copy()
+        average = np.zeros_like(expected)
+        optimizer = optimizers.RMSprop(learning_rate=0.01)
+        for _ in range(4):
+            grad = rng.normal(size=expected.shape)
+            parameter.grad = grad
+            optimizer.step([parameter])
+            average = 0.9 * average + (1.0 - 0.9) * grad ** 2
+            expected -= 0.01 * grad / (np.sqrt(average) + 1e-7)
+            assert np.array_equal(parameter.data, expected)
 
     def test_iterations_counter(self):
         optimizer = optimizers.Adam()

@@ -230,6 +230,42 @@ class TestNoGrad:
         assert a.grad is not None
 
 
+class TestGradientOwnership:
+    """``backward`` keeps a fresh gradient as is, and copies any other."""
+
+    def test_add_parents_do_not_share_one_gradient(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        total = a + b
+        total.backward(np.arange(3.0))
+        assert a.grad is not b.grad
+        assert a.grad is not total.grad
+        a.grad += 1.0
+        assert np.array_equal(b.grad, np.arange(3.0))
+        assert np.array_equal(total.grad, np.arange(3.0))
+
+    def test_the_callers_gradient_is_copied(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        seed = np.arange(3.0)
+        a.backward(seed)
+        assert a.grad is not seed
+        a.grad += 1.0
+        assert np.array_equal(seed, np.arange(3.0))
+
+    def test_a_view_is_copied(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        a.reshape(6).backward(np.arange(6.0))
+        assert a.grad.base is None
+        assert np.array_equal(a.grad, np.arange(6.0).reshape(2, 3))
+
+    def test_a_fresh_gradient_is_kept(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        product = a * 2.0
+        product.backward(np.arange(3.0))
+        assert a.grad.base is None
+        assert np.array_equal(a.grad, 2.0 * np.arange(3.0))
+
+
 class TestDropoutOp:
     def test_dropout_scales_surviving_units(self):
         rng = np.random.default_rng(0)
