@@ -2,8 +2,7 @@
 
 Ensures ``src/`` is importable even when the package has not been installed
 (the offline environment lacks the ``wheel`` package needed by modern
-``pip install -e .``), registers the shared random seed fixture and two
-markers:
+``pip install -e .``) and registers these markers:
 
 * ``slow`` — tests marked ``@pytest.mark.slow`` (the minutes-long
   end-to-end trainings) are deselected by default so the tier-1 command
@@ -175,12 +174,3 @@ def serving_leak_check():
         time.sleep(0.05)
     assert not leaked_threads, f"test leaked non-daemon threads: {leaked_threads}"
     assert not leaked_children, f"test leaked child processes: {leaked_children}"
-
-
-@pytest.fixture(autouse=True)
-def _seed_framework():
-    """Seed the framework RNG before every test for reproducibility."""
-    from repro.nn import random as nn_random
-
-    nn_random.seed(1234)
-    yield

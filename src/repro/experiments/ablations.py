@@ -20,7 +20,6 @@ from ..core.config import ExperimentScale, get_scale, scaled_config
 from ..core.pelican import build_residual_network
 from ..core.trainer import Trainer
 from ..data import get_schema
-from ..nn import random as nn_random
 from ..nn.optimizers import get_optimizer
 from ..preprocessing import IDSPreprocessor
 from .four_networks import _load_records
@@ -30,7 +29,6 @@ __all__ = ["ablate_shortcut_placement", "ablate_optimizer", "ablate_dropout"]
 
 
 def _prepare(dataset: str, scale: ExperimentScale, seed: int):
-    nn_random.seed(seed)
     schema = get_schema(dataset)
     records = _load_records(dataset, scale.n_records, seed)
     preprocessor = IDSPreprocessor(schema)

@@ -17,7 +17,6 @@ from ..core.lunet import build_lunet, lunet_depth_sweep
 from ..core.pelican import compile_for_paper, parameter_layer_count
 from ..core.trainer import Trainer
 from ..data import get_schema
-from ..nn import random as nn_random
 from ..preprocessing import IDSPreprocessor
 from .four_networks import _load_records, run_four_network_study
 from .paper_values import FIG2_DEGRADATION, FIG5_FINAL_LOSSES
@@ -76,7 +75,6 @@ def figure2(
     """Reproduce Fig. 2: train LuNet at increasing depth and record accuracy."""
     scale = scale or get_scale("bench")
     dataset = dataset.lower().replace("_", "-")
-    nn_random.seed(seed)
     schema = get_schema(dataset)
     records = _load_records(dataset, scale.n_records, seed)
     preprocessor = IDSPreprocessor(schema)

@@ -18,7 +18,6 @@ from ..core.config import ExperimentScale, get_scale, scaled_config
 from ..core.pelican import build_network, compile_for_paper
 from ..core.trainer import EvaluationResult, Trainer
 from ..data import get_schema, load_nslkdd, load_unswnb15
-from ..nn import random as nn_random
 from ..preprocessing import IDSPreprocessor
 
 __all__ = ["FourNetworkStudy", "run_four_network_study", "clear_study_cache"]
@@ -99,10 +98,6 @@ def run_four_network_study(
     cache_key = (dataset, scale.name, seed)
     if use_cache and cache_key in _STUDY_CACHE:
         return _STUDY_CACHE[cache_key]
-
-    # Reseed the framework RNG so the study is deterministic for a given
-    # (dataset, scale, seed) regardless of what ran earlier in the process.
-    nn_random.seed(seed)
 
     schema = get_schema(dataset)
     records = _load_records(dataset, scale.n_records, seed)

@@ -28,7 +28,6 @@ from ..core.pelican import build_residual_network, compile_for_paper
 from ..core.trainer import Trainer
 from ..data import get_schema
 from ..metrics import evaluate_detection
-from ..nn import random as nn_random
 from ..preprocessing import IDSPreprocessor
 from .four_networks import _load_records, run_four_network_study
 from .paper_values import (
@@ -196,7 +195,6 @@ def table5(
     """
     scale = scale or get_scale("bench")
     dataset = dataset.lower().replace("_", "-")
-    nn_random.seed(seed)
     schema = get_schema(dataset)
     records = _load_records(dataset, scale.n_records, seed)
     preprocessor = IDSPreprocessor(schema)

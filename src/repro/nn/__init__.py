@@ -17,7 +17,6 @@ from . import (
     losses,
     metrics,
     optimizers,
-    random,
 )
 from .layers import (
     GRU,
@@ -35,14 +34,12 @@ from .layers import (
 from .losses import CategoricalCrossentropy
 from .models import History, Model, Sequential
 from .optimizers import SGD, Adam, Optimizer, RMSprop
-from .random import seed
 from .tensor import Tensor, as_tensor, no_grad
 
 __all__ = [
     "Tensor",
     "as_tensor",
     "no_grad",
-    "seed",
     "Layer",
     "Dense",
     "Dropout",

@@ -15,7 +15,6 @@ import numpy as np
 
 from ..inference import invalidate_weight_caches, weights_epoch
 from ..initializers import get_initializer
-from ..random import spawn_rng
 from ..tensor import Tensor, as_tensor
 
 __all__ = ["Layer"]
@@ -31,7 +30,11 @@ class Layer:
         name in lower-case with a per-class counter.
     seed:
         Optional seed for the layer's private random generator (weight
-        initialization, dropout masks).
+        initialization, dropout masks).  A layer built without one takes a
+        child of its parent's :class:`numpy.random.SeedSequence` when it is
+        registered (see :meth:`register`), so a network's draws are a pure
+        function of its top-level seed; with no seed anywhere, the top
+        layer draws fresh entropy.  A layer built with a seed keeps it.
     """
 
     _instance_counters: Dict[str, int] = {}
@@ -44,11 +47,14 @@ class Layer:
             name = f"{base}_{count}" if count else base
         self.name = name
         self.built = False
-        self.trainable = True
-        self.rng = spawn_rng(seed)
         self._parameters: Dict[str, Tensor] = {}
         self._buffers: Dict[str, np.ndarray] = {}
         self._sublayers: List["Layer"] = []
+        self._seeded = seed is not None
+        self._seed_sequence: Optional[np.random.SeedSequence] = None
+        self._rng: Optional[np.random.Generator] = None
+        if self._seeded:
+            self._derive(np.random.SeedSequence(seed))
         # ((weights epoch, dtype), arrays) — see fast_arrays.
         self._cast_arrays: Optional[Tuple[tuple, Dict[str, np.ndarray]]] = None
 
@@ -96,13 +102,44 @@ class Layer:
         return self._buffers[name]
 
     def register(self, layer: "Layer") -> "Layer":
-        """Register a sub-layer so its parameters are tracked recursively."""
+        """Register a sub-layer so its parameters are tracked recursively.
+
+        A sub-layer built without a seed takes the next spawned child of
+        this layer's seed sequence, and passes children on to its own
+        sub-layers in registration order.  A layer that has no sequence yet
+        (built without a seed, not yet registered) hands them out when it
+        gets one.
+        """
         self._sublayers.append(layer)
+        if not layer._seeded and self._seed_sequence is not None:
+            layer._derive(self._seed_sequence.spawn(1)[0])
         return layer
+
+    def _derive(self, sequence: np.random.SeedSequence) -> None:
+        """Draw from ``sequence``, and re-derive the unseeded sub-layers."""
+        self._seed_sequence = sequence
+        self._rng = None
+        for layer in self._sublayers:
+            if not layer._seeded:
+                layer._derive(sequence.spawn(1)[0])
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The generator of weight initialization and dropout masks, made
+        on first use; a layer never given a sequence draws fresh entropy."""
+        if self._rng is None:
+            if self._seed_sequence is None:
+                self._derive(np.random.SeedSequence())
+            self._rng = np.random.default_rng(self._seed_sequence)
+        return self._rng
+
+    @rng.setter
+    def rng(self, generator: np.random.Generator) -> None:
+        self._rng = generator
 
     def parameters(self) -> List[Tensor]:
         """Return all trainable parameters of this layer and its sub-layers."""
-        parameters = list(self._parameters.values()) if self.trainable else []
+        parameters = list(self._parameters.values())
         for sublayer in self._sublayers:
             parameters.extend(sublayer.parameters())
         return parameters
@@ -182,12 +219,6 @@ class Layer:
 
     def fast_forward(self, inputs):
         """Build the layer if needed, then run :meth:`fast_call`."""
-        if isinstance(inputs, (list, tuple)):
-            arrays = [np.asarray(x) for x in inputs]
-            if not self.built:
-                self.build(tuple(a.shape for a in arrays))
-                self.built = True
-            return self.fast_call(arrays)
         inputs = np.asarray(inputs)
         if not self.built:
             self.build(inputs.shape)

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from ..tensor import Tensor
 from .base import Layer
 
@@ -29,15 +27,4 @@ class Add(Layer):
         total = inputs[0]
         for tensor in inputs[1:]:
             total = total + tensor
-        return total
-
-    def fast_call(self, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        if not isinstance(inputs, (list, tuple)) or len(inputs) < 2:
-            raise ValueError("Add expects a list of at least two input tensors")
-        shapes = {tuple(x.shape) for x in inputs}
-        if len(shapes) != 1:
-            raise ValueError(f"Add requires identical input shapes, got {sorted(shapes)}")
-        total = inputs[0]
-        for array in inputs[1:]:
-            total = total + array
         return total

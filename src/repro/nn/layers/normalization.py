@@ -24,30 +24,18 @@ class BatchNormalization(Layer):
 
     During training the batch statistics are used and exponential moving
     averages are maintained; during inference the moving averages are used.
-
-    Parameters
-    ----------
-    momentum:
-        Momentum of the moving-average update.  The default (0.9) is lower
-        than Keras' 0.99 because the scaled-down experiments take far fewer
-        optimizer steps than the paper's full runs; the moving statistics are
-        also seeded from the first training batch for the same reason.
-    epsilon:
-        Small constant added to the variance for numerical stability.
     """
 
-    def __init__(
-        self,
-        momentum: float = 0.9,
-        epsilon: float = 1e-3,
-        name: Optional[str] = None,
-        seed: Optional[int] = None,
-    ) -> None:
+    #: Momentum of the moving-average update.  Lower than Keras' 0.99
+    #: because the scaled-down experiments take far fewer optimizer steps
+    #: than the paper's full runs; the moving statistics are also seeded
+    #: from the first training batch for the same reason.
+    momentum = 0.9
+    #: Added to the variance for numerical stability.
+    epsilon = 1e-3
+
+    def __init__(self, name: Optional[str] = None, seed: Optional[int] = None) -> None:
         super().__init__(name=name, seed=seed)
-        if not 0.0 < momentum < 1.0:
-            raise ValueError("momentum must be in (0, 1)")
-        self.momentum = float(momentum)
-        self.epsilon = float(epsilon)
         self.gamma: Optional[Tensor] = None
         self.beta: Optional[Tensor] = None
         # (weights epoch, scale, shift) — see repro.nn.inference.

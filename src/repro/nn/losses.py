@@ -8,11 +8,9 @@ output tensor.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
-from .tensor import Tensor, as_tensor, clip, log, reduce_mean, reduce_sum, softmax
+from .tensor import Tensor, as_tensor, clip, log, reduce_mean, reduce_sum
 
 __all__ = ["Loss", "CategoricalCrossentropy", "get_loss"]
 
@@ -35,27 +33,16 @@ class Loss:
 
 
 class CategoricalCrossentropy(Loss):
-    """Cross-entropy for one-hot targets.
-
-    Parameters
-    ----------
-    from_logits:
-        When True the predictions are unnormalised scores and a softmax is
-        applied internally; otherwise they are assumed to be probabilities.
-    """
+    """Cross-entropy of probability predictions against one-hot targets."""
 
     name = "categorical_crossentropy"
-
-    def __init__(self, from_logits: bool = False) -> None:
-        self.from_logits = from_logits
 
     def call(self, y_true: np.ndarray, y_pred: Tensor) -> Tensor:
         if y_true.shape != y_pred.shape:
             raise ValueError(
                 f"shape mismatch: targets {y_true.shape} vs predictions {y_pred.shape}"
             )
-        probabilities = softmax(y_pred) if self.from_logits else y_pred
-        probabilities = clip(probabilities, _EPSILON, 1.0 - _EPSILON)
+        probabilities = clip(y_pred, _EPSILON, 1.0 - _EPSILON)
         per_sample = reduce_sum(as_tensor(y_true) * log(probabilities) * -1.0, axis=-1)
         return reduce_mean(per_sample)
 
@@ -63,10 +50,8 @@ class CategoricalCrossentropy(Loss):
 _REGISTRY = {"categorical_crossentropy": CategoricalCrossentropy}
 
 
-def get_loss(identifier: Union[str, Loss]) -> Loss:
-    """Resolve a loss from a name or pass an instance through."""
-    if isinstance(identifier, Loss):
-        return identifier
+def get_loss(identifier: str) -> Loss:
+    """Resolve a loss from its name."""
     try:
         return _REGISTRY[identifier]()
     except KeyError as exc:

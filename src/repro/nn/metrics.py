@@ -7,7 +7,7 @@ intrusion-detection metrics (detection rate, false-alarm rate) live in
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Dict
 
 import numpy as np
 
@@ -27,10 +27,8 @@ _REGISTRY: Dict[str, Callable[[np.ndarray, np.ndarray], float]] = {
 }
 
 
-def get_metric(identifier: Union[str, Callable]) -> Callable[[np.ndarray, np.ndarray], float]:
-    """Resolve a metric from a name or pass a callable through."""
-    if callable(identifier):
-        return identifier
+def get_metric(identifier: str) -> Callable[[np.ndarray, np.ndarray], float]:
+    """Resolve a metric from its name."""
     try:
         return _REGISTRY[identifier]
     except KeyError as exc:

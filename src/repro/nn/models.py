@@ -18,7 +18,6 @@ from .layers.base import Layer
 from .losses import Loss, get_loss
 from .metrics import get_metric
 from .optimizers import Optimizer, get_optimizer
-from .random import spawn_rng
 from .tensor import Tensor, no_grad
 
 __all__ = ["History", "Model", "Sequential"]
@@ -44,15 +43,26 @@ class Model(Layer):
     like a layer; the paper's network builders produce :class:`Sequential`
     instances but the composite Pelican blocks are plain layers that can be
     embedded in either.
+
+    ``seed`` determines the whole model: the shuffle generator of
+    :meth:`fit` takes the first spawned child of its seed sequence, and
+    every layer added without a seed the next one, in the order added (see
+    :meth:`~repro.nn.layers.base.Layer.register`).  ``seed=None`` draws
+    fresh entropy once, here; a model that registers this one re-derives it.
     """
 
     def __init__(self, name: Optional[str] = None, seed: Optional[int] = None) -> None:
         super().__init__(name=name, seed=seed)
+        if seed is None:
+            self._derive(np.random.SeedSequence())
         self.optimizer: Optional[Optimizer] = None
         self.loss: Optional[Loss] = None
         self.metric_fns: Dict[str, callable] = {}
         self.history: Optional[History] = None
-        self._shuffle_rng = spawn_rng(seed)
+
+    def _derive(self, sequence: np.random.SeedSequence) -> None:
+        self._shuffle_rng = np.random.default_rng(sequence.spawn(1)[0])
+        super()._derive(sequence)
 
     # ------------------------------------------------------------------ #
     # Configuration
@@ -60,16 +70,13 @@ class Model(Layer):
     def compile(
         self,
         optimizer: Union[str, Optimizer] = "rmsprop",
-        loss: Union[str, Loss] = "categorical_crossentropy",
-        metrics: Optional[Sequence] = None,
+        loss: str = "categorical_crossentropy",
+        metrics: Optional[Sequence[str]] = None,
     ) -> None:
-        """Configure the optimizer, loss and training metrics."""
+        """Configure the optimizer, and the loss and training metrics by name."""
         self.optimizer = get_optimizer(optimizer)
         self.loss = get_loss(loss)
-        self.metric_fns = {}
-        for metric in metrics or []:
-            name = metric if isinstance(metric, str) else metric.__name__
-            self.metric_fns[name] = get_metric(metric)
+        self.metric_fns = {name: get_metric(name) for name in metrics or []}
 
     # ------------------------------------------------------------------ #
     # Training loop
@@ -90,17 +97,16 @@ class Model(Layer):
         """Run one forward/backward pass and apply an optimizer step."""
         if self.optimizer is None or self.loss is None:
             raise RuntimeError("the model must be compiled before training")
+        predictions = self(x, training=True)
+        # Listed after the forward pass, which builds a lazily built model.
         parameters = self.parameters()
         self.optimizer.zero_grad(parameters)
-        predictions = self(x, training=True)
         loss_value = self.loss(y, predictions)
         loss_value.backward()
         self.optimizer.step(parameters)
         # Release the gradients (a third of a network's memory): the next
-        # step zeroes them anyway.  Listed afresh, because a model built by
-        # this forward pass had no parameters yet when ``parameters`` was
-        # taken (that first step updates nothing).
-        self.optimizer.zero_grad(self.parameters())
+        # step zeroes them anyway.
+        self.optimizer.zero_grad(parameters)
         logs = {"loss": float(loss_value.data)}
         for name, function in self.metric_fns.items():
             logs[name] = function(y, predictions.data)

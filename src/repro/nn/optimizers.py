@@ -74,35 +74,10 @@ class Optimizer:
 
 
 class SGD(Optimizer):
-    """Stochastic gradient descent with optional (Nesterov) momentum."""
-
-    def __init__(
-        self,
-        learning_rate: float = 0.01,
-        momentum: float = 0.0,
-        nesterov: bool = False,
-    ) -> None:
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = momentum
-        self.nesterov = nesterov
+    """Plain stochastic gradient descent."""
 
     def _update(self, parameter: Tensor) -> None:
-        grad = parameter.grad
-        if self.momentum == 0.0:
-            parameter.data -= self.learning_rate * grad
-            return
-        slot = self._slot(parameter)
-        velocity = slot.get("velocity")
-        if velocity is None:
-            velocity = np.zeros_like(parameter.data)
-        velocity = self.momentum * velocity - self.learning_rate * grad
-        slot["velocity"] = velocity
-        if self.nesterov:
-            parameter.data += self.momentum * velocity - self.learning_rate * grad
-        else:
-            parameter.data += velocity
+        parameter.data -= self.learning_rate * parameter.grad
 
 
 class RMSprop(Optimizer):

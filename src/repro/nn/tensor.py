@@ -45,8 +45,6 @@ __all__ = [
     "mul",
     "matmul",
     "relu",
-    "sigmoid",
-    "sigmoid_forward",
     "hard_sigmoid",
     "tanh",
     "exp",
@@ -156,13 +154,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying numpy array (not a copy)."""
-        return self.data
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         label = f" name={self.name!r}" if self.name else ""
@@ -312,9 +303,6 @@ class Tensor:
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         return reduce_mean(self, axis=axis, keepdims=keepdims)
 
-    def max(self, axis=None, keepdims: bool = False) -> "Tensor":
-        return reduce_max(self, axis=axis, keepdims=keepdims)
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -332,18 +320,6 @@ class Tensor:
 
     def log(self) -> "Tensor":
         return log(self)
-
-    def sqrt(self) -> "Tensor":
-        return power(self, 0.5)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
 
 
 def as_tensor(value: ArrayLike, requires_grad: bool = False) -> Tensor:
@@ -454,30 +430,6 @@ def relu(a: ArrayLike) -> Tensor:
     return _make_result(data, (a,), backward)
 
 
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid that never overflows.
-
-    With ``e = exp(-|x|)``, ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)``
-    below zero are exactly the two textbook branches, but ``np.where``
-    evaluates both everywhere, so neither may exponentiate a large positive
-    number.  Shared by the tape op :func:`sigmoid` and the inference kernel.
-    """
-    e = np.exp(-np.abs(x))
-    denominator = 1.0 + e
-    return np.where(x >= 0, 1.0 / denominator, e / denominator)
-
-
-def sigmoid(a: ArrayLike) -> Tensor:
-    """Numerically stable logistic sigmoid."""
-    a = as_tensor(a)
-    data = sigmoid_forward(a.data)
-
-    def backward(grad: np.ndarray):
-        return (grad * data * (1.0 - data),)
-
-    return _make_result(data, (a,), backward)
-
-
 def hard_sigmoid(a: ArrayLike) -> Tensor:
     """Piecewise-linear sigmoid approximation used as the GRU recurrent activation.
 
@@ -573,24 +525,6 @@ def reduce_mean(a: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
         return (
             np.broadcast_to(grad_expanded / count, a.shape).astype(np.float64),
         )
-
-    return _make_result(data, (a,), backward)
-
-
-def reduce_max(a: ArrayLike, axis=None, keepdims: bool = False) -> Tensor:
-    """Maximum over ``axis``; ties split the gradient evenly."""
-    a = as_tensor(a)
-    data = a.data.max(axis=axis, keepdims=keepdims)
-
-    def backward(grad: np.ndarray):
-        data_expanded = data
-        grad_expanded = grad
-        if axis is not None and not keepdims:
-            data_expanded = np.expand_dims(data, axis=axis)
-            grad_expanded = np.expand_dims(grad, axis=axis)
-        mask = (a.data == data_expanded).astype(np.float64)
-        mask_sum = mask.sum(axis=axis, keepdims=True) if axis is not None else mask.sum()
-        return (mask / mask_sum * grad_expanded,)
 
     return _make_result(data, (a,), backward)
 

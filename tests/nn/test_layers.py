@@ -183,10 +183,6 @@ class TestBatchNormalization:
         assert {p.shape for p in layer.parameters()} == {(3,)}
         assert len(layer.parameters()) == 2
 
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            L.BatchNormalization(momentum=1.5)
-
 
 def _full_gate_gru(kernel, recurrent_kernel, bias, inputs):
     """One GRU step on h_0 == 0 with every gate multiplied out (Keras layout)."""
@@ -354,9 +350,3 @@ class TestLayerBase:
         layer(RNG.normal(size=(2, 3)))
         with pytest.raises(ValueError):
             layer.set_weights([np.zeros((5, 5)), np.zeros(4)])
-
-    def test_non_trainable_layer_exposes_no_parameters(self):
-        layer = L.Dense(4)
-        layer(RNG.normal(size=(2, 3)))
-        layer.trainable = False
-        assert layer.parameters() == []

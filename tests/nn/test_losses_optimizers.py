@@ -12,19 +12,13 @@ class TestLosses:
         y_true = np.array([[1.0, 0.0], [0.0, 1.0]])
         y_pred = Tensor([[1.0, 0.0], [0.0, 1.0]])
         loss = losses.CategoricalCrossentropy()(y_true, y_pred)
-        assert loss.item() < 1e-5
+        assert float(loss.data) < 1e-5
 
     def test_categorical_crossentropy_uniform_prediction(self):
         y_true = np.array([[1.0, 0.0, 0.0, 0.0]])
         y_pred = Tensor([[0.25, 0.25, 0.25, 0.25]])
         loss = losses.CategoricalCrossentropy()(y_true, y_pred)
-        assert loss.item() == pytest.approx(np.log(4.0), rel=1e-6)
-
-    def test_categorical_crossentropy_from_logits(self):
-        y_true = np.array([[0.0, 1.0]])
-        logits = Tensor([[0.0, 0.0]])
-        loss = losses.CategoricalCrossentropy(from_logits=True)(y_true, logits)
-        assert loss.item() == pytest.approx(np.log(2.0), rel=1e-6)
+        assert float(loss.data) == pytest.approx(np.log(4.0), rel=1e-6)
 
     def test_categorical_crossentropy_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -67,12 +61,10 @@ class TestOptimizers:
         "optimizer,steps",
         [
             (optimizers.SGD(learning_rate=0.1), 300),
-            (optimizers.SGD(learning_rate=0.05, momentum=0.9), 300),
-            (optimizers.SGD(learning_rate=0.05, momentum=0.9, nesterov=True), 300),
             (optimizers.RMSprop(learning_rate=0.05), 300),
             (optimizers.Adam(learning_rate=0.1), 300),
         ],
-        ids=["sgd", "sgd-momentum", "sgd-nesterov", "rmsprop", "adam"],
+        ids=["sgd", "rmsprop", "adam"],
     )
     def test_converges_on_quadratic(self, optimizer, steps):
         final = _run_optimizer(optimizer, steps=steps)
@@ -116,10 +108,6 @@ class TestOptimizers:
     def test_invalid_learning_rate(self):
         with pytest.raises(ValueError):
             optimizers.SGD(learning_rate=0.0)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ValueError):
-            optimizers.SGD(momentum=1.5)
 
     def test_get_optimizer_by_name(self):
         optimizer = optimizers.get_optimizer("rmsprop", learning_rate=0.01)

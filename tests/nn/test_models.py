@@ -19,7 +19,8 @@ def _toy_classification(n=200, features=6, seed=0):
 
 def _dense_model(seed=0):
     model = nn.Sequential(
-        [nn.Dense(16, activation="relu", seed=seed), nn.Dense(2, activation="softmax", seed=seed)]
+        [nn.Dense(16, activation="relu", seed=seed), nn.Dense(2, activation="softmax", seed=seed)],
+        seed=seed,
     )
     model.compile(optimizer=nn.Adam(0.01), loss="categorical_crossentropy", metrics=["accuracy"])
     return model
@@ -148,6 +149,76 @@ class TestGradientRelease:
             assert np.array_equal(after_release, after_keep)
 
 
+def _blocky_model(seed):
+    """Unseeded layers, one of them a composite that registers its own."""
+    block = nn.Sequential([nn.Dense(5, activation="relu"), nn.Dropout(0.5)])
+    return nn.Sequential([nn.Dense(4), block, nn.Dense(2, activation="softmax")], seed=seed)
+
+
+def _initial_state(model, x):
+    model(x)
+    return model.get_weights()
+
+
+class TestSeedDerivation:
+    """A model's seed alone determines every draw of its layers."""
+
+    def test_first_step_of_a_lazily_built_model_updates_its_weights(self):
+        X, Y, _ = _toy_classification(n=32)
+        trained, untouched = _dense_model(), _dense_model()
+        trained.train_on_batch(X, Y)  # builds the model, then steps
+        initial = _initial_state(untouched, X[:0])
+        after = trained.get_weights()
+        assert all(not np.array_equal(a, b) for a, b in zip(after, initial))
+
+    def test_same_seed_same_draws_whatever_was_built_before(self):
+        x = np.ones((3, 6))
+        first = _initial_state(_blocky_model(7), x)
+        _initial_state(_blocky_model(8), x)  # an unrelated network in between
+        nn.Dense(9)(x)
+        second = _initial_state(_blocky_model(7), x)
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+    def test_dropout_masks_and_shuffles_follow_the_seed(self):
+        X, Y, _ = _toy_classification(n=40)
+        runs = []
+        for _ in range(2):
+            model = _blocky_model(3)
+            model.compile(optimizer="sgd", loss="categorical_crossentropy")
+            model.fit(X, Y, epochs=2, batch_size=16)
+            runs.append(model.get_weights())
+        assert all(np.array_equal(a, b) for a, b in zip(*runs))
+
+    def test_different_seeds_differ(self):
+        x = np.ones((3, 6))
+        first = _initial_state(_blocky_model(1), x)
+        second = _initial_state(_blocky_model(2), x)
+        assert not np.array_equal(first[0], second[0])
+
+    def test_unseeded_networks_differ(self):
+        x = np.ones((3, 6))
+        first = _initial_state(_blocky_model(None), x)
+        second = _initial_state(_blocky_model(None), x)
+        assert not any(np.array_equal(a, b) for a, b in zip(first, second) if a.ndim > 1)
+
+    def test_an_explicitly_seeded_layer_keeps_its_draws(self):
+        x = np.ones((3, 6))
+        alone = nn.Dense(4, seed=11)
+        alone(x)
+        inside = nn.Dense(4, seed=11)
+        _initial_state(nn.Sequential([nn.Dense(6), inside], seed=0), x)
+        assert np.array_equal(inside.kernel.data, alone.kernel.data)
+        # A seed is the generator's whole input, as for default_rng(seed).
+        expected = nn.initializers.glorot_uniform((6, 4), np.random.default_rng(11))
+        assert np.array_equal(alone.kernel.data, expected)
+
+    def test_layers_draw_from_distinct_streams(self):
+        x = np.ones((3, 4))
+        model = nn.Sequential([nn.Dense(4), nn.Dense(4)], seed=0)
+        first, _, second, _ = _initial_state(model, x)
+        assert not np.array_equal(first, second)
+
+
 class TestReferenceCycles:
     def test_fitted_model_is_freed_without_the_cyclic_collector(self):
         """History is a plain record with no model reference: no model <->
@@ -220,7 +291,7 @@ class TestWeightsRoundtrip:
             nn.GRU(10, return_sequences=True),
             nn.GlobalAveragePooling1D(),
             nn.Dense(2, activation="softmax"),
-        ])
+        ], seed=0)
         model.compile(optimizer=nn.RMSprop(0.01), loss="categorical_crossentropy",
                       metrics=["accuracy"])
         history = model.fit(X, Y, epochs=6, batch_size=30, verbose=0)

@@ -10,7 +10,8 @@ from repro.nn.serialization import load_state, save_state
 
 def _model(seed=0):
     model = nn.Sequential(
-        [nn.Dense(8, activation="relu", seed=seed), nn.Dense(3, activation="softmax", seed=seed)]
+        [nn.Dense(8, activation="relu", seed=seed), nn.Dense(3, activation="softmax", seed=seed)],
+        seed=seed,
     )
     model.compile(optimizer=nn.Adam(0.01), loss="categorical_crossentropy")
     return model
@@ -126,7 +127,7 @@ class TestSerialization:
 
     def test_save_state_roundtrips_buffers_bitwise(self, tmp_path):
         model = nn.Sequential(
-            [nn.BatchNormalization(), nn.Dense(3, activation="softmax", seed=0)]
+            [nn.BatchNormalization(), nn.Dense(3, activation="softmax", seed=0)], seed=0
         )
         model.compile(optimizer=nn.Adam(0.01), loss="categorical_crossentropy")
         rng = np.random.default_rng(3)
@@ -164,7 +165,7 @@ class TestSerialization:
     def test_restored_bn_keeps_momentum_semantics(self):
         """set_buffers marks the moving statistics as seeded: the next
         training batch blends into them instead of overwriting them."""
-        bn = nn.BatchNormalization(momentum=0.9)
+        bn = nn.BatchNormalization()
         bn(np.zeros((4, 5)))
         restored_mean = np.full(5, 7.0)
         restored_var = np.full(5, 2.0)

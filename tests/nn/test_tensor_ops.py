@@ -19,9 +19,6 @@ class TestTensorBasics:
         wrapped = Tensor(base)
         assert np.array_equal(wrapped.data, base.data)
 
-    def test_item_on_scalar(self):
-        assert Tensor(3.5).item() == pytest.approx(3.5)
-
     def test_backward_requires_scalar_without_gradient(self):
         t = Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ValueError):
@@ -117,13 +114,6 @@ class TestActivations:
         out.sum().backward()
         assert np.allclose(a.grad, [0.0, 0.0, 1.0])
 
-    def test_sigmoid_range_and_symmetry(self):
-        a = Tensor([-50.0, 0.0, 50.0])
-        out = ops.sigmoid(a).data
-        assert out[0] == pytest.approx(0.0, abs=1e-10)
-        assert out[1] == pytest.approx(0.5)
-        assert out[2] == pytest.approx(1.0, abs=1e-10)
-
     def test_hard_sigmoid_matches_keras_definition(self):
         a = Tensor([-3.0, -2.5, 0.0, 2.5, 3.0])
         assert np.allclose(ops.hard_sigmoid(a).data, [0.0, 0.0, 0.5, 1.0, 1.0])
@@ -158,11 +148,6 @@ class TestReductionsAndShapes:
         a = Tensor(np.ones((4, 5)), requires_grad=True)
         a.mean().backward()
         assert np.allclose(a.grad, 1.0 / 20.0)
-
-    def test_max_gradient_goes_to_argmax(self):
-        a = Tensor([[1.0, 5.0, 2.0]], requires_grad=True)
-        a.max(axis=1).sum().backward()
-        assert np.allclose(a.grad, [[0.0, 1.0, 0.0]])
 
     def test_reshape_roundtrip(self):
         a = Tensor(np.arange(12.0), requires_grad=True)

@@ -11,6 +11,10 @@ Every module, packages included, is then imported, and each name in its
 ``__all__`` must be an attribute of it, so a stale export of a deleted
 class fails here rather than at a caller's ``import *``.
 
+No module keeps process-global random state: none binds a module-level
+``np.random`` generator or calls ``np.random.seed``, so every draw comes
+from a generator its caller seeded.
+
 Last, ``repro.nn`` must not regrow names nothing calls: every public
 top-level function or class of a ``repro/nn`` module needs a reference
 in ``src/``, ``examples/``, ``benchmarks/`` or ``perfbench/`` other than
@@ -157,6 +161,100 @@ def test_every_export_resolves(module_name):
 
 
 # ---------------------------------------------------------------------- #
+# No process-global random state
+# ---------------------------------------------------------------------- #
+_GENERATOR_FACTORIES = {"default_rng", "Generator", "RandomState"}
+
+
+def _random_function(call: ast.Call) -> str:
+    """``name`` for a call of ``<...>.random.name``, else ``""``."""
+    func = call.func
+    if isinstance(func, ast.Attribute) and (
+        isinstance(func.value, ast.Attribute) and func.value.attr == "random"
+    ):
+        return func.attr
+    return ""
+
+
+def _makes_generator(node: ast.AST) -> bool:
+    return any(
+        isinstance(call, ast.Call)
+        and (
+            _random_function(call) in _GENERATOR_FACTORIES
+            or (isinstance(call.func, ast.Name) and call.func.id in _GENERATOR_FACTORIES)
+        )
+        for call in ast.walk(node)
+    )
+
+
+def global_random_state(source: str) -> List[int]:
+    """Lines of ``source`` that bind a module-level generator (at the top
+    level, or through a ``global`` statement) or call ``np.random.seed``."""
+    tree = ast.parse(source)
+    lines = [
+        statement.lineno
+        for statement in tree.body
+        if isinstance(statement, (ast.Assign, ast.AnnAssign))
+        and statement.value is not None
+        and _makes_generator(statement.value)
+    ]
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = {
+            name
+            for node in ast.walk(function)
+            if isinstance(node, ast.Global)
+            for name in node.names
+        }
+        lines.extend(
+            node.lineno
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id in shared for t in node.targets)
+            and _makes_generator(node.value)
+        )
+    lines.extend(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _random_function(node) == "seed"
+    )
+    return sorted(lines)
+
+
+def test_the_random_state_scan_finds_global_generators_and_seeding():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "_RNG = np.random.default_rng(0)\n"
+        "_OTHER: np.random.Generator = default_rng()\n"
+        "_SEEDS = np.random.SeedSequence(0)\n"
+        "def reseed(value):\n"
+        "    global _RNG\n"
+        "    _RNG = np.random.default_rng(value)\n"
+        "    np.random.seed(value)\n"
+        "def local(seed):\n"
+        "    rng = np.random.default_rng(seed)\n"
+        "    return rng.random()\n"
+        "class Layer:\n"
+        "    def __init__(self, seed):\n"
+        "        self.rng = np.random.default_rng(seed)\n"
+    )
+    assert global_random_state(source) == [3, 4, 8, 9]
+
+
+@pytest.mark.parametrize(
+    "path", MODULES, ids=[str(p.relative_to(PACKAGE)) for p in MODULES]
+)
+def test_no_global_random_state(path):
+    lines = global_random_state(path.read_text())
+    assert not lines, (
+        f"module-level random generator or np.random.seed at lines {lines}: "
+        "take a seed (or a generator) from the caller instead"
+    )
+
+
+# ---------------------------------------------------------------------- #
 # repro.nn regrowth guard
 # ---------------------------------------------------------------------- #
 SRC = PACKAGE.parent
@@ -168,7 +266,6 @@ CALLER_ROOTS = [SRC, *(SRC.parent / name for name in ("examples", "benchmarks", 
 #: without a caller in the scanned code, and why.
 NN_ALLOWED_UNREFERENCED = {
     "gradcheck.check_gradient": "the numerical gradient checks of tests/nn call it",
-    "random.get_rng": "goes with the framework-global generator it returns",
     "serialization.save_state": "the bare-network archive pair; tests and docs/SERVING.md use it",
     "serialization.load_state": "the bare-network archive pair; tests and docs/SERVING.md use it",
 }
