@@ -8,7 +8,7 @@ seeded scenarios — and shows the concurrent execution models of
 1. **Process pool** — the flood scenario scored synchronously and on a
    2-process :class:`repro.serving.ProcessWorkerPool`: each child
    rehydrates a scoring-identical detector from a checkpoint and scores
-   off the GIL, and the age trigger fires on a background timer, yet the
+   off the GIL, and the age trigger fires at each batch's deadline, yet the
    quality report matches the synchronous run count for count (results
    commit in submission order).
 2. **Sharded fleet** — the probe-sweep scenario routed across two detector

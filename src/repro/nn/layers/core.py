@@ -19,6 +19,12 @@ from .base import Layer
 
 __all__ = ["Dense", "Dropout", "Reshape", "get_activation"]
 
+#: The fast ``Dense`` kernel multiplies by at least this many columns, the
+#: extra ones zero and sliced off before the activation.  OpenBLAS sums a
+#: narrower GEMM's outputs in an order that depends on the row count, so a
+#: record's float32 scores would otherwise depend on the batch it is in.
+_MIN_FAST_COLUMNS = 8
+
 _ACTIVATIONS = {
     "linear": lambda x: x,
     "relu": ops.relu,
@@ -81,8 +87,14 @@ class Dense(Layer):
 
     def fast_call(self, inputs: np.ndarray) -> np.ndarray:
         weights = self.fast_arrays(inputs.dtype)
-        outputs = inputs @ weights["kernel"]
-        outputs += weights["bias"]
+        kernel, bias = weights["kernel"], weights["bias"]
+        if self.units >= _MIN_FAST_COLUMNS:
+            outputs = inputs @ kernel
+            outputs += bias
+        else:
+            padded = np.zeros((kernel.shape[0], _MIN_FAST_COLUMNS), kernel.dtype)
+            padded[:, : self.units] = kernel
+            outputs = (inputs @ padded)[..., : self.units] + bias
         return self.activation_raw(outputs)
 
 

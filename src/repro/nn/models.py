@@ -209,7 +209,12 @@ class Model(Layer):
             for start in range(0, len(x), batch_size):
                 batch = x[start:start + batch_size]
                 if fast:
-                    outputs.append(np.asarray(self.fast_forward(batch)))
+                    # A 1-row product runs as a matrix-vector kernel, which
+                    # sums in another order: a lone row is scored beside a
+                    # copy of itself, so its output is the one any larger
+                    # batch gives it.
+                    rows = batch if len(batch) > 1 else np.concatenate([batch, batch])
+                    outputs.append(np.asarray(self.fast_forward(rows))[: len(batch)])
                 else:
                     outputs.append(self(batch, training=False).data)
         return np.concatenate(outputs, axis=0)

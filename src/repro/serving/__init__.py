@@ -33,12 +33,12 @@ Three execution models run on that path:
   (:mod:`repro.serving.procpool`) wraps a service with the same surface
   and moves scoring into child processes: each child rehydrates a
   scoring-identical detector from a :class:`DetectorCheckpoint` and runs
-  preprocessing + inference off the GIL, and the age trigger fires on a
-  background timer.  Scoring completes out of order, but the parent keeps
-  the ledger and a reorder buffer commits to it and to phase attribution
-  strictly in submission order, so every report is
-  record-for-record identical to the synchronous run — only the
-  wall-clock numbers change.  Batches travel pickled on a private
+  preprocessing + inference off the GIL, and a dispatcher thread fires
+  the age trigger at each partial batch's deadline.  Scoring completes
+  out of order, but the parent keeps the ledger and a reorder buffer
+  commits to it and to phase attribution strictly in submission order,
+  so every report is record-for-record identical to the synchronous run —
+  only the wall-clock numbers change.  Batches travel pickled on a private
   task/result queue pair per child.
 * **Sharded** — :class:`ShardRouter` + :class:`ShardedDetectionService`
   (:mod:`repro.serving.sharding`) fan one stream out across several fitted

@@ -10,8 +10,9 @@ batches under the classic two-trigger policy:
 * **age** — records never wait longer than ``flush_interval`` seconds; a
   partial batch whose oldest record has exceeded the interval is released
   on the next :meth:`submit` / :meth:`poll` (or by the
-  :class:`~repro.serving.procpool.ProcessWorkerPool` background timer,
-  which polls on a schedule instead of waiting for traffic).
+  :class:`~repro.serving.procpool.ProcessWorkerPool` dispatcher thread,
+  which sleeps until the batch's :attr:`~MicroBatcher.deadline` instead of
+  waiting for traffic).
 
 Each submission is stamped with its arrival time and the stamp travels with
 the records — including the left-behind tail when a size-triggered drain
@@ -20,7 +21,7 @@ oldest pending record.  The clock is injectable so tests (and deterministic
 replays) can drive the age trigger without sleeping.
 
 The batcher itself is not thread-safe; concurrent callers (the process
-pool's submitters and its age-trigger timer) serialise access through a
+pool's submitters and its dispatcher thread) serialise access through a
 lock of their own.
 """
 
@@ -81,6 +82,13 @@ class MicroBatcher:
         """Arrival time of the oldest buffered record (None when empty)."""
         return self._pending[0][0] if self._pending else None
 
+    @property
+    def deadline(self) -> Optional[float]:
+        """When the age trigger releases the pending partial batch, on
+        :attr:`clock`: ``oldest_arrival + flush_interval`` (None when empty)."""
+        oldest = self.oldest_arrival
+        return None if oldest is None else oldest + self.flush_interval
+
     def _drain(self, count: int) -> TrafficRecords:
         """Remove and return exactly ``count`` pending records (FIFO order)."""
         taken: List[TrafficRecords] = []
@@ -121,9 +129,9 @@ class MicroBatcher:
         return ready
 
     def poll(self) -> Optional[TrafficRecords]:
-        """Release the pending partial batch if it is past the age trigger."""
-        oldest = self.oldest_arrival
-        if oldest is not None and self.clock() - oldest >= self.flush_interval:
+        """Release the pending partial batch once :attr:`deadline` is reached."""
+        deadline = self.deadline
+        if deadline is not None and self.clock() >= deadline:
             return self._drain(self._pending_count)
         return None
 

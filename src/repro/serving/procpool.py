@@ -8,9 +8,10 @@ the same submit/poll/flush/report surface:
   :class:`~repro.serving.batching.MicroBatcher` are **scored in child
   processes**, so the Python-level preprocessing, which holds the GIL, runs
   on real cores;
-* the **age trigger fires on a background timer** that polls the batcher
-  on a schedule, so a lull in traffic cannot strand a partial batch until
-  the next ``submit``/``poll`` call;
+* the **age trigger fires on a dispatcher thread** that sleeps until the
+  oldest pending record's deadline, so a lull in traffic cannot strand a
+  partial batch until the next ``submit``/``poll`` call, and an idle pool
+  does no work at all;
 * commits stay **deterministic**: replies pass through a reorder buffer
   and are committed — to the service's ledger and to phase attribution —
   strictly in submission order.
@@ -56,9 +57,11 @@ semantics as the in-process swap, which is what keeps a drift-supervised
 run's counts equal to a drain-stop-restart run.
 
 Start method: ``"spawn"`` — fork would duplicate the parent's running
-threads (age timers, other pools, test watchdogs) into the child mid-lock.
-Spawned children re-import :mod:`repro`, so pool startup costs a couple of
-seconds; amortise it by keeping one pool alive across streams.
+threads (dispatchers, other pools, test watchdogs) into the child mid-lock.
+Spawned children re-import :mod:`repro` and rehydrate the detector before
+:meth:`ProcessWorkerPool.start` returns, which takes about 0.3 s for a
+1-child pool on a 2-core host; amortise it by keeping one pool alive across
+streams.
 """
 
 from __future__ import annotations
@@ -88,9 +91,16 @@ _POLL_INTERVAL = 0.1
 #: ``multiprocessing`` start method of every child (see the module notes).
 _START_METHOD = "spawn"
 
-#: Seconds to wait for child swap acknowledgements (and for stragglers at
-#: close) before giving up with an error.
+#: Seconds to wait for the children's ready and swap acknowledgements (and
+#: for stragglers at close) before giving up with an error.
 _HANDSHAKE_TIMEOUT = 120.0
+
+
+def _rehydration_error(worker_id, text: str) -> RuntimeError:
+    """The error an ``init-error`` reply raises, with the child's traceback."""
+    return RuntimeError(
+        f"worker process {worker_id} failed to rehydrate its detector:\n{text}"
+    )
 
 
 class _Channel:
@@ -106,10 +116,10 @@ class _Channel:
 
     and upstream::
 
+        ("ready", worker_id)   ("init-error", worker_id, traceback_text)
         ("scored", sequence, class_indices, child_latency, unknown)
         ("error", sequence, traceback_text)
         ("swapped", worker_id, error_text_or_None)
-        ("init-error", worker_id, traceback_text)
     """
 
     def __init__(self, context) -> None:
@@ -190,8 +200,9 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
     and never block the caller).  The messages are those of
     :class:`_Channel`:
 
-    * ``init`` rehydrates the serving detector (always the first message);
-      a failure replies ``init-error`` and exits the child;
+    * ``init`` rehydrates the serving detector (always the first message)
+      and replies ``ready``; a failure replies ``init-error`` and exits the
+      child;
     * ``score`` rebuilds the :class:`TrafficRecords`, preprocesses and
       predicts, and replies ``scored`` (class indices + scoring time + the
       batch's unknown-categorical tally);
@@ -214,6 +225,8 @@ def _worker_main(worker_id, schema_name, task_queue, result_queue):
                 detector = message[1].restore()
                 if kind == "swap":
                     result_queue.put(("swapped", worker_id, None))
+                else:
+                    result_queue.put(("ready", worker_id))
             except BaseException:
                 # A failed rehydration is fatal either way: limping on with
                 # the *retired* detector would silently skew the counts, so
@@ -282,16 +295,13 @@ class ProcessWorkerPool:
     service:
         The wrapped synchronous service; its batcher and ledger stay in
         the parent and are the only copy of the serving state.  The pool
-        only changes *where* scoring runs and *when* the age trigger fires.
+        only changes *where* scoring runs and *when* the age trigger fires:
+        at the oldest pending record's deadline, without waiting for the
+        next :meth:`submit`/:meth:`poll`.
     num_workers:
         Number of child scoring processes.  Default 2 — spawning a child
         costs a fresh interpreter plus a :mod:`repro` import, so size the
         pool to the cores you have, not higher.
-    timer_interval:
-        Period of the background age-trigger timer.  Defaults to half the
-        batcher's flush interval (at least 1 ms); pass ``0`` to disable the
-        timer, in which case age triggers fire only inside
-        :meth:`submit`/:meth:`poll`, like the synchronous service.
     result_callback:
         Optional hook invoked with every committed :class:`BatchResult`,
         in submission order.  When set, results are delivered to the
@@ -302,7 +312,6 @@ class ProcessWorkerPool:
         self,
         service: DetectionService,
         num_workers: int = 2,
-        timer_interval: Optional[float] = None,
         result_callback: Optional[Callable[[BatchResult], None]] = None,
     ) -> None:
         if num_workers <= 0:
@@ -310,17 +319,14 @@ class ProcessWorkerPool:
         self.service = service
         self.clock = service.clock  # read for every dispatch, commit and event stamp
         self.num_workers = int(num_workers)
-        if timer_interval is None:
-            timer_interval = max(service.batcher.flush_interval / 2.0, 0.001)
-        if timer_interval < 0:
-            raise ValueError("timer_interval must be non-negative")
-        self.timer_interval = float(timer_interval)
         self.transport = _ChannelFactory()
         # _submit_lock serialises batcher access and sequence assignment, so
-        # sequence order == FIFO drain order.  _commit_cond guards the
-        # reorder buffer and the per-child books below; the collector
-        # commits under it and waiters block on it.
+        # sequence order == FIFO drain order; the dispatcher sleeps on
+        # _due, built on it.  _commit_cond guards the reorder buffer and the
+        # per-child books below; the collector commits under it and waiters
+        # block on it.
         self._submit_lock = threading.Lock()
+        self._due = threading.Condition(self._submit_lock)
         self._commit_cond = threading.Condition()
         self._next_sequence = 0
         self._next_commit = 0
@@ -328,8 +334,7 @@ class ProcessWorkerPool:
         self._committed: List[BatchResult] = []
         self._result_callback = result_callback
         self._errors: List[BaseException] = []
-        self._timer: Optional[threading.Thread] = None
-        self._shutdown = threading.Event()
+        self._dispatcher: Optional[threading.Thread] = None
         # Thread driving a stream through this pool (see _stream_lanes);
         # only it may submit/poll/flush until the stream returns.
         self._stream_owner: Optional[int] = None
@@ -394,14 +399,15 @@ class ProcessWorkerPool:
             self._slots.append(child)
 
     def start(self) -> "ProcessWorkerPool":
-        """Spawn the children (each rehydrates the current detector from a
-        checkpoint), start the collector thread and the age timer
-        (idempotent).  If a spawn fails partway, the children already
-        spawned are stopped before the error propagates."""
+        """Spawn the children, wait until each has rehydrated the current
+        detector from a checkpoint, then start the collector and the
+        dispatcher threads (idempotent).  So the cold start is over when
+        this returns.  If a spawn or a rehydration fails, the children
+        already spawned are stopped before the error propagates; a child's
+        ``init-error`` raises with its traceback."""
         if self._started:
             return self
         checkpoint = DetectorCheckpoint.capture(self.service.detector)
-        self._shutdown.clear()
         self._stopping = False
         self._failed_workers = {}
         self._retired_clean = set()
@@ -410,6 +416,7 @@ class ProcessWorkerPool:
         try:
             for _ in range(self.num_workers):
                 self._spawn_child(checkpoint)
+            self._await_ready()
         except BaseException:
             for child in self._slots:
                 child.process.terminate()
@@ -421,13 +428,44 @@ class ProcessWorkerPool:
             target=self._collector_loop, name="serving-proc-collector", daemon=True
         )
         self._collector.start()
-        if self.timer_interval > 0:
-            self._timer = threading.Thread(
-                target=self._timer_loop, name="serving-age-timer", daemon=True
-            )
-            self._timer.start()
-        self._started = True
+        self._started = True  # before the dispatcher, whose loop reads it
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="serving-age-dispatcher", daemon=True
+        )
+        self._dispatcher.start()
         return self
+
+    def _await_ready(self) -> None:
+        """Block until every child has replied ``ready`` to its ``init``.
+
+        Runs before the collector starts, so it reads the reply queues
+        itself.  A child that replies ``init-error``, exits without a reply
+        or stays silent past ``_HANDSHAKE_TIMEOUT`` fails the start.
+        """
+        waiting = {child.channel.reply_reader: child for child in self._slots}
+        deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise TimeoutError(
+                    f"{len(waiting)} worker process(es) were not ready within "
+                    f"{_HANDSHAKE_TIMEOUT} s"
+                )
+            sentinels = [child.process.sentinel for child in waiting.values()]
+            ready = multiprocessing.connection.wait(
+                list(waiting) + sentinels, timeout=remaining
+            )
+            for reader, child in list(waiting.items()):
+                if reader in ready:
+                    message = child.channel.result_queue.get()
+                    if message[0] == "init-error":
+                        raise _rehydration_error(*message[1:])
+                    del waiting[reader]
+                elif child.process.sentinel in ready:
+                    raise RuntimeError(
+                        f"worker process {child.token} exited before it was "
+                        f"ready (exitcode {child.process.exitcode})"
+                    )
 
     def close(self) -> None:
         """Drain in-flight batches, stop the children, join everything.
@@ -441,18 +479,18 @@ class ProcessWorkerPool:
         drains anything from the batcher.  Every channel's queues are
         closed at the end, so none outlives the pool.
         """
-        self._shutdown.set()
-        if self._timer is not None:
-            self._timer.join()
-            self._timer = None
         with self._submit_lock:
             if not self._started:
                 self._raise_pending_error()
                 return
             self._started = False  # refuse new dispatches from here on
+            self._due.notify()  # and end the dispatcher
             with self._commit_cond:
                 self._stopping = True
                 children = list(self._slots) + list(self._graveyard)
+        if self._dispatcher is not None:
+            self._dispatcher.join()
+            self._dispatcher = None
         for child in self._slots:
             child.channel.send_stop()  # graveyard children already have one
         deadline = time.monotonic() + _HANDSHAKE_TIMEOUT
@@ -495,12 +533,28 @@ class ProcessWorkerPool:
     # ------------------------------------------------------------------ #
     # Dispatch and collection
     # ------------------------------------------------------------------ #
-    def _timer_loop(self) -> None:
-        while not self._shutdown.wait(self.timer_interval):
-            with self._submit_lock:
-                if not self._started:  # timer racing a start()/close()
+    def _dispatch_loop(self) -> None:
+        """Fire the age trigger at each partial batch's deadline.
+
+        Sleeps on ``_due`` with no timeout while the batcher is empty
+        (:meth:`submit` notifies when it leaves a record pending) and
+        otherwise until :attr:`MicroBatcher.deadline`, then polls.  Each
+        timed wait is capped at the flush interval, so a service clock that
+        is not wall time cannot strand a batch.  close() clears
+        ``_started`` and notifies.
+        """
+        batcher = self.service.batcher
+        with self._due:
+            while self._started:
+                deadline = batcher.deadline
+                if deadline is None:
+                    self._due.wait()
                     continue
-                batch = self.service.batcher.poll()
+                now = batcher.clock()
+                if now < deadline:
+                    self._due.wait(min(deadline - now, batcher.flush_interval))
+                    continue
+                batch = batcher.poll()
                 if batch is not None:
                     self._dispatch(batch)
 
@@ -653,15 +707,12 @@ class ProcessWorkerPool:
                     self._swap_failures.append(f"worker {worker_id}: {error}")
                 self._commit_cond.notify_all()
         elif kind == "init-error":
-            # The child exits right after this; the liveness check will
+            # A child grown by resize() (start() reads its own children's
+            # replies).  It exits right after this; the liveness check will
             # fail its sequences — this just attaches the real cause.
-            _, worker_id, text = message
-            self._record_error(
-                RuntimeError(
-                    f"worker process {worker_id} failed to rehydrate its "
-                    f"detector:\n{text}"
-                )
-            )
+            self._record_error(_rehydration_error(*message[1:]))
+        # "ready" from a child grown by resize() needs nothing: its FIFO
+        # task queue already holds the batches routed to it.
 
     def _commit_scored(self, sequence, predicted, child_latency, unknown) -> None:
         """Assemble the BatchResult the synchronous path would have built.
@@ -924,8 +975,14 @@ class ProcessWorkerPool:
         """
         with self._submit_lock:
             self._require_running()
-            for batch in self.service.batcher.submit(records):
+            batcher = self.service.batcher
+            idle = batcher.pending_count == 0
+            for batch in batcher.submit(records):
                 self._dispatch(batch)
+            if idle and batcher.pending_count:
+                # The dispatcher sleeps without a deadline only while the
+                # batcher is empty; later records cannot move it earlier.
+                self._due.notify()
         return self.collect()
 
     def poll(self) -> List[BatchResult]:

@@ -10,7 +10,7 @@ and UNSW-NB15 (196 features) — are committed in
 for existing seeds (a GEMM shape, a summation order, a dropout draw, the
 moving-statistics update), which moves every trained detector and every
 paper table; it must be deliberate (regenerate with
-``python tests/core/test_training_goldens.py``).
+``PYTHONPATH=src python tests/core/test_training_goldens.py``).
 
 A detector's seed alone determines its network: every layer's generator is
 derived from it, so a second same-seed fit in the same process ends with
@@ -78,7 +78,7 @@ def test_trained_weights_match_committed_goldens():
             f"{name}: trained arrays drifted from the committed goldens "
             f"({', '.join(drifted)}) — training changed for existing seeds; "
             "if deliberate, regenerate with "
-            "`python tests/core/test_training_goldens.py`"
+            "`PYTHONPATH=src python tests/core/test_training_goldens.py`"
         )
 
 

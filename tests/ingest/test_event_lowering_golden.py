@@ -13,7 +13,8 @@ Two layers of determinism are locked here:
   .json``.  A digest drift means the lowering or the flow table changed
   observable behaviour for existing seeds — which is a compatibility break
   for anyone holding event-plane baselines, and must be deliberate
-  (regenerate with ``python tests/ingest/test_event_lowering_golden.py``).
+  (regenerate from the repository root with
+  ``PYTHONPATH=src python tests/ingest/test_event_lowering_golden.py``).
 """
 
 import hashlib
@@ -129,7 +130,7 @@ def test_event_stream_reiterates_identically():
 def test_digests_match_committed_goldens():
     assert GOLDEN_PATH.exists(), (
         f"missing golden file {GOLDEN_PATH}; regenerate with "
-        "`python tests/ingest/test_event_lowering_golden.py`"
+        "`PYTHONPATH=src python tests/ingest/test_event_lowering_golden.py`"
     )
     goldens = json.loads(GOLDEN_PATH.read_text())
     current = _current_digests()
@@ -137,7 +138,7 @@ def test_digests_match_committed_goldens():
         "event-plane digests drifted from the committed goldens — the "
         "lowering or flow table changed observable behaviour for existing "
         "seeds; if deliberate, regenerate with "
-        "`python tests/ingest/test_event_lowering_golden.py`"
+        "`PYTHONPATH=src python tests/ingest/test_event_lowering_golden.py`"
     )
 
 

@@ -8,7 +8,7 @@ datasets are committed in ``goldens/pipeline_digests.json``.  A digest
 drift means the one-hot layout, the standardization arithmetic or the
 class coding changed for existing seeds, which moves every trained
 detector and every paper table; it must be deliberate (regenerate with
-``python tests/preprocessing/test_pipeline_goldens.py``).
+``PYTHONPATH=src python tests/preprocessing/test_pipeline_goldens.py``).
 """
 
 import hashlib
@@ -71,7 +71,7 @@ def test_digests_match_committed_goldens():
         "training-input digests drifted from the committed goldens — the "
         "encoding, standardization or class coding changed for existing "
         "seeds; if deliberate, regenerate with "
-        "`python tests/preprocessing/test_pipeline_goldens.py`"
+        "`PYTHONPATH=src python tests/preprocessing/test_pipeline_goldens.py`"
     )
 
 

@@ -79,6 +79,18 @@ class TestMicroBatcher:
         assert batch is not None and len(batch) == 5
         assert batcher.pending_count == 0
 
+    def test_poll_releases_exactly_at_the_deadline(self, records):
+        batcher, clock = make_batcher(max_batch_size=32, flush_interval=1.0)
+        assert batcher.deadline is None
+        clock.advance(0.4)
+        batcher.submit(records.subset(range(5)))
+        assert batcher.deadline == 0.4 + 1.0
+        clock.now = np.nextafter(batcher.deadline, 0.0)
+        assert batcher.poll() is None
+        clock.now = batcher.deadline
+        assert len(batcher.poll()) == 5
+        assert batcher.deadline is None
+
     def test_age_trigger_fires_inside_submit(self, records):
         batcher, clock = make_batcher(max_batch_size=32, flush_interval=1.0)
         batcher.submit(records.subset(range(5)))

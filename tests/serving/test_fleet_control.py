@@ -77,7 +77,7 @@ class TestPoolSeams:
         service = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0, window=256
         )
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             pool.submit(traffic)
             pool.join()
             stats = pool.stats()
@@ -89,7 +89,7 @@ class TestPoolSeams:
 
     def test_resize_requires_a_running_pool(self, detector):
         service = DetectionService(detector, max_batch_size=32)
-        pool = ProcessWorkerPool(service, num_workers=1, timer_interval=0)
+        pool = ProcessWorkerPool(service, num_workers=1)
         with pytest.raises(RuntimeError, match="resize"):
             pool.resize(3)
         with pool:
@@ -109,7 +109,7 @@ class TestPoolSeams:
         service = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0, window=1 << 20
         )
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             sizes = [2, 3, 1, 2]
             for step, start in enumerate(range(0, len(traffic), 50)):
                 pool.submit(

@@ -12,9 +12,9 @@ The tier-1 acceptance bar:
 * per-shard process pools behind :class:`ShardedDetectionService` merge to
   the same counts as the inline run;
 * the pool surface itself: start-up refusals, scoring errors in a child,
-  join timeouts, concurrent submitters, the age timer, stream ownership —
-  and no child outlives a pool whose start (or a sharded fleet whose
-  pool opening) fails partway.
+  join timeouts, concurrent submitters, the age-trigger dispatcher, stream
+  ownership — and no child outlives a pool whose start (or a sharded
+  fleet whose pool opening) fails partway.
 
 Tests spawn one child unless they need more: every child is a fresh
 interpreter importing :mod:`repro`.
@@ -26,8 +26,11 @@ commit) on a stream built before either arm runs.
 """
 
 import multiprocessing
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -205,7 +208,7 @@ class TestProcessPoolBitEquality:
         with pytest.raises(ValueError, match="unknown label"):
             sync_service.submit(drifted)
         service = _service(detector, max_batch_size=len(drifted))
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             pool.submit(drifted)
             with pytest.raises(RuntimeError, match="scoring failed"):
                 pool.flush()
@@ -224,7 +227,7 @@ class TestProcessPoolBitEquality:
         with pytest.raises(ValueError, match="non-finite"):
             sync_service.process(batch)
         service = _service(detector, max_batch_size=64)
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             pool.submit(batch)
             with pytest.raises(RuntimeError, match="non-finite"):
                 pool.flush()
@@ -316,8 +319,6 @@ class TestPoolSurface:
         service = _service(detector)
         with pytest.raises(ValueError, match="num_workers"):
             ProcessWorkerPool(service, num_workers=0)
-        with pytest.raises(ValueError, match="timer_interval"):
-            ProcessWorkerPool(service, timer_interval=-1.0)
 
     def test_a_failed_start_stops_the_children_already_spawned(self, detector):
         """If spawning child k fails, children 0..k-1 must not keep
@@ -340,9 +341,59 @@ class TestPoolSurface:
         pool.close()
         assert _serving_children() == []
 
+    def test_a_checkpoint_that_cannot_be_restored_fails_start(
+        self, detector, monkeypatch
+    ):
+        """start() returns only once every child has rehydrated, so a
+        child's init-error raises from start() itself, with the child's
+        traceback, and no child outlives the failed start."""
+        capture = DetectorCheckpoint.capture
+
+        def truncated(cls, source):
+            checkpoint = capture(source)
+            checkpoint.weights[0] = checkpoint.weights[0][:1]
+            return checkpoint
+
+        monkeypatch.setattr(DetectorCheckpoint, "capture", classmethod(truncated))
+        pool = ProcessWorkerPool(_service(detector), num_workers=1)
+        with pytest.raises(RuntimeError, match="failed to rehydrate") as raised:
+            pool.start()
+        assert "ValueError" in str(raised.value)
+        assert not pool.running
+        pool.close()
+        assert _serving_children() == []
+
+    def test_an_idle_pool_makes_no_batcher_calls(self, detector):
+        """With nothing pending the dispatcher sleeps until a submit wakes
+        it, instead of polling the batcher on a schedule."""
+        service = _service(detector, flush_interval=0.01)
+        polls = []
+        poll = service.batcher.poll
+        with ProcessWorkerPool(service, num_workers=1):
+            service.batcher.poll = lambda: polls.append(1) or poll()
+            time.sleep(0.5)
+        assert polls == []
+
+    def test_a_lone_partial_batch_commits_at_its_deadline(self, detector, traffic):
+        """The age trigger fires at the oldest record's deadline: a partial
+        batch commits 0.2 s after its submit, plus one round trip, not at
+        the next poll tick."""
+        service = _service(detector, max_batch_size=1024, flush_interval=0.2)
+        committed = []
+        with ProcessWorkerPool(
+            service,
+            num_workers=1,
+            result_callback=lambda result: committed.append(time.monotonic()),
+        ) as pool:
+            submitted = time.monotonic()
+            pool.submit(traffic.subset(range(10)))
+            time.sleep(0.5)
+        assert len(committed) == 1
+        assert 0.2 <= committed[0] - submitted <= 0.25
+
     def test_empty_submission_is_safe(self, detector, traffic):
         service = DetectionService(detector)
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             assert pool.submit(traffic.subset(range(0))) == []
             assert pool.flush() == []
 
@@ -358,7 +409,7 @@ class TestPoolSurface:
         # rejects it.  An exactly batch-sized submission travels as is.
         broken.numeric = broken.numeric[:, :-1]
         service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             results = pool.submit(good[0])
             results += pool.submit(broken)
             results += pool.submit(good[1])
@@ -375,13 +426,15 @@ class TestPoolSurface:
         assert service.report().records == 64
 
     def test_join_times_out_when_work_is_outstanding(self, detector, traffic):
-        with ProcessWorkerPool(
-            _service(detector), num_workers=1, timer_interval=0
-        ) as pool:
-            pool.submit(traffic.subset(range(32)))
-            # The child is still importing repro: nothing can commit yet.
-            with pytest.raises(TimeoutError, match="outstanding"):
-                pool.join(timeout=0.01)
+        with ProcessWorkerPool(_service(detector), num_workers=1) as pool:
+            child = pool._slots[0].process
+            os.kill(child.pid, signal.SIGSTOP)  # nothing can commit yet
+            try:
+                pool.submit(traffic.subset(range(32)))
+                with pytest.raises(TimeoutError, match="outstanding"):
+                    pool.join(timeout=0.01)
+            finally:
+                os.kill(child.pid, signal.SIGCONT)
             pool.join(timeout=60.0)
 
     def test_wall_span_runs_from_dispatch_to_commit(self, detector, traffic):
@@ -389,7 +442,7 @@ class TestPoolSurface:
         so the span lies inside the submit-to-flush window and the
         throughput is the records over that one span."""
         service = _service(detector)
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             before = service.clock()
             pool.submit(traffic)
             pool.flush()
@@ -402,15 +455,13 @@ class TestPoolSurface:
         )
 
     def test_concurrent_submitters_lose_no_records(self, detector, traffic):
-        """Several threads hammering submit() while the timer drains
-        partials: every record must be scored exactly once."""
+        """Several threads hammering submit() at once: every record must be
+        scored exactly once."""
         service = DetectionService(
             detector, max_batch_size=32, flush_interval=0.0
         )
         chunks = [traffic.subset(range(i, len(traffic), 5)) for i in range(5)]
-        with ProcessWorkerPool(
-            service, num_workers=1, timer_interval=0.001
-        ) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             threads = [
                 threading.Thread(target=pool.submit, args=(chunk,))
                 for chunk in chunks
@@ -425,10 +476,48 @@ class TestPoolSurface:
         assert report.records == len(traffic)
         assert report.rolling.total == len(traffic)
 
+    def test_submitters_racing_the_dispatcher_lose_no_records(
+        self, detector, traffic
+    ):
+        """Five threads submit 3-record bursts while the dispatcher fires
+        2 ms age triggers between them, under a short switch interval:
+        every record is committed exactly once."""
+        service = _service(detector, flush_interval=0.002)
+        sizes = []
+
+        def submit_bursts(first):
+            for start in range(first, len(traffic), 15):
+                pool.submit(traffic.subset(range(start, start + 3)))
+                time.sleep(0.001)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ProcessWorkerPool(
+                service, num_workers=1,
+                result_callback=lambda result: sizes.append(result.size),
+            ) as pool:
+                threads = [
+                    threading.Thread(target=submit_bursts, args=(first,))
+                    for first in range(0, 15, 3)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                pool.flush()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert len(traffic) % 15 == 0
+        assert sum(sizes) == len(traffic)
+        report = service.report()
+        assert report.records == report.rolling.total == len(traffic)
+
     def test_age_trigger_fires_on_the_timer(self, detector, traffic):
         """A partial batch must be scored without any further pool calls:
-        close() leaves queued records in the batcher, so only the timer
-        can have released them."""
+        close() leaves queued records in the batcher, so only the
+        dispatcher can have released them."""
         service = DetectionService(
             detector, max_batch_size=1024, flush_interval=0.02
         )
@@ -450,7 +539,7 @@ class TestStreamOwnership:
             detector, max_batch_size=1024, flush_interval=1e9, window=4096
         )
         stream = _tiny_stream()
-        with ProcessWorkerPool(service, num_workers=1, timer_interval=0) as pool:
+        with ProcessWorkerPool(service, num_workers=1) as pool:
             pool.submit(traffic.subset(range(10)))  # stays queued (no trigger)
             report = pool.run_stream(stream)
             # The pre-stream tail was scored outside the attribution FIFO

@@ -86,19 +86,29 @@ class TestServedDtype:
             result.class_indices, np.argmax(predict(inputs, fast=True), axis=-1)
         )
 
-    def test_float32_tracks_float64_on_a_trained_pelican_flood(self):
-        """A trained 10-block Pelican scores a flood stream at float32 within
-        1e-5 of its float64 tape probabilities, with no verdict flipped; the
-        float64 fast path stays within 1e-6 of the tape."""
+    @pytest.fixture(scope="class")
+    def pelican10(self):
+        """A trained 10-block Pelican."""
         detector = PelicanDetector(
             NSLKDD_SCHEMA, num_blocks=10, epochs=1, batch_size=64,
             dropout_rate=0.3, seed=1,
         )
         detector.fit(load_nslkdd(n_records=384, seed=1))
-        pipeline = detector.preprocessor
-        stream = TrafficStream.flood_scenario(
+        return detector
+
+    @staticmethod
+    def _flood():
+        return TrafficStream.flood_scenario(
             nslkdd_generator(), batch_size=256, seed=1
         )
+
+    def test_float32_tracks_float64_on_a_trained_pelican_flood(self, pelican10):
+        """A trained 10-block Pelican scores a flood stream at float32 within
+        1e-5 of its float64 tape probabilities, with no verdict flipped; the
+        float64 fast path stays within 1e-6 of the tape."""
+        detector = pelican10
+        pipeline = detector.preprocessor
+        stream = self._flood()
         worst = flips = records = 0
         for batch in stream:
             served = detector.network.predict(
@@ -117,6 +127,22 @@ class TestServedDtype:
         assert records > 5000
         assert worst <= 1e-5
         assert flips == 0
+
+    def test_float32_scores_do_not_depend_on_the_batch(self, pelican10):
+        """Every record scores bit for bit the same in batches of 1 to 64
+        rows as in one 256-record batch.  OpenBLAS sums a 1-row GEMM, and
+        the 5-wide classifier GEMM at some row counts, in another order;
+        the fast path pads both shapes away."""
+        records = next(iter(self._flood())).records
+        assert len(records) == 256
+        inputs, _ = pelican10.preprocessor.transform_inputs(records)
+        network = pelican10.network
+        whole = network.predict(inputs, batch_size=256, fast=True)
+        for rows in [*range(1, 65), 256]:
+            np.testing.assert_array_equal(
+                network.predict(inputs, batch_size=rows, fast=True), whole,
+                err_msg=f"{rows}-row batches",
+            )
 
 
 def _report(monitor):
